@@ -46,15 +46,7 @@ from .exact import (
     tensor_mat_power_apply,
     tensor_transition,
 )
-from .lowrank import (
-    LowRankState,
-    NonFiniteError,
-    RankOneFunctional,
-    batch_features,
-    cu_matrix,
-    lowrank_recursion,
-    zerostart_correct,
-)
+from .lowrank import NonFiniteError, RankOneFunctional, batch_features
 from .layers import (
     LayerParams,
     ModelConfig,
@@ -102,13 +94,9 @@ __all__ = [
     "tensor_adjacency",
     "tensor_mat_power_apply",
     "tensor_transition",
-    "LowRankState",
     "NonFiniteError",
     "RankOneFunctional",
     "batch_features",
-    "cu_matrix",
-    "lowrank_recursion",
-    "zerostart_correct",
     "LayerParams",
     "ModelConfig",
     "init_params",

@@ -9,7 +9,7 @@ import numpy as np
 
 from .config import FeatureConfig
 from .graphs import LabelledGraph, grid_graph, path_graph, transition_matrix
-from .lowrank import RankOneFunctional, batch_features
+from .lowrank import batch_features
 
 LINEAR_RATIO_BOUND = 2.5
 
@@ -20,16 +20,13 @@ def time_batch(
     """Median wall-clock seconds of batch_features; one warm-up run discarded."""
     rng = np.random.default_rng(seed)
     dim = cfg.lift_dim(g.attr_dim)
-    functionals = [
-        RankOneFunctional(rng.standard_normal((cfg.max_degree, dim)))
-        for _ in range(cfg.rank)
-    ]
+    vectors = rng.standard_normal((cfg.rank, cfg.max_degree, dim))
     p = transition_matrix(g)
-    batch_features(g, p, functionals, cfg)  # warm-up
+    batch_features(g, p, vectors, cfg)  # warm-up
     samples = []
     for _ in range(repeats):
         start = time.perf_counter()
-        batch_features(g, p, functionals, cfg)
+        batch_features(g, p, vectors, cfg)
         samples.append(time.perf_counter() - start)
     return float(np.median(samples))
 

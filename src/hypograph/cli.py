@@ -15,6 +15,7 @@ from .config import FeatureConfig
 from .exact import OracleScaleError
 from .graphs import DatasetError, dataset_summary, load_tu_dataset
 from .layers import LayerParams, ModelConfig, init_params, layer_forward, model_forward
+from .lowrank import NonFiniteError
 from .verify import TOLERANCE, run_equivalence_suite
 from . import bench as bench_mod
 
@@ -187,13 +188,19 @@ def _format_float(x: float) -> str:
 
 
 def _graph_rows(item):
-    graph, label, model, per_node = item
-    if per_node:
-        x = graph.attributes
-        for layer in model.layers:
-            x = layer_forward(graph, x, layer)
-        return x
-    return model_forward(graph, model)
+    row, graph, model, per_node = item
+    try:
+        if per_node:
+            x = graph.attributes
+            for idx, layer in enumerate(model.layers):
+                try:
+                    x = layer_forward(graph, x, layer)
+                except NonFiniteError as exc:
+                    raise NonFiniteError(f"layer {idx + 1}: {exc}") from exc
+            return x
+        return model_forward(graph, model)
+    except NonFiniteError as exc:
+        raise NonFiniteError(f"graph row {row}, {exc}") from exc
 
 
 def cmd_extract(spec: RunSpec) -> int:
@@ -201,7 +208,7 @@ def cmd_extract(spec: RunSpec) -> int:
     if not dataset:
         raise DatasetError("dataset is empty")
     model = _build_model(spec, dataset[0][0].attr_dim)
-    jobs = [(g, label, model, spec.per_node) for g, label in dataset]
+    jobs = [(row, g, model, spec.per_node) for row, (g, _) in enumerate(dataset)]
     if spec.threads > 1:
         with ThreadPoolExecutor(max_workers=spec.threads) as pool:
             results = list(pool.map(_graph_rows, jobs))
@@ -216,7 +223,7 @@ def cmd_extract(spec: RunSpec) -> int:
             lines.append(",".join(["graph", "node", "label"] + cols))
         else:
             lines.append(",".join(["graph", "label"] + cols))
-    for gi, ((_, label, _, _), res) in enumerate(zip(jobs, results)):
+    for gi, ((_, label), res) in enumerate(zip(dataset, results)):
         label_txt = "" if label is None else str(label)
         if spec.per_node:
             for node, row in enumerate(res):
@@ -352,7 +359,7 @@ def main(argv=None) -> int:
     except OracleScaleError as exc:
         print(f"hypograph: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DatasetError, OSError) as exc:
+    except (DatasetError, NonFiniteError, OSError) as exc:
         print(f"hypograph: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

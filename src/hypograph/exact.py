@@ -11,12 +11,7 @@ import numpy as np
 
 from .config import FeatureConfig
 from .graphs import LabelledGraph, RowStochastic
-from .tensoralg import (
-    LiftCoefficients,
-    TruncatedTensorSequence,
-    algebra_mul,
-    lift,
-)
+from .tensoralg import TruncatedTensorSequence, _lift_coeffs, algebra_mul, lift
 
 MAX_ORACLE_NODES = 64
 MAX_ORACLE_DEGREE = 4
@@ -96,10 +91,6 @@ class TensorMatrix:
             for j, value in row:
                 out[i, j] = value.level(0)
         return out
-
-
-def _lift_coeffs(cfg: FeatureConfig, max_degree: int) -> LiftCoefficients:
-    return LiftCoefficients(tuple(cfg.coefficients(max_degree)))
 
 
 def _edge_input(g: LabelledGraph, cfg: FeatureConfig, i: int, j: int, step: int) -> np.ndarray:

@@ -45,6 +45,14 @@ class AdjacencyPattern:
         out.flags.writeable = False
         return out
 
+    @cached_property
+    def incidence(self) -> sparse.csr_matrix:
+        """n x nnz all-ones matrix: ``incidence @ x`` sums per-entry rows of x by row."""
+        return sparse.csr_matrix(
+            (np.ones(self.nnz), np.arange(self.nnz, dtype=np.int32), self.indptr),
+            shape=(self.n, self.nnz),
+        )
+
     @property
     def nnz(self) -> int:
         return int(self.indices.size)
@@ -326,6 +334,19 @@ def _read_lines(path: str) -> list[str]:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
 
 
+def _parse_ints(lines: list[str], path: str) -> np.ndarray:
+    try:
+        return np.array([int(x) for x in lines], dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        # slow path, only to name the offending line
+        for idx, ln in enumerate(lines):
+            try:
+                np.int64(int(ln))
+            except (ValueError, OverflowError) as line_exc:
+                raise DatasetError(f"{path}: line {idx + 1}: {line_exc}") from line_exc
+        raise DatasetError(f"{path}: {exc}") from exc
+
+
 def _parse_int_pairs(lines: list[str], path: str) -> np.ndarray:
     out = np.empty((len(lines), 2), dtype=np.int64)
     for idx, ln in enumerate(lines):
@@ -362,7 +383,7 @@ def load_tu_dataset(path: str, name: str):
         if not os.path.exists(req):
             raise DatasetError(f"missing required file {req}")
 
-    indicator = np.array([int(x) for x in _read_lines(ind_path)], dtype=np.int64)
+    indicator = _parse_ints(_read_lines(ind_path), ind_path)
     if indicator.size == 0:
         raise DatasetError(f"{ind_path} is empty")
     num_nodes = indicator.size
@@ -382,12 +403,11 @@ def load_tu_dataset(path: str, name: str):
     attrs_path = prefix + "_node_attributes.txt"
     blocks = []
     if os.path.exists(labels_path):
-        raw = [int(x) for x in _read_lines(labels_path)]
+        raw = _parse_ints(_read_lines(labels_path), labels_path)
         if len(raw) != num_nodes:
             raise DatasetError(
                 f"{labels_path}: {len(raw)} labels for {num_nodes} nodes"
             )
-        raw = np.asarray(raw, dtype=np.int64)
         lo, hi = int(raw.min()), int(raw.max())
         onehot = np.zeros((num_nodes, hi - lo + 1), dtype=np.float64)
         onehot[np.arange(num_nodes), raw - lo] = 1.0
@@ -426,7 +446,7 @@ def load_tu_dataset(path: str, name: str):
     glabels_path = prefix + "_graph_labels.txt"
     graph_labels = None
     if os.path.exists(glabels_path):
-        raw = [int(x) for x in _read_lines(glabels_path)]
+        raw = _parse_ints(_read_lines(glabels_path), glabels_path).tolist()
         if len(raw) != num_graphs:
             raise DatasetError(
                 f"{glabels_path}: {len(raw)} labels for {num_graphs} graphs"

@@ -17,32 +17,34 @@ import numpy as np
 
 from .config import FeatureConfig
 from .graphs import AttentionParams, LabelledGraph, attention_transition, transition_matrix
-from .lowrank import RankOneFunctional, batch_features
+from .lowrank import NonFiniteError, batch_features
 
 
 @dataclass(frozen=True)
 class LayerParams:
-    """Parameters of one feature layer."""
+    """Parameters of one feature layer.
 
-    functionals: tuple[RankOneFunctional, ...]
+    ``vectors`` holds the component vectors of the R rank-1 functionals as
+    one (R, M, lift_dim) array.
+    """
+
+    vectors: np.ndarray
     mixing: np.ndarray
     bias: np.ndarray
     config: FeatureConfig
     attention: AttentionParams | None = None
 
     def __post_init__(self):
-        functionals = tuple(self.functionals)
-        if not functionals:
-            raise ValueError("need at least one functional")
-        deg, dim = functionals[0].degree, functionals[0].dim
-        for f in functionals:
-            if f.degree != deg or f.dim != dim:
-                raise ValueError("functionals must share degree and dimension")
+        vectors = np.ascontiguousarray(self.vectors, dtype=np.float64)
+        if vectors.ndim != 3 or 0 in vectors.shape:
+            raise ValueError(f"vectors must be (R, M, dim), got {vectors.shape}")
+        if not np.all(np.isfinite(vectors)):
+            raise ValueError("component vectors must be finite")
+        rank, deg, dim = vectors.shape
         if deg != self.config.max_degree:
             raise ValueError(
                 f"functional degree {deg} does not match config degree {self.config.max_degree}"
             )
-        rank = len(functionals)
         mixing = np.ascontiguousarray(self.mixing, dtype=np.float64)
         bias = np.ascontiguousarray(self.bias, dtype=np.float64)
         if mixing.shape != (rank, rank * deg):
@@ -54,9 +56,10 @@ class LayerParams:
         if self.attention is not None:
             if self.attention.dim != self.attr_dim_from(dim):
                 raise ValueError("attention dimension does not match attributes")
+        vectors.flags.writeable = False
         mixing.flags.writeable = False
         bias.flags.writeable = False
-        object.__setattr__(self, "functionals", functionals)
+        object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "mixing", mixing)
         object.__setattr__(self, "bias", bias)
 
@@ -65,12 +68,12 @@ class LayerParams:
 
     @property
     def rank(self) -> int:
-        return len(self.functionals)
+        return int(self.vectors.shape[0])
 
     @property
     def attr_dim(self) -> int:
         """Attribute width this layer expects."""
-        return self.attr_dim_from(self.functionals[0].dim)
+        return self.attr_dim_from(int(self.vectors.shape[2]))
 
 
 @dataclass(frozen=True)
@@ -116,12 +119,10 @@ def init_params(
     dim = cfg.lift_dim(d)
     children = seq.spawn(rank + 2)
     bound_u = math.sqrt(3.0 / dim)
-    functionals = tuple(
-        RankOneFunctional(
-            np.random.default_rng(children[j]).uniform(-bound_u, bound_u, size=(deg, dim))
-        )
+    vectors = np.stack([
+        np.random.default_rng(children[j]).uniform(-bound_u, bound_u, size=(deg, dim))
         for j in range(rank)
-    )
+    ])
     bound_mix = math.sqrt(3.0 / (rank * deg))
     mixing = np.random.default_rng(children[rank]).uniform(
         -bound_mix, bound_mix, size=(rank, rank * deg)
@@ -134,7 +135,7 @@ def init_params(
             rng.uniform(-bound_a, bound_a, size=(heads, d)),
             rng.uniform(-bound_a, bound_a, size=(heads, d)),
         )
-    return LayerParams(functionals, mixing, np.zeros(rank), cfg, attn)
+    return LayerParams(vectors, mixing, np.zeros(rank), cfg, attn)
 
 
 def layer_forward(g: LabelledGraph, attributes, params: LayerParams) -> np.ndarray:
@@ -149,15 +150,18 @@ def layer_forward(g: LabelledGraph, attributes, params: LayerParams) -> np.ndarr
         p = attention_transition(graph, params.attention)
     else:
         p = transition_matrix(graph)
-    feats = batch_features(graph, p, params.functionals, params.config)
+    feats = batch_features(graph, p, params.vectors, params.config)
     return feats @ params.mixing.T + params.bias
 
 
 def model_forward(g: LabelledGraph, model: ModelConfig) -> np.ndarray:
     """Fold the layer stack over the graph and pool node features."""
     x = g.attributes
-    for layer in model.layers:
-        x = layer_forward(g, x, layer)
+    for idx, layer in enumerate(model.layers):
+        try:
+            x = layer_forward(g, x, layer)
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"layer {idx + 1}: {exc}") from exc
     if model.pooling == "mean":
         return x.mean(axis=0)
     return x.sum(axis=0)
@@ -172,15 +176,9 @@ def l2_penalty(params: LayerParams, lam: float) -> float:
     """
     if lam < 0.0:
         raise ValueError("lambda must be non-negative")
-    total = 0.0
-    deg = params.config.max_degree
-    for f in params.functionals:
-        sq = np.sum(f.vectors**2, axis=1)  # ||u_s||^2 for s = 1..M
-        prod = 1.0
-        for m in range(1, deg + 1):
-            prod *= sq[deg - m]  # extend the suffix by u_{M-m+1}
-            total += prod
-    return lam * total
+    sq = np.sum(params.vectors**2, axis=2)  # ||u_s||^2 per functional, s = 1..M
+    # column m-1 of the reversed cumulative product is the degree-m suffix product
+    return lam * float(np.sum(np.cumprod(sq[:, ::-1], axis=1)))
 
 
 MODEL_FORMAT = "hypograph-model"
@@ -216,7 +214,7 @@ def save_params(path: str, model: ModelConfig) -> None:
     }
     for layer in model.layers:
         entry = _config_dict(layer.config)
-        entry["u_vectors"] = [f.vectors.tolist() for f in layer.functionals]
+        entry["u_vectors"] = layer.vectors.tolist()
         entry["mixing"] = layer.mixing.tolist()
         entry["bias"] = layer.bias.tolist()
         entry["attention"] = (
@@ -252,9 +250,6 @@ def load_params(path: str) -> ModelConfig:
             time_param=entry["time_param"],
             lift_coeffs=tuple(entry["lift_coeffs"]) if entry["lift_coeffs"] else None,
         )
-        functionals = tuple(
-            RankOneFunctional(np.array(v, dtype=np.float64)) for v in entry["u_vectors"]
-        )
         attn = None
         if entry.get("attention") is not None:
             attn = AttentionParams(
@@ -263,7 +258,7 @@ def load_params(path: str) -> ModelConfig:
             )
         layers.append(
             LayerParams(
-                functionals,
+                np.array(entry["u_vectors"], dtype=np.float64),
                 np.array(entry["mixing"], dtype=np.float64),
                 np.array(entry["bias"], dtype=np.float64),
                 cfg,

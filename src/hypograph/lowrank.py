@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .config import FeatureConfig
 from .graphs import LabelledGraph, RowStochastic
@@ -25,16 +24,14 @@ class NonFiniteError(ArithmeticError):
     """The recursion produced a non-finite intermediate value."""
 
 
-# pattern size at which per-functional sparse matvecs beat the row gather
-SPARSE_STEP_NNZ = 8192
-
-
 @dataclass(frozen=True)
 class RankOneFunctional:
     """Rank-1 degree-M functional given by component vectors u_1..u_M.
 
     Row s-1 of ``vectors`` holds u_s; the degree-m level of the functional
-    is the outer product of the suffix u_{M-m+1}, ..., u_M.
+    is the outer product of the suffix u_{M-m+1}, ..., u_M.  A sequence of
+    functionals converts to the (R, M, dim) array :func:`batch_features`
+    takes.
     """
 
     vectors: np.ndarray
@@ -47,6 +44,9 @@ class RankOneFunctional:
             raise ValueError("component vectors must be finite")
         vectors.flags.writeable = False
         object.__setattr__(self, "vectors", vectors)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.vectors, dtype=dtype, copy=copy)
 
     @property
     def degree(self) -> int:
@@ -66,269 +66,89 @@ class RankOneFunctional:
         return np.asarray(out)
 
 
-@dataclass(frozen=True)
-class LowRankState:
-    """Per-node functional values f_{k,m}: an (n, M+1) array, column 0 all ones."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if values.ndim != 2 or values.shape[1] < 2:
-            raise ValueError(f"state must be (n, M+1), got {values.shape}")
-        if not np.all(values[:, 0] == 1.0):
-            raise ValueError("column 0 must be identically 1")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("state must be finite")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n(self) -> int:
-        return int(self.values.shape[0])
-
-    @property
-    def max_degree(self) -> int:
-        return int(self.values.shape[1]) - 1
-
-    def column(self, m: int) -> np.ndarray:
-        return self.values[:, m]
-
-
-def _check_dim(g: LabelledGraph, cfg: FeatureConfig, dim: int):
-    want = cfg.lift_dim(g.attr_dim)
-    if dim != want:
-        raise ValueError(
-            f"dimension mismatch: vectors have dim {dim}, lift needs {want}"
-        )
-
-
 def _edge_attr_inputs(g: LabelledGraph, cfg: FeatureConfig) -> np.ndarray:
-    """Attribute part of the per-entry lift inputs, shape (nnz, d)."""
+    """Attribute part of the per-entry lift inputs, shape (nnz, d).
+
+    Isolated self-loops get the stay-put input: a zero increment, or the
+    node's own attributes without ``diff``.
+    """
     pattern = g.pattern
     if cfg.diff:
         return g.attributes[pattern.indices] - g.attributes[pattern.rows]
     return g.attributes[pattern.indices]
 
 
-def cu_matrix(g: LabelledGraph, u, cfg: FeatureConfig, step: int = 1) -> sparse.csr_matrix:
-    """Sparse projection matrix: entry (i, j) is <u, lift input of i->j>.
+def _project(x: np.ndarray, u_attr: np.ndarray) -> np.ndarray:
+    """<u, x_e> per (slot, row e, functional): (rows, d) x (R, M, d) -> (M, rows, R)."""
+    return x @ u_attr.transpose(1, 2, 0)
 
-    On the shared graph pattern; isolated self-loops use the stay-put
-    input (zero increment, or the node's own attributes without ``diff``).
-    With ``time_param`` the input gains a leading time coordinate (1 for
-    increments, the step index otherwise) and u must have dimension d+1.
+
+def _step_terms(cvals: np.ndarray, p: RowStochastic, coeffs) -> list:
+    """Hadamard-chain terms of one walk step, per degree m = 1..M.
+
+    The degree-m chains start at slot s0 = M - m; the chain of length r
+    has weights c_r * P_e * prod_{t=s0}^{s0+r-1} cvals[t, e, :], shape
+    (nnz, R), and each extends the previous one by a single factor.  A
+    chain of length r < m multiplies state[m - r] at the entry's target;
+    the r = m chain multiplies state[0] == 1, so it enters as the constant
+    incidence @ weights of shape (n, R).  Returns (chains r < m, constant)
+    per degree.
     """
-    u = np.asarray(u, dtype=np.float64)
-    if u.ndim != 1:
-        raise ValueError("u must be a vector")
-    _check_dim(g, cfg, u.size)
-    z = _edge_attr_inputs(g, cfg)
-    if cfg.time_param:
-        time_coord = 1.0 if cfg.diff else float(step)
-        values = z @ u[1:] + u[0] * time_coord
-    else:
-        values = z @ u
-    return g.pattern.matrix(values)
+    m_max = cvals.shape[0]
+    incidence = p.pattern.incidence
+    terms = []
+    for m in range(1, m_max + 1):
+        chain = None
+        chains = []
+        for r in range(1, m + 1):
+            factor = cvals[m_max - m + r - 1]
+            chain = factor if chain is None else chain * factor
+            chains.append((coeffs[r] * p.values)[:, None] * chain)
+        terms.append((chains[:-1], incidence @ chains[-1]))
+    return terms
 
 
-def _stack_vectors(functionals) -> np.ndarray:
-    mats = [f.vectors for f in functionals]
-    first = mats[0]
-    for m in mats[1:]:
-        if m.shape != first.shape:
-            raise ValueError("functionals must share degree and dimension")
-    return np.stack(mats)  # (R, M, dim)
+def _step(state: np.ndarray, p: RowStochastic, plain, terms: list, step: int) -> np.ndarray:
+    """One walk step on the state (M+1, n, R), whose level 0 is identically 1.
 
-
-class _Engine:
-    """Vectorized recursion over all functionals of one batch."""
-
-    def __init__(self, g: LabelledGraph, p: RowStochastic, u_all: np.ndarray, cfg: FeatureConfig):
-        if not p.pattern.same_as(g.pattern):
-            raise ValueError("pattern mismatch: transition does not match the graph")
-        _check_dim(g, cfg, int(u_all.shape[2]))
-        self.g = g
-        self.cfg = cfg
-        self.pattern = g.pattern
-        self.pvals = p.values
-        self.u_all = u_all  # (R, M, lift_dim)
-        self.rank, self.max_degree = int(u_all.shape[0]), int(u_all.shape[1])
-        self.coeffs = np.asarray(cfg.coefficients(self.max_degree))
-        z = _edge_attr_inputs(g, cfg)  # (nnz, d)
-        u_attr = u_all[:, :, 1:] if cfg.time_param else u_all
-        rm = self.rank * self.max_degree
-        self._cvals_attr = (u_attr.reshape(rm, -1) @ z.T).reshape(
-            self.rank, self.max_degree, -1
-        )
-        self._u_time = u_all[:, :, 0] if cfg.time_param else None
-
-    def _cvals(self, step: int) -> np.ndarray:
-        """Projection values per (functional, slot, entry) for one walk step."""
-        if self._u_time is None:
-            return self._cvals_attr
-        time_coord = 1.0 if self.cfg.diff else float(step)
-        return self._cvals_attr + time_coord * self._u_time[:, :, None]
-
-    def _weights(self, step: int) -> dict:
-        """Hadamard-chain term weights, keyed by (start slot, chain length).
-
-        weights[(s0, r)][j, e] = c_r * P_e * prod_{t=s0}^{s0+r-1} cvals[j, t, e];
-        each chain extends the previous one by a single factor.
-        """
-        cvals = self._cvals(step)
-        m_max = self.max_degree
-        weights = {}
-        # overflow surfaces as NonFiniteError in run(); no warning needed here
-        with np.errstate(over="ignore", invalid="ignore"):
-            for s0 in range(m_max):
-                chain = None
-                for r in range(1, m_max - s0 + 1):
-                    factor = cvals[:, s0 + r - 1, :]
-                    chain = factor if chain is None else chain * factor
-                    weights[(s0, r)] = (self.coeffs[r] * self.pvals) * chain
-        return weights
-
-    def _step_gathered(self, state: np.ndarray, weights_t: dict, step: int) -> np.ndarray:
-        """One step via a row gather; fast when the graph is small."""
-        m_max = self.max_degree
-        gathered = state[self.pattern.indices]  # (nnz, rank, M+1)
-        indptr = self.pattern.indptr
-        pv = self.pvals[:, None]
-        new = np.empty_like(state)
-        new[:, :, 0] = 1.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            for m in range(1, m_max + 1):
-                acc = pv * gathered[:, :, m]
-                for r in range(1, m + 1):
-                    acc += weights_t[(m_max - m, r)] * gathered[:, :, m - r]
-                column = np.add.reduceat(acc, indptr[:-1], axis=0)
-                if not np.all(np.isfinite(column)):
-                    raise NonFiniteError(
-                        f"non-finite value at walk step {step}, degree {m}"
-                    )
-                new[:, :, m] = column
-        return new
-
-    def _step_sparse(self, state: np.ndarray, weights: dict, step: int) -> np.ndarray:
-        """One step via per-functional sparse matvecs; cache-friendly when
-        the pattern no longer fits near the cores."""
-        n, rank, width = state.shape
-        m_max = self.max_degree
-        template = self.pattern.matrix(self.pvals)
-        plain = (template @ state.reshape(n, rank * width)).reshape(n, rank, width)
-        new = np.empty_like(state)
-        new[:, :, 0] = 1.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            for m in range(1, m_max + 1):
-                acc = plain[:, :, m]
-                for r in range(1, m + 1):
-                    w = weights[(m_max - m, r)]  # (rank, nnz)
-                    for j in range(rank):
-                        template.data = w[j]
-                        acc[:, j] += template @ state[:, j, m - r]
-                if not np.all(np.isfinite(acc)):
-                    raise NonFiniteError(
-                        f"non-finite value at walk step {step}, degree {m}"
-                    )
-                new[:, :, m] = acc
-        return new
-
-    def run(self, k: int, trace: list | None = None) -> np.ndarray:
-        """State array (n, rank, M+1) after k walk steps."""
-        n, rank, m_max = self.g.n, self.rank, self.max_degree
-        state = np.zeros((n, rank, m_max + 1))
-        state[:, :, 0] = 1.0
-        if k == 0:
-            return state
-        homogeneous = self.cfg.step_homogeneous
-        sparse_path = self.pattern.nnz >= SPARSE_STEP_NNZ
-        weights = None
-        if homogeneous:
-            weights = self._weights(1)
-            if not sparse_path:
-                weights = {key: np.ascontiguousarray(v.T) for key, v in weights.items()}
-        # the step-p matrix is applied with p = k..1 so that the first walk
-        # step's factor lands leftmost in every product
-        for step in range(k, 0, -1):
-            if not homogeneous:
-                weights = self._weights(step)
-                if not sparse_path:
-                    weights = {key: np.ascontiguousarray(v.T) for key, v in weights.items()}
-            if sparse_path:
-                state = self._step_sparse(state, weights, step)
-            else:
-                state = self._step_gathered(state, weights, step)
-            if trace is not None:
-                trace.append(state.copy())
-        return state
-
-
-def lowrank_recursion(
-    g: LabelledGraph,
-    p: RowStochastic,
-    ell: RankOneFunctional,
-    cfg: FeatureConfig,
-    return_trace: bool = False,
-):
-    """Run the scalar recursion for one functional over cfg.walk_length steps.
-
-    Returns the final LowRankState, or with ``return_trace`` the list of
-    states after every step (useful for checking the one-step base case).
+    Degree m is the plain product P @ state[m], plus one incidence-matrix
+    sum of the chains against the lower degrees gathered at each entry's
+    target, plus the constant full-length chain.
     """
-    if cfg.walk_length < 1:
-        raise ValueError("walk_length must be >= 1 for the recursion")
-    engine = _Engine(g, p, ell.vectors[None], cfg)
-    trace: list | None = [] if return_trace else None
-    final = engine.run(cfg.walk_length, trace)
-    if return_trace:
-        return [LowRankState(s[:, 0, :]) for s in trace]
-    return LowRankState(final[:, 0, :])
+    m_max = state.shape[0] - 1
+    incidence = p.pattern.incidence
+    gathered = state[1:m_max, p.pattern.indices]  # gathered[j - 1] = state[j] per entry
+    new = np.empty_like(state)
+    new[0] = 1.0
+    for m, (chains, const) in enumerate(terms, start=1):
+        column = plain @ state[m] + const
+        if chains:
+            acc = chains[0] * gathered[m - 2]
+            for r in range(2, m):
+                acc += chains[r - 1] * gathered[m - r - 1]
+            column += incidence @ acc
+        if not np.isfinite(column).all():
+            raise NonFiniteError(f"non-finite value at walk step {step}, degree {m}")
+        new[m] = column
+    return new
 
 
-def _start_values(g: LabelledGraph, cfg: FeatureConfig, u_all: np.ndarray) -> np.ndarray:
-    """<u, start input> per (functional, slot, node); time coordinate is 0."""
-    u_attr = u_all[:, :, 1:] if cfg.time_param else u_all
-    rank, m_max = u_all.shape[0], u_all.shape[1]
-    return (u_attr.reshape(rank * m_max, -1) @ g.attributes.T).reshape(rank, m_max, -1)
-
-
-def _corrected(state: np.ndarray, fvals: np.ndarray, coeffs: np.ndarray, m: int) -> np.ndarray:
+def _corrected(state: np.ndarray, fvals: np.ndarray, coeffs, m: int) -> np.ndarray:
     """Degree-m functional values including the start-node factor.
 
-    state: (n, rank, M+1); fvals: (rank, M, n).  The degree-m suffix
-    functional pairs its first r vectors with the start factor and the
-    rest with the length-k tail, summed over r = 0..m.
+    state: (M+1, n, R); fvals: (M, n, R) start projections.  The degree-m
+    suffix functional pairs its first r vectors with the start factor and
+    the rest with the length-k tail, summed over r = 0..m.
     """
-    m_max = fvals.shape[1]
-    out = state[:, :, m].copy()
+    m_max = fvals.shape[0]
+    out = state[m].copy()
     prefix = np.ones_like(out)
     for r in range(1, m + 1):
-        prefix = prefix * fvals[:, m_max - m + r - 1, :].T
-        out += coeffs[r] * prefix * state[:, :, m - r]
+        prefix = prefix * fvals[m_max - m + r - 1]
+        out += coeffs[r] * prefix * state[m - r]
+    if not np.isfinite(out).all():
+        raise NonFiniteError(f"non-finite value in the start-node correction, degree {m}")
     return out
-
-
-def zerostart_correct(
-    g: LabelledGraph, state: LowRankState, ell: RankOneFunctional, cfg: FeatureConfig
-) -> np.ndarray:
-    """Degree-M functional values with the start-node factor folded in.
-
-    Without ``zero_start`` this returns column M of the state unchanged.
-    """
-    if ell.degree != state.max_degree:
-        raise ValueError(
-            f"config mismatch: functional degree {ell.degree}, state degree {state.max_degree}"
-        )
-    _check_dim(g, cfg, ell.dim)
-    if state.n != g.n:
-        raise ValueError("state does not match the graph")
-    if not cfg.zero_start:
-        return state.column(state.max_degree).copy()
-    coeffs = np.asarray(cfg.coefficients(state.max_degree))
-    fvals = _start_values(g, cfg, ell.vectors[None])
-    values = state.values[:, None, :]
-    return _corrected(values, fvals, coeffs, state.max_degree)[:, 0]
 
 
 def batch_features(
@@ -339,24 +159,56 @@ def batch_features(
 ) -> np.ndarray:
     """Feature matrix (n, R*M): all degrees of all functionals per node.
 
-    Column block j holds the M degree values of functional j (j outer,
-    degree inner).  With ``zero_start`` the start-node correction is
-    applied at every degree, pairing the first factors of each suffix
-    functional with the start input.
+    ``functionals`` is an (R, M, dim) array-like of component vectors,
+    such as a list of :class:`RankOneFunctional`; M must equal
+    ``cfg.max_degree`` and dim the lift dimension.  Column block j holds
+    the M degree values of functional j (j outer, degree inner).  Without
+    ``zero_start`` these are the recursion state after ``cfg.walk_length``
+    steps; with it the start-node correction is applied at every degree,
+    pairing the first factors of each suffix functional with the start
+    input.  With ``time_param`` the lift input gains a leading time
+    coordinate (1 for increments, the step index otherwise; 0 at the
+    start node).
     """
-    functionals = list(functionals)
-    if not functionals:
-        raise ValueError("need at least one functional")
-    u_all = _stack_vectors(functionals)
-    engine = _Engine(g, p, u_all, cfg)
-    state = engine.run(cfg.walk_length)
-    m_max = engine.max_degree
-    out = np.empty((g.n, engine.rank, m_max))
-    if cfg.zero_start:
-        coeffs = engine.coeffs
-        fvals = _start_values(g, cfg, u_all)
-        for m in range(1, m_max + 1):
-            out[:, :, m - 1] = _corrected(state, fvals, coeffs, m)
-    else:
-        out[:, :, :] = state[:, :, 1:]
-    return out.reshape(g.n, engine.rank * m_max)
+    u_all = np.asarray(functionals, dtype=np.float64)
+    if u_all.ndim != 3 or 0 in u_all.shape:
+        raise ValueError(f"functionals must be an (R, M, dim) array, got shape {u_all.shape}")
+    if not np.isfinite(u_all).all():
+        raise ValueError("component vectors must be finite")
+    rank, m_max, dim = u_all.shape
+    if m_max != cfg.max_degree:
+        raise ValueError(
+            f"config mismatch: functional degree {m_max}, config degree {cfg.max_degree}"
+        )
+    if dim != cfg.lift_dim(g.attr_dim):
+        raise ValueError(
+            f"dimension mismatch: vectors have dim {dim}, lift needs {cfg.lift_dim(g.attr_dim)}"
+        )
+    if not p.pattern.same_as(g.pattern):
+        raise ValueError("pattern mismatch: transition does not match the graph")
+    coeffs = cfg.coefficients(m_max)
+    u_attr = u_all[:, :, 1:] if cfg.time_param else u_all
+
+    state = np.zeros((m_max + 1, g.n, rank))
+    state[0] = 1.0
+    # overflow surfaces as NonFiniteError, so no warning is needed
+    with np.errstate(over="ignore", invalid="ignore"):
+        plain = p.matrix
+        cvals = _project(_edge_attr_inputs(g, cfg), u_attr)
+        u_time = u_all[:, :, 0].T[:, None, :] if cfg.time_param else None
+        terms = None
+        # the step-p terms are applied with p = k..1 so that the first walk
+        # step's factor lands leftmost in every product
+        for step in range(cfg.walk_length, 0, -1):
+            if terms is None or not cfg.step_homogeneous:
+                step_cvals = cvals
+                if u_time is not None:
+                    step_cvals = cvals + (1.0 if cfg.diff else float(step)) * u_time
+                terms = _step_terms(step_cvals, p, coeffs)
+            state = _step(state, p, plain, terms, step)
+        if not cfg.zero_start:
+            levels = state[1:]
+        else:
+            fvals = _project(g.attributes, u_attr)
+            levels = [_corrected(state, fvals, coeffs, m) for m in range(1, m_max + 1)]
+    return np.stack(levels, axis=-1).reshape(g.n, rank * m_max)

@@ -116,6 +116,18 @@ class TestExtract:
         rc = main(extract_args(tiny_dataset, tmp_path / "x.csv", max_degree=0))
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("per_node", [False, True])
+    def test_overflow_is_data_error_naming_graph_and_layer(self, tmp_path, capsys, per_node):
+        write_tu_files(tmp_path, "huge", [(1, 2), (2, 1), (3, 4), (4, 3)], [1, 1, 2, 2],
+                       node_attributes=[[0.0], [1.0], [1e300], [-1e300]])
+        args = ["extract", "--dataset", str(tmp_path), "--name", "huge",
+                "--walk-length", "3", "--max-degree", "2", "--out", str(tmp_path / "o.csv")]
+        rc = main(args + (["--per-node"] if per_node else []))
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "graph row 1, layer 1: non-finite value at walk step" in err
+        assert ", degree " in err
+
 
 class TestCheck:
     def test_default_run_passes(self, capsys):

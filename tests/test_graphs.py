@@ -253,6 +253,19 @@ class TestTuLoader:
         with pytest.raises(DatasetError, match="ragged"):
             load_tu_dataset(str(tmp_path), "rag")
 
+    @pytest.mark.parametrize("bad_file", ["graph_indicator", "node_labels", "graph_labels"])
+    def test_non_integer_line_names_file_and_line(self, tmp_path, bad_file):
+        files = {
+            "graph_indicator": [1, 1, 2],
+            "node_labels": [0, 1, 0],
+            "graph_labels": [1, 0],
+        }
+        files[bad_file] = [files[bad_file][0], "1.5"] + files[bad_file][2:]
+        write_tu_files(tmp_path, "bad", [(1, 2), (2, 1)], files["graph_indicator"],
+                       node_labels=files["node_labels"], graph_labels=files["graph_labels"])
+        with pytest.raises(DatasetError, match=rf"bad_{bad_file}\.txt: line 2: "):
+            load_tu_dataset(str(tmp_path), "bad")
+
     def test_crlf_and_spaces_accepted(self, tmp_path):
         (tmp_path / "win_A.txt").write_text("1 , 2\r\n2 , 1\r\n")
         (tmp_path / "win_graph_indicator.txt").write_text("1\r\n1\r\n")

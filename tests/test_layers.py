@@ -29,8 +29,7 @@ class TestInitParams:
         cfg = FeatureConfig(walk_length=2, max_degree=2, rank=4)
         a = init_params(3, cfg, 123, attention=True, heads=2)
         b = init_params(3, cfg, 123, attention=True, heads=2)
-        for fa, fb in zip(a.functionals, b.functionals):
-            np.testing.assert_array_equal(fa.vectors, fb.vectors)
+        np.testing.assert_array_equal(a.vectors, b.vectors)
         np.testing.assert_array_equal(a.mixing, b.mixing)
         np.testing.assert_array_equal(a.attention.w_source, b.attention.w_source)
         c = init_params(3, cfg, 124)
@@ -41,7 +40,7 @@ class TestInitParams:
         d = 100
         cfg = FeatureConfig(walk_length=1, max_degree=5, rank=200)
         params = init_params(d, cfg, 0)
-        samples = np.concatenate([f.vectors.ravel() for f in params.functionals])
+        samples = params.vectors.ravel()
         assert samples.size == 100_000
         target_var = 1.0 / d
         sigma_mean = np.sqrt(target_var / samples.size)
@@ -62,7 +61,7 @@ class TestInitParams:
     def test_time_param_widens_vectors(self):
         cfg = FeatureConfig(walk_length=1, max_degree=2, rank=2, time_param=True)
         params = init_params(3, cfg, 0)
-        assert params.functionals[0].dim == 4
+        assert params.vectors.shape == (2, 2, 4)
         assert params.attr_dim == 3
 
 
@@ -73,7 +72,7 @@ class TestLayerForward:
         layer = make_layer(rng, g.attr_dim)
         bias = np.array([1.0, -2.0, 0.5])
         layer = LayerParams(
-            layer.functionals, np.zeros_like(layer.mixing), bias, layer.config
+            layer.vectors, np.zeros_like(layer.mixing), bias, layer.config
         )
         out = layer_forward(g, g.attributes, layer)
         np.testing.assert_array_equal(out, np.tile(bias, (g.n, 1)))
@@ -83,9 +82,9 @@ class TestLayerForward:
         g = random_labelled_graph(rng)
         cfg = FeatureConfig(walk_length=2, max_degree=1, rank=3)
         base = init_params(g.attr_dim, cfg, 7)
-        layer = LayerParams(base.functionals, np.eye(3), np.zeros(3), cfg)
+        layer = LayerParams(base.vectors, np.eye(3), np.zeros(3), cfg)
         out = layer_forward(g, g.attributes, layer)
-        raw = batch_features(g, transition_matrix(g), base.functionals, cfg)
+        raw = batch_features(g, transition_matrix(g), base.vectors, cfg)
         np.testing.assert_array_equal(out, raw)
 
     def test_disconnected_components_compute_independently(self):
@@ -119,7 +118,7 @@ class TestLayerForward:
         plain = make_layer(rng, g.attr_dim)
         attn = AttentionParams(np.zeros(g.attr_dim), np.zeros(g.attr_dim))
         attended = LayerParams(
-            plain.functionals, plain.mixing, plain.bias, plain.config, attn
+            plain.vectors, plain.mixing, plain.bias, plain.config, attn
         )
         a = layer_forward(g, g.attributes, plain)
         b = layer_forward(g, g.attributes, attended)
@@ -210,7 +209,7 @@ class TestL2Penalty:
         rng = np.random.default_rng(10)
         cfg = FeatureConfig(walk_length=1, max_degree=2, rank=2)
         layer = LayerParams(
-            tuple(RankOneFunctional(np.zeros((2, 3))) for _ in range(2)),
+            np.zeros((2, 2, 3)),
             np.zeros((2, 4)),
             np.zeros(2),
             cfg,
@@ -219,8 +218,9 @@ class TestL2Penalty:
 
     def test_hand_value(self):
         cfg = FeatureConfig(walk_length=1, max_degree=2, rank=1)
-        f = RankOneFunctional(np.array([[1.0, 0.0], [0.0, 2.0]]))
-        layer = LayerParams((f,), np.zeros((1, 2)), np.zeros(1), cfg)
+        layer = LayerParams(
+            np.array([[[1.0, 0.0], [0.0, 2.0]]]), np.zeros((1, 2)), np.zeros(1), cfg
+        )
         # degree 1: |u2|^2 = 4; degree 2: |u1|^2 |u2|^2 = 4
         assert l2_penalty(layer, 1.0) == pytest.approx(8.0)
         assert l2_penalty(layer, 0.5) == pytest.approx(4.0)
@@ -230,14 +230,12 @@ class TestL2Penalty:
         for _ in range(5):
             d, m_max, rank = int(rng.integers(1, 4)), int(rng.integers(1, 4)), 3
             cfg = FeatureConfig(walk_length=1, max_degree=m_max, rank=rank)
-            fs = tuple(
-                RankOneFunctional(rng.standard_normal((m_max, d))) for _ in range(rank)
-            )
-            layer = LayerParams(fs, np.zeros((rank, rank * m_max)), np.zeros(rank), cfg)
+            vectors = np.stack([rng.standard_normal((m_max, d)) for _ in range(rank)])
+            layer = LayerParams(vectors, np.zeros((rank, rank * m_max)), np.zeros(rank), cfg)
             lam = float(rng.uniform(0.1, 2.0))
             dense = lam * sum(
-                float(np.sum(f.level_tensor(m) ** 2))
-                for f in fs
+                float(np.sum(RankOneFunctional(u).level_tensor(m) ** 2))
+                for u in vectors
                 for m in range(1, m_max + 1)
             )
             assert l2_penalty(layer, lam) == pytest.approx(dense, rel=1e-12)
@@ -248,12 +246,8 @@ class TestL2Penalty:
         cfg = FeatureConfig(walk_length=1, max_degree=2, rank=1)
         u = rng.standard_normal((2, d))
         q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        a = LayerParams(
-            (RankOneFunctional(u),), np.zeros((1, 2)), np.zeros(1), cfg
-        )
-        b = LayerParams(
-            (RankOneFunctional(u @ q.T),), np.zeros((1, 2)), np.zeros(1), cfg
-        )
+        a = LayerParams(u[None], np.zeros((1, 2)), np.zeros(1), cfg)
+        b = LayerParams((u @ q.T)[None], np.zeros((1, 2)), np.zeros(1), cfg)
         assert l2_penalty(a, 1.3) == pytest.approx(l2_penalty(b, 1.3), rel=1e-12)
 
     def test_negative_lambda_rejected(self):
@@ -277,8 +271,7 @@ class TestSerialization:
         assert len(loaded.layers) == 2
         for orig, back in zip(model.layers, loaded.layers):
             assert orig.config == back.config
-            for fo, fb in zip(orig.functionals, back.functionals):
-                np.testing.assert_array_equal(fo.vectors, fb.vectors)
+            np.testing.assert_array_equal(orig.vectors, back.vectors)
             np.testing.assert_array_equal(orig.mixing, back.mixing)
             np.testing.assert_array_equal(orig.bias, back.bias)
         assert loaded.layers[0].attention is not None

@@ -8,15 +8,7 @@ from conftest import random_labelled_graph
 from hypograph.config import FeatureConfig
 from hypograph.exact import node_features_exact
 from hypograph.graphs import LabelledGraph, transition_matrix
-from hypograph.lowrank import (
-    LowRankState,
-    NonFiniteError,
-    RankOneFunctional,
-    batch_features,
-    cu_matrix,
-    lowrank_recursion,
-    zerostart_correct,
-)
+from hypograph.lowrank import NonFiniteError, RankOneFunctional, batch_features
 from hypograph.verify import make_transition
 
 
@@ -43,61 +35,68 @@ class TestRankOneFunctional:
             RankOneFunctional(np.array([[np.inf]]))
 
 
+def features(g, u, cfg, p=None):
+    """batch_features for a single functional given by its (M, dim) vectors."""
+    p = transition_matrix(g) if p is None else p
+    return batch_features(g, p, [RankOneFunctional(u)], cfg)
+
+
 class TestCuMatrix:
+    """Projection values <u, lift input of i->j>, read through one walk step.
+
+    With walk length 1, degree 1 and no start factor, node i's feature is
+    sum_j P_ij <u, input i->j>; every row below has one entry or equal ones.
+    """
+
     def test_path_signs(self, path2):
-        c = cu_matrix(path2, np.array([1.0]), cfg_of()).toarray()
-        np.testing.assert_array_equal(c, [[0.0, 1.0], [-1.0, 0.0]])
+        out = features(path2, np.array([[1.0]]), cfg_of())
+        np.testing.assert_array_equal(out[:, 0], [1.0, -1.0])
 
     def test_zero_vector_gives_zero_matrix(self, triangle):
-        c = cu_matrix(triangle, np.zeros(1), cfg_of())
-        assert c.nnz == 6 and not c.toarray().any()
+        out = features(triangle, np.zeros((1, 1)), cfg_of())
+        assert triangle.pattern.nnz == 6 and not out.any()
 
     def test_time_unit_vector_gives_ones_on_pattern(self):
         g = LabelledGraph(3, [(0, 1)], np.array([[0.0], [4.0], [-2.0]]))
         cfg = cfg_of(time_param=True)
-        c = cu_matrix(g, np.array([1.0, 0.0]), cfg).toarray()
+        out = features(g, np.array([[1.0, 0.0]]), cfg)
         # every stored entry carries time increment 1, including the
         # isolated node's self-loop
-        np.testing.assert_array_equal(c, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+        np.testing.assert_array_equal(out[:, 0], [1.0, 1.0, 1.0])
 
     def test_nodiff_uses_target_attributes(self, path2):
-        c = cu_matrix(path2, np.array([2.0]), cfg_of(diff=False)).toarray()
-        np.testing.assert_array_equal(c, [[0.0, 2.0], [0.0, 0.0]])
+        out = features(path2, np.array([[2.0]]), cfg_of(diff=False))
+        np.testing.assert_array_equal(out[:, 0], [2.0, 0.0])
 
     def test_isolated_diagonal_values(self):
         g = LabelledGraph(2, [], np.array([[3.0], [5.0]]))
-        with_diff = cu_matrix(g, np.array([1.0]), cfg_of()).toarray()
-        np.testing.assert_array_equal(with_diff, np.zeros((2, 2)))
-        without = cu_matrix(g, np.array([1.0]), cfg_of(diff=False)).toarray()
-        np.testing.assert_array_equal(without, np.diag([3.0, 5.0]))
+        with_diff = features(g, np.array([[1.0]]), cfg_of())
+        np.testing.assert_array_equal(with_diff[:, 0], [0.0, 0.0])
+        without = features(g, np.array([[1.0]]), cfg_of(diff=False))
+        np.testing.assert_array_equal(without[:, 0], [3.0, 5.0])
 
     def test_dimension_mismatch(self, path2):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            cu_matrix(path2, np.array([1.0, 2.0]), cfg_of())
+            features(path2, np.array([[1.0, 2.0]]), cfg_of())
 
 
 class TestLowRankRecursion:
+    """Without ``zero_start`` the features are the recursion state after
+    ``walk_length`` steps."""
+
     def test_path_single_step(self, path2):
-        p = transition_matrix(path2)
-        ell = RankOneFunctional(np.array([[1.0]]))
-        state = lowrank_recursion(path2, p, ell, cfg_of(walk_length=1))
-        np.testing.assert_allclose(state.column(1), [1.0, -1.0])
+        out = features(path2, np.array([[1.0]]), cfg_of(walk_length=1))
+        np.testing.assert_allclose(out[:, 0], [1.0, -1.0])
 
     def test_path_two_steps_cancel(self, path2):
-        p = transition_matrix(path2)
-        ell = RankOneFunctional(np.array([[1.0]]))
-        state = lowrank_recursion(path2, p, ell, cfg_of(walk_length=2))
-        np.testing.assert_allclose(state.column(1), [0.0, 0.0], atol=1e-15)
+        out = features(path2, np.array([[1.0]]), cfg_of(walk_length=2))
+        np.testing.assert_allclose(out[:, 0], [0.0, 0.0], atol=1e-15)
 
     def test_zero_functional_zeroes_higher_degrees(self):
         rng = np.random.default_rng(1)
         g = random_labelled_graph(rng)
-        p = transition_matrix(g)
-        ell = RankOneFunctional(np.zeros((3, g.attr_dim)))
-        state = lowrank_recursion(g, p, ell, cfg_of(walk_length=3, max_degree=3))
-        np.testing.assert_array_equal(state.column(0), np.ones(g.n))
-        for m in (1, 2, 3):
-            np.testing.assert_array_equal(state.column(m), np.zeros(g.n))
+        out = features(g, np.zeros((3, g.attr_dim)), cfg_of(walk_length=3, max_degree=3))
+        np.testing.assert_array_equal(out, np.zeros((g.n, 3)))
 
     def test_first_step_matches_chain_formula(self):
         # independent evaluation: f_{1,m} = c_m * (P . C-chain of length m) 1
@@ -108,83 +107,70 @@ class TestLowRankRecursion:
             m_max = int(rng.integers(1, 4))
             u = rng.standard_normal((m_max, g.attr_dim))
             cfg = cfg_of(walk_length=1, max_degree=m_max)
-            trace = lowrank_recursion(g, p, RankOneFunctional(u), cfg, return_trace=True)
-            state = trace[-1]
+            out = features(g, u, cfg, p)
+            pattern = g.pattern
+            increments = g.attributes[pattern.indices] - g.attributes[pattern.rows]
             ones = np.ones(g.n)
             for m in range(1, m_max + 1):
                 vals = p.values.copy()
                 for s in range(m_max - m, m_max):
-                    vals = vals * cu_matrix(g, u[s], cfg).data
-                want = (1.0 / math.factorial(m)) * (g.pattern.matrix(vals) @ ones)
-                np.testing.assert_allclose(state.column(m), want, rtol=1e-12, atol=1e-14)
+                    vals = vals * (increments @ u[s])
+                want = (1.0 / math.factorial(m)) * (pattern.matrix(vals) @ ones)
+                np.testing.assert_allclose(out[:, m - 1], want, rtol=1e-12, atol=1e-14)
 
     def test_column0_stays_one(self):
+        # the degree-0 level (unit walk mass) must stay 1 at every step: a
+        # functional reading only the time coordinate then sees the time
+        # path's signature, k at degree 1 and k^2/2 at degree 2, on any graph
         rng = np.random.default_rng(3)
         g = random_labelled_graph(rng)
-        p = transition_matrix(g)
-        ell = RankOneFunctional(rng.standard_normal((2, g.attr_dim)))
-        state = lowrank_recursion(g, p, ell, cfg_of(walk_length=6, max_degree=2))
-        np.testing.assert_array_equal(state.column(0), np.ones(g.n))
-
-    def test_trace_length_equals_walk_length(self, path2):
-        p = transition_matrix(path2)
-        ell = RankOneFunctional(np.array([[1.0]]))
-        trace = lowrank_recursion(path2, p, ell, cfg_of(walk_length=4), return_trace=True)
-        assert len(trace) == 4
-        assert all(isinstance(s, LowRankState) for s in trace)
-
-    def test_rejects_zero_walk_length(self, path2):
-        p = transition_matrix(path2)
-        ell = RankOneFunctional(np.array([[1.0]]))
-        with pytest.raises(ValueError, match="walk_length"):
-            lowrank_recursion(path2, p, ell, cfg_of(walk_length=0))
+        u = np.zeros((2, g.attr_dim + 1))
+        u[:, 0] = 1.0
+        out = features(g, u, cfg_of(walk_length=6, max_degree=2, time_param=True))
+        np.testing.assert_allclose(out, np.tile([6.0, 18.0], (g.n, 1)), rtol=1e-13)
 
     def test_pattern_mismatch(self, path2, triangle):
         p = transition_matrix(triangle)
-        ell = RankOneFunctional(np.array([[1.0]]))
         with pytest.raises(ValueError, match="pattern mismatch"):
-            lowrank_recursion(path2, p, ell, cfg_of())
+            features(path2, np.array([[1.0]]), cfg_of(), p)
 
     def test_non_finite_detection_names_step_and_degree(self):
         g = LabelledGraph(2, [(0, 1)], np.array([[0.0], [1e200]]))
-        p = transition_matrix(g)
-        ell = RankOneFunctional(np.ones((2, 1)))
         with pytest.raises(NonFiniteError, match=r"step \d+, degree \d+"):
-            lowrank_recursion(g, p, ell, cfg_of(walk_length=3, max_degree=2))
+            features(g, np.ones((2, 1)), cfg_of(walk_length=3, max_degree=2))
 
 
 class TestZeroStartCorrect:
     def test_zero_attributes_keep_column(self):
         g = LabelledGraph(3, [(0, 1), (1, 2)], np.zeros((3, 2)))
-        p = transition_matrix(g)
-        ell = RankOneFunctional(np.ones((2, 2)))
-        cfg = cfg_of(walk_length=2, max_degree=2, zero_start=True)
-        state = lowrank_recursion(g, p, ell, cfg)
-        out = zerostart_correct(g, state, ell, cfg)
-        np.testing.assert_array_equal(out, state.column(2))
+        u = np.ones((2, 2))
+        on = features(g, u, cfg_of(walk_length=2, max_degree=2, zero_start=True))
+        off = features(g, u, cfg_of(walk_length=2, max_degree=2, zero_start=False))
+        np.testing.assert_array_equal(on, off)
 
     def test_degree_one_expansion(self):
         rng = np.random.default_rng(4)
         g = random_labelled_graph(rng)
-        p = transition_matrix(g)
         u = rng.standard_normal((1, g.attr_dim))
-        ell = RankOneFunctional(u)
-        cfg = cfg_of(walk_length=2, max_degree=1, zero_start=True)
-        state = lowrank_recursion(g, p, ell, cfg)
-        out = zerostart_correct(g, state, ell, cfg)
-        want = g.attributes @ u[0] + state.column(1)
-        np.testing.assert_allclose(out, want, rtol=1e-12)
+        on = features(g, u, cfg_of(walk_length=2, max_degree=1, zero_start=True))
+        off = features(g, u, cfg_of(walk_length=2, max_degree=1, zero_start=False))
+        want = g.attributes @ u[0] + off[:, 0]
+        np.testing.assert_allclose(on[:, 0], want, rtol=1e-12)
 
     def test_zero_start_off_returns_top_column(self):
+        # without the start factor the top degree is the bare recursion:
+        # after j steps, f_j = c_1 (P . C) 1 + P f_{j-1} at degree 1
         rng = np.random.default_rng(5)
         g = random_labelled_graph(rng)
         p = transition_matrix(g)
-        ell = RankOneFunctional(rng.standard_normal((2, g.attr_dim)))
-        cfg = cfg_of(walk_length=2, max_degree=2, zero_start=False)
-        state = lowrank_recursion(g, p, ell, cfg)
-        np.testing.assert_array_equal(
-            zerostart_correct(g, state, ell, cfg), state.column(2)
-        )
+        u = rng.standard_normal((1, g.attr_dim))
+        pattern = g.pattern
+        one_step = pattern.matrix(
+            p.values * ((g.attributes[pattern.indices] - g.attributes[pattern.rows]) @ u[0])
+        ) @ np.ones(g.n)
+        prev = features(g, u, cfg_of(walk_length=2, zero_start=False), p)[:, 0]
+        top = features(g, u, cfg_of(walk_length=3, zero_start=False), p)[:, 0]
+        np.testing.assert_allclose(top, one_step + p.matrix @ prev, rtol=1e-12, atol=1e-14)
 
     def test_matches_exact_zero_started_features(self):
         rng = np.random.default_rng(6)
@@ -197,36 +183,41 @@ class TestZeroStartCorrect:
             u = rng.standard_normal((m_max, g.attr_dim))
             u /= np.linalg.norm(u, axis=1, keepdims=True)
             ell = RankOneFunctional(u)
-            state = lowrank_recursion(g, p, ell, cfg)
-            got = zerostart_correct(g, state, ell, cfg)
+            got = batch_features(g, p, [ell], cfg)[:, m_max - 1]
             exact = node_features_exact(g, p, cfg, k)
             level = ell.level_tensor(m_max)
             want = [float(np.vdot(level, exact[i].level(m_max))) for i in range(g.n)]
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
+    def test_non_finite_correction_names_degree(self):
+        g = LabelledGraph(2, [(0, 1)], np.array([[1e200], [-1e200]]))
+        cfg = cfg_of(walk_length=0, max_degree=2, zero_start=True)
+        with pytest.raises(NonFiniteError, match="start-node correction, degree 2"):
+            features(g, np.ones((2, 1)), cfg)
+
     def test_config_mismatch(self, path2):
-        p = transition_matrix(path2)
-        ell = RankOneFunctional(np.array([[1.0]]))
         cfg = cfg_of(walk_length=1, max_degree=1, zero_start=True)
-        state = lowrank_recursion(path2, p, ell, cfg)
-        other = RankOneFunctional(np.ones((2, 1)))
         with pytest.raises(ValueError, match="mismatch"):
-            zerostart_correct(path2, state, other, cfg)
+            features(path2, np.ones((2, 1)), cfg)
 
 
 class TestBatchFeatures:
     def test_rank_one_reduces_to_recursion_plus_correction(self):
+        # degree 2 with the start factor: the bare state plus the start
+        # projections a_s = <u_s, f(i)> paired with the lower degrees
         rng = np.random.default_rng(7)
         g = random_labelled_graph(rng)
         p = transition_matrix(g)
         m_max = 2
         cfg = cfg_of(walk_length=3, max_degree=m_max, zero_start=True)
         u = rng.standard_normal((m_max, g.attr_dim))
-        ell = RankOneFunctional(u)
-        batch = batch_features(g, p, [ell], cfg)
-        state = lowrank_recursion(g, p, ell, cfg)
-        np.testing.assert_array_equal(
-            batch[:, m_max - 1], zerostart_correct(g, state, ell, cfg)
+        batch = features(g, u, cfg, p)
+        state = features(g, u, cfg_of(walk_length=3, max_degree=m_max), p)
+        a1, a2 = g.attributes @ u[0], g.attributes @ u[1]
+        np.testing.assert_allclose(batch[:, 0], state[:, 0] + a2, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(
+            batch[:, 1], state[:, 1] + a1 * state[:, 0] + 0.5 * a1 * a2,
+            rtol=1e-12, atol=1e-14,
         )
 
     def test_duplicated_functional_duplicates_columns(self):
@@ -247,10 +238,10 @@ class TestBatchFeatures:
         fs = [RankOneFunctional(rng.standard_normal((m_max, g.attr_dim))) for _ in range(3)]
         batch = batch_features(g, p, fs, cfg)
         for j, f in enumerate(fs):
-            state = lowrank_recursion(g, p, f, cfg)
+            single = batch_features(g, p, [f], cfg)
             for m in range(1, m_max + 1):
                 np.testing.assert_array_equal(
-                    batch[:, j * m_max + (m - 1)], state.column(m)
+                    batch[:, j * m_max + (m - 1)], single[:, m - 1]
                 )
 
     def test_walk_length_zero(self):
@@ -368,9 +359,3 @@ class TestBatchFeatures:
                     np.testing.assert_allclose(
                         got[:, j * m_max + (m - 1)], want, rtol=1e-9, atol=1e-10
                     )
-
-
-class TestLowRankState:
-    def test_rejects_bad_column0(self):
-        with pytest.raises(ValueError, match="column 0"):
-            LowRankState(np.array([[0.5, 1.0]]))
