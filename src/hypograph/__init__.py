@@ -25,6 +25,7 @@ from .graphs import (
     RowStochastic,
     attention_transition,
     classic_diffusion,
+    disjoint_union,
     grid_graph,
     load_tu_dataset,
     normalized_laplacian,
@@ -76,6 +77,7 @@ __all__ = [
     "RowStochastic",
     "attention_transition",
     "classic_diffusion",
+    "disjoint_union",
     "grid_graph",
     "load_tu_dataset",
     "normalized_laplacian",

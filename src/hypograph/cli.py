@@ -4,16 +4,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import FeatureConfig
 from .exact import OracleScaleError
-from .graphs import DatasetError, dataset_summary, load_tu_dataset
+from .graphs import DatasetError, dataset_summary, disjoint_union, load_tu_dataset
 from .layers import LayerParams, ModelConfig, init_params, layer_forward, model_forward
 from .lowrank import NonFiniteError
 from .verify import TOLERANCE, run_equivalence_suite
@@ -24,7 +22,10 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_CHECK = 3
 
-THREADS_ENV = "HYPOGRAPH_THREADS"
+# extract runs consecutive graphs as one disjoint union while their
+# (2 * edges + nodes) * rank stays within this many values; a larger
+# graph runs alone
+CHUNK_ELEMENTS = 1 << 15
 
 
 class UsageError(ValueError):
@@ -48,7 +49,6 @@ class RunSpec:
     attention: bool = False
     heads: int = 1
     seed: int = 0
-    threads: int = 1
     out: str | None = None
     fmt: str = "csv"
     per_node: bool = False
@@ -72,8 +72,6 @@ class RunSpec:
             raise UsageError("--layers must be >= 1")
         if self.heads < 1:
             raise UsageError("--heads must be >= 1")
-        if self.threads < 1:
-            raise UsageError("--threads must be >= 1")
         if self.fmt not in ("csv", "jsonl"):
             raise UsageError("--format must be csv or jsonl")
         if self.command in ("extract", "describe"):
@@ -93,18 +91,6 @@ class RunSpec:
             zero_start=self.zero_start,
             time_param=self.time_param,
         )
-
-
-def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if raw:
-        try:
-            value = int(raw)
-            if value >= 1:
-                return value
-        except ValueError:
-            pass
-    return 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--attention", action="store_true", default=False)
         p.add_argument("--heads", type=int, default=1)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=_default_threads())
         p.add_argument("--out", help="output file path")
         p.add_argument("--format", dest="fmt", choices=("csv", "jsonl"), default="csv")
         p.add_argument("--per-node", action="store_true", default=False)
@@ -187,20 +172,33 @@ def _format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _graph_rows(item):
-    row, graph, model, per_node = item
-    try:
-        if per_node:
-            x = graph.attributes
-            for idx, layer in enumerate(model.layers):
-                try:
-                    x = layer_forward(graph, x, layer)
-                except NonFiniteError as exc:
-                    raise NonFiniteError(f"layer {idx + 1}: {exc}") from exc
-            return x
-        return model_forward(graph, model)
-    except NonFiniteError as exc:
-        raise NonFiniteError(f"graph row {row}, {exc}") from exc
+def _chunks(graphs, rank: int) -> list[tuple[int, int]]:
+    """Consecutive [start, stop) ranges of graphs, filled greedily in order
+    up to CHUNK_ELEMENTS values per R-wide array."""
+    bounds, start, size = [], 0, 0
+    for row, g in enumerate(graphs):
+        cost = (2 * g.num_edges + g.n) * rank
+        if row > start and size + cost > CHUNK_ELEMENTS:
+            bounds.append((start, row))
+            start, size = row, 0
+        size += cost
+    bounds.append((start, len(graphs)))
+    return bounds
+
+
+def _chunk_rows(graphs, model: ModelConfig, per_node: bool) -> list[np.ndarray]:
+    """Per graph, its pooled row or (per_node) its node rows, all computed
+    on one disjoint union of the graphs."""
+    union, offsets = disjoint_union(graphs)
+    if not per_node:
+        return list(model_forward(union, model, offsets))
+    x = union.attributes
+    for idx, layer in enumerate(model.layers):
+        try:
+            x = layer_forward(union, x, layer)
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"layer {idx + 1}: {exc}") from exc
+    return np.split(x, offsets[1:-1])
 
 
 def cmd_extract(spec: RunSpec) -> int:
@@ -208,12 +206,18 @@ def cmd_extract(spec: RunSpec) -> int:
     if not dataset:
         raise DatasetError("dataset is empty")
     model = _build_model(spec, dataset[0][0].attr_dim)
-    jobs = [(row, g, model, spec.per_node) for row, (g, _) in enumerate(dataset)]
-    if spec.threads > 1:
-        with ThreadPoolExecutor(max_workers=spec.threads) as pool:
-            results = list(pool.map(_graph_rows, jobs))
-    else:
-        results = [_graph_rows(job) for job in jobs]
+    graphs = [g for g, _ in dataset]
+    results = []
+    for start, stop in _chunks(graphs, spec.rank):
+        try:
+            results.extend(_chunk_rows(graphs[start:stop], model, spec.per_node))
+        except NonFiniteError:
+            # run the chunk one graph at a time to name the graph that failed
+            for row in range(start, stop):
+                try:
+                    results.extend(_chunk_rows(graphs[row : row + 1], model, spec.per_node))
+                except NonFiniteError as exc:
+                    raise NonFiniteError(f"graph row {row}, {exc}") from exc
 
     width = results[0].shape[-1]
     lines = []

@@ -10,6 +10,7 @@ put with probability one.
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -87,8 +88,10 @@ class LabelledGraph:
                 raise ValueError("edge endpoint out of range")
             if np.any(edges[:, 0] == edges[:, 1]):
                 raise ValueError("self-loops are not allowed")
-            edges = np.sort(edges, axis=1)
-            edges = np.unique(edges, axis=0)
+            # sorted unique (i, j) pairs with i < j, through one code per pair
+            lo, hi = np.minimum(edges[:, 0], edges[:, 1]), np.maximum(edges[:, 0], edges[:, 1])
+            codes = np.unique(lo * n + hi)
+            edges = np.column_stack([codes // n, codes % n])
         attributes = np.ascontiguousarray(attributes, dtype=np.float64)
         if attributes.ndim != 2 or attributes.shape[0] != n:
             raise ValueError(
@@ -134,7 +137,11 @@ class LabelledGraph:
         return AdjacencyPattern(self.n, indptr, cols)
 
     def with_attributes(self, attributes) -> "LabelledGraph":
-        """Same topology, new attributes (used for layer stacking)."""
+        """Same topology, new attributes (used for layer stacking).
+
+        The pattern is built here once, so every layer over one graph
+        shares it.
+        """
         out = LabelledGraph.__new__(LabelledGraph)
         attributes = np.ascontiguousarray(attributes, dtype=np.float64)
         if attributes.ndim != 2 or attributes.shape[0] != self.n:
@@ -147,8 +154,7 @@ class LabelledGraph:
         out.attributes = attributes
         # topology caches stay valid for the relabelled graph
         out.__dict__["degrees"] = self.degrees
-        if "pattern" in self.__dict__:
-            out.__dict__["pattern"] = self.pattern
+        out.__dict__["pattern"] = self.pattern
         return out
 
     def permuted(self, perm) -> "LabelledGraph":
@@ -163,6 +169,23 @@ class LabelledGraph:
 
     def __repr__(self):
         return f"LabelledGraph(n={self.n}, edges={self.num_edges}, d={self.attr_dim})"
+
+
+def disjoint_union(graphs) -> tuple[LabelledGraph, np.ndarray]:
+    """One block-diagonal graph holding ``graphs`` side by side.
+
+    Graph i's nodes become rows ``offsets[i]:offsets[i + 1]`` of the union,
+    in their own order.  No edge joins two blocks, so every walk stays in
+    its graph and row-wise results on the union are those of each graph.
+    """
+    graphs = list(graphs)
+    if not graphs:
+        raise ValueError("need at least one graph")
+    offsets = np.zeros(len(graphs) + 1, dtype=np.int64)
+    np.cumsum([g.n for g in graphs], out=offsets[1:])
+    edges = np.concatenate([g.edges + off for g, off in zip(graphs, offsets)])
+    attributes = np.concatenate([g.attributes for g in graphs])
+    return LabelledGraph(int(offsets[-1]), edges, attributes), offsets
 
 
 @dataclass(frozen=True)
@@ -223,18 +246,18 @@ def weighted_transition(g: LabelledGraph, weights) -> RowStochastic:
         if w <= 0.0:
             raise ValueError(f"weight for edge ({a}, {b}) must be positive, got {w}")
         lookup[(min(a, b), max(a, b))] = w
-    pattern = g.pattern
-    rows, cols = pattern.rows, pattern.indices
-    raw = np.empty(pattern.nnz, dtype=np.float64)
-    for e in range(pattern.nnz):
-        i, j = int(rows[e]), int(cols[e])
-        if i == j:
-            raw[e] = 1.0  # isolated self-loop
-            continue
-        key = (min(i, j), max(i, j))
+    edge_weight = []
+    for key in map(tuple, g.edges.tolist()):
         if key not in lookup:
             raise ValueError(f"missing weight for edge {key}")
-        raw[e] = lookup[key]
+        edge_weight.append(lookup[key])
+    # g.edges is sorted by (i, j), so each entry finds its edge by bisection
+    pattern, n = g.pattern, g.n
+    lo = np.minimum(pattern.rows, pattern.indices).astype(np.int64)
+    hi = np.maximum(pattern.rows, pattern.indices).astype(np.int64)
+    slot = np.searchsorted(g.edges[:, 0] * n + g.edges[:, 1], lo * n + hi)
+    # isolated nodes keep their unit self-loop
+    raw = np.where(lo == hi, 1.0, np.append(edge_weight, 1.0)[slot])
     return _normalize_rows(pattern, raw)
 
 
@@ -326,39 +349,51 @@ def classic_diffusion(g: LabelledGraph, k: int) -> np.ndarray:
 # TU file format
 
 
-def _read_lines(path: str) -> list[str]:
+def _read_table(path: str, dtype, columns: int | None = None) -> np.ndarray:
+    """(rows, columns) array of the comma-separated numbers in a TU file.
+
+    Blank lines are skipped, and every row must hold ``columns`` values
+    (None: as many as the first row).  A well-formed file is read by
+    ``np.loadtxt``; any other goes through :func:`_parse_table`.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return [ln.strip() for ln in fh if ln.strip()]
+        with warnings.catch_warnings():
+            # an empty file is caught by the caller's count checks
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(
+                path, dtype=dtype, delimiter=",", comments=None, ndmin=2, encoding="utf-8"
+            )
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, OverflowError):
+        return _parse_table(path, dtype, columns)
+    if table.size == 0 or (columns is not None and table.shape[1] != columns):
+        return _parse_table(path, dtype, columns)
+    return table
 
 
-def _parse_ints(lines: list[str], path: str) -> np.ndarray:
-    try:
-        return np.array([int(x) for x in lines], dtype=np.int64)
-    except (ValueError, OverflowError) as exc:
-        # slow path, only to name the offending line
-        for idx, ln in enumerate(lines):
+def _parse_table(path: str, dtype, columns: int | None) -> np.ndarray:
+    """Line-by-line :func:`_read_table`: also skips lines of blanks, and
+    names the first bad line by its line number in the file."""
+    convert = int if np.issubdtype(dtype, np.integer) else float
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for number, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            parts = line.split(",")
+            width = columns or (rows[0].size if rows else len(parts))
+            if len(parts) != width:
+                raise DatasetError(
+                    f"{path}: line {number}: ragged row of {len(parts)} values, expected {width}"
+                )
             try:
-                np.int64(int(ln))
-            except (ValueError, OverflowError) as line_exc:
-                raise DatasetError(f"{path}: line {idx + 1}: {line_exc}") from line_exc
-        raise DatasetError(f"{path}: {exc}") from exc
-
-
-def _parse_int_pairs(lines: list[str], path: str) -> np.ndarray:
-    out = np.empty((len(lines), 2), dtype=np.int64)
-    for idx, ln in enumerate(lines):
-        parts = ln.split(",")
-        if len(parts) != 2:
-            raise DatasetError(f"{path}: line {idx + 1} is not an int pair: {ln!r}")
-        try:
-            out[idx, 0] = int(parts[0])
-            out[idx, 1] = int(parts[1])
-        except ValueError as exc:
-            raise DatasetError(f"{path}: line {idx + 1}: {exc}") from exc
-    return out
+                rows.append(np.array([convert(x) for x in parts], dtype=dtype))
+            except (ValueError, OverflowError) as exc:
+                raise DatasetError(f"{path}: line {number}: {exc}") from exc
+    if not rows:
+        return np.empty((0, columns or 0), dtype=dtype)
+    return np.stack(rows)
 
 
 def load_tu_dataset(path: str, name: str):
@@ -370,6 +405,7 @@ def load_tu_dataset(path: str, name: str):
     max-min+1 over the whole dataset) or ``name_node_attributes.txt``
     (comma-separated reals); ``name_graph_labels.txt`` is optional.  When
     both labels and attributes are present the one-hot block comes first.
+    Graphs come in increasing graph id; each keeps its nodes in file order.
 
     Returns a list of (LabelledGraph, label) pairs where label is None if
     the dataset has no graph labels.
@@ -383,27 +419,24 @@ def load_tu_dataset(path: str, name: str):
         if not os.path.exists(req):
             raise DatasetError(f"missing required file {req}")
 
-    indicator = _parse_ints(_read_lines(ind_path), ind_path)
+    indicator = _read_table(ind_path, np.int64, 1)[:, 0]
     if indicator.size == 0:
         raise DatasetError(f"{ind_path} is empty")
     num_nodes = indicator.size
-    graph_ids = np.unique(indicator)
+    graph_ids, node_graph = np.unique(indicator, return_inverse=True)
     num_graphs = graph_ids.size
-    # re-base node ids inside their graph, preserving file order
-    graph_index = {int(gid): gi for gi, gid in enumerate(graph_ids)}
-    node_graph = np.array([graph_index[int(g)] for g in indicator], dtype=np.int64)
-    local_id = np.zeros(num_nodes, dtype=np.int64)
-    counts = np.zeros(num_graphs, dtype=np.int64)
-    for v in range(num_nodes):
-        gi = node_graph[v]
-        local_id[v] = counts[gi]
-        counts[gi] += 1
+    # group the nodes by graph, keeping file order inside each graph
+    order = np.argsort(node_graph, kind="stable")
+    offsets = np.zeros(num_graphs + 1, dtype=np.int64)
+    np.cumsum(np.bincount(node_graph, minlength=num_graphs), out=offsets[1:])
+    local_id = np.empty(num_nodes, dtype=np.int64)
+    local_id[order] = np.arange(num_nodes) - np.repeat(offsets[:-1], np.diff(offsets))
 
     labels_path = prefix + "_node_labels.txt"
     attrs_path = prefix + "_node_attributes.txt"
     blocks = []
     if os.path.exists(labels_path):
-        raw = _parse_ints(_read_lines(labels_path), labels_path)
+        raw = _read_table(labels_path, np.int64, 1)[:, 0]
         if len(raw) != num_nodes:
             raise DatasetError(
                 f"{labels_path}: {len(raw)} labels for {num_nodes} nodes"
@@ -413,54 +446,53 @@ def load_tu_dataset(path: str, name: str):
         onehot[np.arange(num_nodes), raw - lo] = 1.0
         blocks.append(onehot)
     if os.path.exists(attrs_path):
-        lines = _read_lines(attrs_path)
-        if len(lines) != num_nodes:
+        attrs = _read_table(attrs_path, np.float64)
+        if len(attrs) != num_nodes:
             raise DatasetError(
-                f"{attrs_path}: {len(lines)} rows for {num_nodes} nodes"
+                f"{attrs_path}: {len(attrs)} rows for {num_nodes} nodes"
             )
-        width = len(lines[0].split(","))
-        attrs = np.empty((num_nodes, width), dtype=np.float64)
-        for idx, ln in enumerate(lines):
-            parts = ln.split(",")
-            if len(parts) != width:
-                raise DatasetError(f"{attrs_path}: ragged row {idx + 1}")
-            attrs[idx] = [float(x) for x in parts]
         blocks.append(attrs)
     if not blocks:
         raise DatasetError(f"need {labels_path} or {attrs_path}")
     attributes = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
 
-    edges = _parse_int_pairs(_read_lines(a_path), a_path)
+    edges = _read_table(a_path, np.int64, 2)
     if edges.size and (edges.min() < 1 or edges.max() > num_nodes):
         raise DatasetError(f"{a_path}: node id out of range 1..{num_nodes}")
-    per_graph_edges: list[list[tuple[int, int]]] = [[] for _ in range(num_graphs)]
-    for a, b in edges:
-        u, v = int(a) - 1, int(b) - 1
-        if node_graph[u] != node_graph[v]:
-            raise DatasetError(
-                f"{a_path}: edge ({a}, {b}) crosses graphs "
-                f"{graph_ids[node_graph[u]]} and {graph_ids[node_graph[v]]}"
-            )
-        per_graph_edges[node_graph[u]].append((int(local_id[u]), int(local_id[v])))
+    u, v = edges[:, 0] - 1, edges[:, 1] - 1
+    edge_graph = node_graph[u]
+    crossing = np.flatnonzero(edge_graph != node_graph[v])
+    if crossing.size:
+        a, b = edges[crossing[0]]
+        raise DatasetError(
+            f"{a_path}: edge ({a}, {b}) crosses graphs "
+            f"{graph_ids[node_graph[a - 1]]} and {graph_ids[node_graph[b - 1]]}"
+        )
+    edge_order = np.argsort(edge_graph, kind="stable")
+    edge_offsets = np.zeros(num_graphs + 1, dtype=np.int64)
+    np.cumsum(np.bincount(edge_graph, minlength=num_graphs), out=edge_offsets[1:])
+    local_edges = np.column_stack([local_id[u], local_id[v]])[edge_order]
 
     glabels_path = prefix + "_graph_labels.txt"
-    graph_labels = None
+    graph_labels = [None] * num_graphs
     if os.path.exists(glabels_path):
-        raw = _parse_ints(_read_lines(glabels_path), glabels_path).tolist()
-        if len(raw) != num_graphs:
+        graph_labels = _read_table(glabels_path, np.int64, 1)[:, 0].tolist()
+        if len(graph_labels) != num_graphs:
             raise DatasetError(
-                f"{glabels_path}: {len(raw)} labels for {num_graphs} graphs"
+                f"{glabels_path}: {len(graph_labels)} labels for {num_graphs} graphs"
             )
-        graph_labels = raw
 
     dataset = []
+    graph_edges = np.split(local_edges, edge_offsets[1:-1])
+    graph_attributes = np.split(attributes[order], offsets[1:-1])
     for gi in range(num_graphs):
-        mask = node_graph == gi
         try:
-            graph = LabelledGraph(int(counts[gi]), per_graph_edges[gi], attributes[mask])
+            graph = LabelledGraph(
+                int(offsets[gi + 1] - offsets[gi]), graph_edges[gi], graph_attributes[gi]
+            )
         except ValueError as exc:
             raise DatasetError(f"graph {graph_ids[gi]}: {exc}") from exc
-        dataset.append((graph, graph_labels[gi] if graph_labels else None))
+        dataset.append((graph, graph_labels[gi]))
     return dataset
 
 

@@ -154,17 +154,26 @@ def layer_forward(g: LabelledGraph, attributes, params: LayerParams) -> np.ndarr
     return feats @ params.mixing.T + params.bias
 
 
-def model_forward(g: LabelledGraph, model: ModelConfig) -> np.ndarray:
-    """Fold the layer stack over the graph and pool node features."""
+def model_forward(g: LabelledGraph, model: ModelConfig, offsets=None) -> np.ndarray:
+    """Fold the layer stack over the graph and pool node features.
+
+    Returns one (R,) row, or with ``offsets`` (as from
+    :func:`~hypograph.graphs.disjoint_union`) a (G, R) array pooling each
+    node segment ``offsets[i]:offsets[i + 1]`` on its own.
+    """
+    single = offsets is None
+    offsets = np.array([0, g.n] if single else offsets, dtype=np.int64)
+    if offsets.ndim != 1 or offsets[0] != 0 or offsets[-1] != g.n or np.any(np.diff(offsets) < 1):
+        raise ValueError(f"offsets must rise strictly from 0 to n={g.n}")
     x = g.attributes
     for idx, layer in enumerate(model.layers):
         try:
             x = layer_forward(g, x, layer)
         except NonFiniteError as exc:
             raise NonFiniteError(f"layer {idx + 1}: {exc}") from exc
-    if model.pooling == "mean":
-        return x.mean(axis=0)
-    return x.sum(axis=0)
+    pool = np.mean if model.pooling == "mean" else np.sum
+    pooled = np.stack([pool(x[a:b], axis=0) for a, b in zip(offsets[:-1], offsets[1:])])
+    return pooled[0] if single else pooled
 
 
 def l2_penalty(params: LayerParams, lam: float) -> float:

@@ -309,7 +309,7 @@ def test_criterion_9_nci1_ingestion_and_extraction(tmp_path):
     args = [
         "extract", "--dataset", root, "--name", "NCI1",
         "--walk-length", "5", "--max-degree", "2", "--rank", "128",
-        "--layers", "4", "--seed", "0", "--threads", "8",
+        "--layers", "4", "--seed", "0",
     ]
     out1, out2 = tmp_path / "nci1_a.csv", tmp_path / "nci1_b.csv"
     start = time.perf_counter()

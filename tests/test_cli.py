@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from conftest import write_tu_files
-from hypograph import lowrank
+from conftest import random_labelled_graph, write_tu_files
+from hypograph import cli, lowrank
+from hypograph.graphs import LabelledGraph, grid_graph, load_tu_dataset, save_tu_dataset
 from hypograph.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from hypograph.verify import run_equivalence_suite
 from hypograph.exact import OracleScaleError
@@ -25,12 +26,12 @@ def tiny_dataset(tmp_path):
     return data_dir
 
 
-def extract_args(data_dir, out, **extra):
+def extract_args(data_dir, out, name="tiny", walk_length=2, **extra):
     args = [
         "extract",
         "--dataset", str(data_dir),
-        "--name", "tiny",
-        "--walk-length", "2",
+        "--name", name,
+        "--walk-length", str(walk_length),
         "--max-degree", "2",
         "--rank", "4",
         "--seed", "11",
@@ -90,11 +91,38 @@ class TestExtract:
                 obj["features"], [float(x) for x in parts[2:]], rtol=1e-16
             )
 
-    def test_threads_match_single_threaded(self, tiny_dataset, tmp_path):
-        out1, out4 = tmp_path / "t1.csv", tmp_path / "t4.csv"
-        main(extract_args(tiny_dataset, out1, threads=1))
-        main(extract_args(tiny_dataset, out4, threads=4))
-        assert out1.read_bytes() == out4.read_bytes()
+    def test_batched_matches_one_graph_per_chunk(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(4)
+        graphs = [random_labelled_graph(rng, max_nodes=9, max_dim=1) for _ in range(12)]
+        graphs.insert(5, grid_graph(6, seed=1))  # 60 edges, 36 nodes: over the budget
+        graphs.append(LabelledGraph(1, [], [[0.5]]))
+        save_tu_dataset(str(tmp_path), "many", [(g, i % 2) for i, g in enumerate(graphs)])
+        budget = 64 * 4
+        monkeypatch.setattr(cli, "CHUNK_ELEMENTS", budget)
+        chunks = cli._chunks(graphs, 4)
+        assert len(chunks) > 3 and (5, 6) in chunks
+        assert max(stop - start for start, stop in chunks) > 2
+        for per_node in (False, True):
+            args = dict(name="many", walk_length=3, layers=2, attention=True)
+            if per_node:
+                args["per_node"] = True
+            batched, again, alone = (tmp_path / f"{tag}.csv" for tag in ("b", "r", "a"))
+            assert main(extract_args(tmp_path, batched, **args)) == EXIT_OK
+            assert main(extract_args(tmp_path, again, **args)) == EXIT_OK
+            assert batched.read_bytes() == again.read_bytes()
+            monkeypatch.setattr(cli, "CHUNK_ELEMENTS", 0)  # every graph alone
+            assert main(extract_args(tmp_path, alone, **args)) == EXIT_OK
+            monkeypatch.setattr(cli, "CHUNK_ELEMENTS", budget)
+            skip = 3 if per_node else 2  # graph, (node,) label
+            (got_ids, got), (want_ids, want) = (
+                ([ln.split(",")[:skip] for ln in lines],
+                 np.array([[float(x) for x in ln.split(",")[skip:]] for ln in lines]))
+                for lines in (p.read_text().strip().split("\n")[1:] for p in (batched, alone))
+            )
+            assert got_ids == want_ids
+            rows = sum(g.n for g in graphs) if per_node else len(graphs)
+            assert got.shape == want.shape == (rows, 4)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_layer_stacking_and_attention_run(self, tiny_dataset, tmp_path):
         out = tmp_path / "deep.csv"
@@ -118,8 +146,12 @@ class TestExtract:
 
     @pytest.mark.parametrize("per_node", [False, True])
     def test_overflow_is_data_error_naming_graph_and_layer(self, tmp_path, capsys, per_node):
-        write_tu_files(tmp_path, "huge", [(1, 2), (2, 1), (3, 4), (4, 3)], [1, 1, 2, 2],
-                       node_attributes=[[0.0], [1.0], [1e300], [-1e300]])
+        # the overflowing graph sits in the middle of one chunk
+        write_tu_files(tmp_path, "huge", [(1, 2), (2, 1), (3, 4), (4, 3), (5, 6), (6, 5)],
+                       [1, 1, 2, 2, 3, 3],
+                       node_attributes=[[0.0], [1.0], [1e300], [-1e300], [2.0], [3.0]])
+        graphs = [g for g, _ in load_tu_dataset(str(tmp_path), "huge")]
+        assert cli._chunks(graphs, 8) == [(0, 3)]
         args = ["extract", "--dataset", str(tmp_path), "--name", "huge",
                 "--walk-length", "3", "--max-degree", "2", "--out", str(tmp_path / "o.csv")]
         rc = main(args + (["--per-node"] if per_node else []))
@@ -242,7 +274,7 @@ class TestFullScalePipeline:
         ]
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(args + ["--out", str(out1)]) == EXIT_OK
-        assert main(args + ["--out", str(out2), "--threads", "4"]) == EXIT_OK
+        assert main(args + ["--out", str(out2)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
         rows = out1.read_text().strip().split("\n")
         assert len(rows) == 41  # header + one row per graph
@@ -250,11 +282,6 @@ class TestFullScalePipeline:
 
 
 class TestFlags:
-    def test_threads_env_default(self, tiny_dataset, tmp_path, monkeypatch):
-        monkeypatch.setenv("HYPOGRAPH_THREADS", "2")
-        out = tmp_path / "env.csv"
-        assert main(extract_args(tiny_dataset, out)) == EXIT_OK
-
     def test_unknown_flag_exits_one(self):
         with pytest.raises(SystemExit) as err:
             main(["extract", "--bogus"])

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import random_labelled_graph, write_tu_files
+from hypograph.config import FeatureConfig
 from hypograph.graphs import (
     AttentionParams,
     DatasetError,
     LabelledGraph,
     attention_transition,
     classic_diffusion,
+    disjoint_union,
     grid_graph,
     load_tu_dataset,
     normalized_laplacian,
@@ -16,6 +18,8 @@ from hypograph.graphs import (
     transition_matrix,
     weighted_transition,
 )
+from hypograph.lowrank import RankOneFunctional, batch_features
+from hypograph.verify import TOLERANCE, case_error
 
 
 class TestLabelledGraph:
@@ -54,6 +58,65 @@ class TestLabelledGraph:
         for i in range(g.n):
             np.testing.assert_array_equal(h.attributes[perm[i]], g.attributes[i])
         np.testing.assert_array_equal(h.degrees[perm], g.degrees)
+
+
+class TestDisjointUnion:
+    def test_blocks_and_offsets(self):
+        a = LabelledGraph(2, [(0, 1)], [[0.0], [1.0]])
+        b = LabelledGraph(3, [(0, 2)], [[2.0], [3.0], [4.0]])
+        union, offsets = disjoint_union([a, b])
+        np.testing.assert_array_equal(offsets, [0, 2, 5])
+        np.testing.assert_array_equal(union.edges, [[0, 1], [2, 4]])
+        np.testing.assert_array_equal(union.attributes[:, 0], [0, 1, 2, 3, 4])
+        np.testing.assert_array_equal(union.degrees, [1, 1, 1, 0, 1])
+
+    def test_rejects_empty_and_mixed_widths(self):
+        with pytest.raises(ValueError):
+            disjoint_union([])
+        with pytest.raises(ValueError):
+            disjoint_union([LabelledGraph(1, [], [[0.0]]), LabelledGraph(1, [], [[0.0, 1.0]])])
+
+    @pytest.mark.parametrize("attention", [False, True])
+    def test_matches_oracle(self, attention):
+        rng = np.random.default_rng(31)
+        members = [random_labelled_graph(rng, max_nodes=5, max_dim=2) for _ in range(2)]
+        d = members[0].attr_dim
+        members = [LabelledGraph(g.n, g.edges, rng.standard_normal((g.n, d))) for g in members]
+        members.append(LabelledGraph(3, [(0, 1)], rng.standard_normal((3, d))))  # node 2 isolated
+        union, _ = disjoint_union(members)
+        if attention:
+            p = attention_transition(
+                union, AttentionParams(rng.standard_normal(d), rng.standard_normal(d))
+            )
+        else:
+            p = transition_matrix(union)
+        cfg = FeatureConfig(walk_length=3, max_degree=2, rank=2, time_param=True)
+        functionals = [
+            RankOneFunctional(rng.standard_normal((2, cfg.lift_dim(d)))) for _ in range(2)
+        ]
+        assert case_error(union, p, cfg, functionals, 3) <= TOLERANCE
+
+    def test_member_rows_permutation_invariant(self):
+        rng = np.random.default_rng(32)
+        members = [LabelledGraph(g.n, g.edges, rng.standard_normal((g.n, 2)))
+                   for g in (random_labelled_graph(rng, max_nodes=7) for _ in range(3))]
+        cfg = FeatureConfig(walk_length=3, max_degree=3, rank=3)
+        vectors = rng.standard_normal((3, 3, cfg.lift_dim(2)))
+
+        def rows(graphs):
+            union, offsets = disjoint_union(graphs)
+            feats = batch_features(union, transition_matrix(union), vectors, cfg)
+            return np.split(feats, offsets[1:-1])
+
+        base = rows(members)
+        for idx in range(len(members)):
+            perm = rng.permutation(members[idx].n)
+            moved = list(members)
+            moved[idx] = members[idx].permuted(perm)
+            got = rows(moved)
+            for other in range(len(members)):
+                want = base[other][np.argsort(perm)] if other == idx else base[other]
+                np.testing.assert_allclose(got[other], want, rtol=1e-12, atol=1e-12)
 
 
 class TestTransitionMatrix:
@@ -105,10 +168,44 @@ class TestWeightedTransition:
 
     def test_rejects_non_positive(self):
         g = LabelledGraph(2, [(0, 1)], np.zeros((2, 1)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"weight for edge \(0, 1\) must be positive"):
             weighted_transition(g, {(0, 1): 0.0})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be positive, got -1.0"):
             weighted_transition(g, {(0, 1): -1.0})
+
+    def test_rejects_missing_weight(self):
+        g = LabelledGraph(4, [(0, 1), (1, 3)], np.zeros((4, 1)))
+        with pytest.raises(ValueError, match=r"missing weight for edge \(1, 3\)"):
+            weighted_transition(g, {(1, 0): 2.0, (0, 3): 1.0})
+        with pytest.raises(ValueError, match=r"missing weight for edge \(0, 1\)"):
+            weighted_transition(g, {})
+
+    def test_matches_loop_reference(self):
+        def loop_values(g, weights):
+            lookup = {}
+            for (a, b), w in dict(weights).items():
+                lookup[(min(a, b), max(a, b))] = float(w)
+            pattern = g.pattern
+            raw = np.empty(pattern.nnz)
+            for e in range(pattern.nnz):
+                i, j = int(pattern.rows[e]), int(pattern.indices[e])
+                raw[e] = 1.0 if i == j else lookup[(min(i, j), max(i, j))]
+            sums = np.add.reduceat(raw, pattern.indptr[:-1])
+            return raw / np.repeat(sums, np.diff(pattern.indptr))
+
+        rng = np.random.default_rng(21)
+        for _ in range(30):
+            g = random_labelled_graph(rng, max_nodes=12, edge_prob=float(rng.uniform(0.1, 0.6)))
+            weights = {}
+            for i, j in g.edges.tolist():
+                key = (i, j) if rng.random() < 0.5 else (j, i)
+                weights[key] = float(rng.uniform(0.1, 3.0))
+                if rng.random() < 0.2:  # the same edge again, in the other order
+                    weights[key[::-1]] = float(rng.uniform(0.1, 3.0))
+            weights[(g.n, g.n + 5)] = 2.0  # off the graph: ignored
+            np.testing.assert_array_equal(
+                weighted_transition(g, weights).values, loop_values(g, weights)
+            )
 
 
 class TestAttentionTransition:
@@ -265,6 +362,107 @@ class TestTuLoader:
                        node_labels=files["node_labels"], graph_labels=files["graph_labels"])
         with pytest.raises(DatasetError, match=rf"bad_{bad_file}\.txt: line 2: "):
             load_tu_dataset(str(tmp_path), "bad")
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        (tmp_path / "gap_A.txt").write_text("1, 2\n")
+        (tmp_path / "gap_graph_indicator.txt").write_text("1\n\n1\nx\n")
+        (tmp_path / "gap_node_labels.txt").write_text("0\n0\n0\n")
+        with pytest.raises(DatasetError, match=r"gap_graph_indicator\.txt: line 4: "):
+            load_tu_dataset(str(tmp_path), "gap")
+
+    def test_blank_lines_with_spaces_skipped(self, tmp_path):
+        (tmp_path / "sp_A.txt").write_text("1, 2\n   \n2, 1\n")
+        (tmp_path / "sp_graph_indicator.txt").write_text("1\n \n1\n")
+        (tmp_path / "sp_node_attributes.txt").write_text("0.5, 1\n\t\n2, -3e-2\n")
+        (g, _), = load_tu_dataset(str(tmp_path), "sp")
+        assert g.n == 2 and g.num_edges == 1
+        np.testing.assert_array_equal(g.attributes, [[0.5, 1.0], [2.0, -0.03]])
+
+    @pytest.mark.parametrize("a_text, pattern", [
+        ("1, 2\n2, 1, 3\n", r"bad_A\.txt: line 2: ragged row of 3 values, expected 2"),
+        ("1, 2\n\n2; 1\n", r"bad_A\.txt: line 3: ragged row of 1 values"),
+        ("1, 2\n2, x\n", r"bad_A\.txt: line 2: "),
+        ("1, 2\n2, 99999999999999999999\n", r"bad_A\.txt: line 2: "),
+        ("1, 2\n2, 4\n", r"node id out of range 1\.\.3"),
+        ("1, 2\n0, 1\n", r"node id out of range 1\.\.3"),
+        ("1, 2\n2, 3\n", r"edge \(2, 3\) crosses graphs 5 and 9"),
+    ])
+    def test_bad_edge_file(self, tmp_path, a_text, pattern):
+        write_tu_files(tmp_path, "bad", [], [5, 5, 9], node_labels=[0, 1, 0])
+        (tmp_path / "bad_A.txt").write_text(a_text)
+        with pytest.raises(DatasetError, match=pattern):
+            load_tu_dataset(str(tmp_path), "bad")
+
+    @pytest.mark.parametrize("extra, pattern", [
+        ({"node_labels": [0, 1]}, r"node_labels\.txt: 2 labels for 3 nodes"),
+        ({"node_attributes": [[1.0]] * 4}, r"node_attributes\.txt: 4 rows for 3 nodes"),
+        ({"node_labels": [0, 1, 0], "graph_labels": [1]}, r"graph_labels\.txt: 1 labels for 2 graphs"),
+        ({"node_attributes": [[1.0], ["nan"], [0.0]]}, r"graph 1: attributes must be finite"),
+    ])
+    def test_count_mismatch_and_graph_errors(self, tmp_path, extra, pattern):
+        write_tu_files(tmp_path, "bad", [(1, 2), (2, 1)], [1, 1, 2], **extra)
+        with pytest.raises(DatasetError, match=pattern):
+            load_tu_dataset(str(tmp_path), "bad")
+
+    def test_matches_loop_reference(self, tmp_path):
+        """Non-contiguous graph ids, interleaved nodes, edges in random order."""
+
+        def loop_load(directory, name):
+            def ints(suffix):
+                text = (directory / f"{name}_{suffix}.txt").read_text()
+                return [[int(x) for x in ln.split(",")] for ln in text.splitlines() if ln.strip()]
+
+            indicator = [row[0] for row in ints("graph_indicator")]
+            graph_ids = sorted(set(indicator))
+            index = {gid: gi for gi, gid in enumerate(graph_ids)}
+            node_graph = [index[gid] for gid in indicator]
+            local, counts = [], [0] * len(graph_ids)
+            for gi in node_graph:
+                local.append(counts[gi])
+                counts[gi] += 1
+            labels = [row[0] for row in ints("node_labels")]
+            onehot = np.zeros((len(labels), max(labels) - min(labels) + 1))
+            onehot[np.arange(len(labels)), np.array(labels) - min(labels)] = 1.0
+            attrs = np.hstack([onehot, np.array([
+                [float(x) for x in ln.split(",")]
+                for ln in (directory / f"{name}_node_attributes.txt").read_text().splitlines()
+            ])])
+            edges = [[] for _ in graph_ids]
+            for a, b in ints("A"):
+                edges[node_graph[a - 1]].append((local[a - 1], local[b - 1]))
+            graph_labels = [row[0] for row in ints("graph_labels")]
+            return [
+                (LabelledGraph(counts[gi], edges[gi],
+                               attrs[np.array(node_graph) == gi]), graph_labels[gi])
+                for gi in range(len(graph_ids))
+            ]
+
+        rng = np.random.default_rng(17)
+        ids = [7, 3, 12, 40, 8]
+        sizes = [5, 1, 4, 6, 3]
+        indicator = rng.permutation(np.repeat(ids, sizes)).tolist()
+        members = {gid: [v + 1 for v, g in enumerate(indicator) if g == gid] for gid in ids}
+        edges = []
+        for gid in ids:
+            nodes = members[gid]
+            for i in range(len(nodes)):
+                for j in range(i + 1, len(nodes)):
+                    if rng.random() < 0.6:
+                        edges += [(nodes[i], nodes[j]), (nodes[j], nodes[i])]
+        edges = [edges[k] for k in rng.permutation(len(edges))]
+        write_tu_files(
+            tmp_path, "mix", edges, indicator,
+            node_labels=rng.integers(2, 6, len(indicator)).tolist(),
+            node_attributes=rng.standard_normal((len(indicator), 2)).tolist(),
+            graph_labels=[0, 1, 1, 0, 1],
+        )
+        got, want = load_tu_dataset(str(tmp_path), "mix"), loop_load(tmp_path, "mix")
+        assert [g.n for g, _ in got] == [1, 5, 3, 4, 6]  # ids 3, 7, 8, 12, 40
+        assert [label for _, label in got] == [label for _, label in want]
+        for (g, _), (h, _) in zip(got, want):
+            assert g.n == h.n
+            np.testing.assert_array_equal(g.edges, h.edges)
+            np.testing.assert_array_equal(g.attributes, h.attributes)
 
     def test_crlf_and_spaces_accepted(self, tmp_path):
         (tmp_path / "win_A.txt").write_text("1 , 2\r\n2 , 1\r\n")

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_labelled_graph
 from hypograph.config import FeatureConfig
-from hypograph.graphs import AttentionParams, LabelledGraph, transition_matrix
+from hypograph.graphs import AttentionParams, LabelledGraph, disjoint_union, transition_matrix
 from hypograph.layers import (
     LayerParams,
     ModelConfig,
@@ -147,6 +147,29 @@ class TestModelForward:
             layer_forward(g, g.attributes, layer).sum(axis=0),
             atol=1e-15,
         )
+
+    @pytest.mark.parametrize("pooling", ["mean", "sum"])
+    def test_segment_pooling_matches_each_graph(self, pooling):
+        rng = np.random.default_rng(9)
+        graphs = [LabelledGraph(g.n, g.edges, rng.standard_normal((g.n, 2)))
+                  for g in (random_labelled_graph(rng) for _ in range(4))]
+        graphs.append(LabelledGraph(1, [], [[0.3, -1.0]]))
+        model = ModelConfig(
+            (make_layer(rng, 2, rank=3, attention=True), make_layer(rng, 3, rank=2)), pooling
+        )
+        union, offsets = disjoint_union(graphs)
+        pooled = model_forward(union, model, offsets)
+        assert pooled.shape == (len(graphs), 2)
+        for row, g in zip(pooled, graphs):
+            np.testing.assert_allclose(row, model_forward(g, model), rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("offsets", [[0, 3], [1, 4], [0, 2, 2, 4], [0, 3, 2, 4]])
+    def test_bad_offsets_rejected(self, offsets):
+        rng = np.random.default_rng(10)
+        g = LabelledGraph(4, [(0, 1), (2, 3)], rng.standard_normal((4, 2)))
+        model = ModelConfig((make_layer(rng, 2),))
+        with pytest.raises(ValueError, match="offsets"):
+            model_forward(g, model, offsets)
 
     def test_isomorphic_graphs_give_equal_output(self):
         rng = np.random.default_rng(7)
