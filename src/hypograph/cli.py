@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -168,10 +169,6 @@ def _build_model(spec: RunSpec, attr_dim: int) -> ModelConfig:
     return ModelConfig(tuple(layers), pooling="mean", seed=spec.seed)
 
 
-def _format_float(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _chunks(graphs, rank: int) -> list[tuple[int, int]]:
     """Consecutive [start, stop) ranges of graphs, filled greedily in order
     up to CHUNK_ELEMENTS values per R-wide array."""
@@ -201,6 +198,38 @@ def _chunk_rows(graphs, model: ModelConfig, per_node: bool) -> list[np.ndarray]:
     return np.split(x, offsets[1:-1])
 
 
+def _rows(dataset, results, per_node: bool):
+    """Yield (ids, label, values) per output row: ids is (graph,) or
+    (graph, node), values a list of floats."""
+    for gi, ((_, label), res) in enumerate(zip(dataset, results)):
+        if per_node:
+            for node, values in enumerate(res.tolist()):
+                yield (gi, node), label, values
+        else:
+            yield (gi,), label, res.tolist()
+
+
+def _write_csv(fh, rows, width: int, per_node: bool) -> None:
+    """Header, then one line per row with 17 significant digits per value;
+    a missing label is an empty field."""
+    names = ["graph", "node"] if per_node else ["graph"]
+    fh.write(",".join(names + ["label"] + [f"f{idx}" for idx in range(width)]) + "\n")
+    line = ",".join(["%d"] * len(names) + ["%s"] + ["%.17g"] * width) + "\n"
+    fh.writelines(
+        line % (*ids, "" if label is None else label, *values) for ids, label, values in rows
+    )
+
+
+def _write_jsonl(fh, rows, per_node: bool) -> None:
+    """One JSON object per row, byte for byte what ``json.dumps`` gives for
+    finite values: ``str`` of a float list uses the same ``float.__repr__``
+    and ``", "`` separators."""
+    node = ' "node": %d,' if per_node else ""
+    line = '{"graph": %d,' + node + ' "label": %s, "features": %s}\n'
+    label_text = functools.cache(json.dumps)  # one call per distinct label
+    fh.writelines(line % (*ids, label_text(label), values) for ids, label, values in rows)
+
+
 def cmd_extract(spec: RunSpec) -> int:
     dataset = load_tu_dataset(spec.dataset, spec.name)
     if not dataset:
@@ -219,50 +248,14 @@ def cmd_extract(spec: RunSpec) -> int:
                 except NonFiniteError as exc:
                     raise NonFiniteError(f"graph row {row}, {exc}") from exc
 
-    width = results[0].shape[-1]
-    lines = []
-    if spec.fmt == "csv":
-        cols = [f"f{idx}" for idx in range(width)]
-        if spec.per_node:
-            lines.append(",".join(["graph", "node", "label"] + cols))
-        else:
-            lines.append(",".join(["graph", "label"] + cols))
-    for gi, ((_, label), res) in enumerate(zip(dataset, results)):
-        label_txt = "" if label is None else str(label)
-        if spec.per_node:
-            for node, row in enumerate(res):
-                if spec.fmt == "csv":
-                    lines.append(
-                        ",".join(
-                            [str(gi), str(node), label_txt]
-                            + [_format_float(v) for v in row]
-                        )
-                    )
-                else:
-                    lines.append(
-                        json.dumps(
-                            {
-                                "graph": gi,
-                                "node": node,
-                                "label": label,
-                                "features": list(map(float, row)),
-                            }
-                        )
-                    )
-        else:
-            if spec.fmt == "csv":
-                lines.append(
-                    ",".join([str(gi), label_txt] + [_format_float(v) for v in res])
-                )
-            else:
-                lines.append(
-                    json.dumps(
-                        {"graph": gi, "label": label, "features": list(map(float, res))}
-                    )
-                )
+    rows = _rows(dataset, results, spec.per_node)
     with open(spec.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(f"wrote {len(lines) - (1 if spec.fmt == 'csv' else 0)} rows to {spec.out}")
+        if spec.fmt == "csv":
+            _write_csv(fh, rows, results[0].shape[-1], spec.per_node)
+        else:
+            _write_jsonl(fh, rows, spec.per_node)
+    count = sum(map(len, results)) if spec.per_node else len(results)
+    print(f"wrote {count} rows to {spec.out}")
     return EXIT_OK
 
 

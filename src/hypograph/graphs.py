@@ -432,6 +432,8 @@ def load_tu_dataset(path: str, name: str):
     local_id = np.empty(num_nodes, dtype=np.int64)
     local_id[order] = np.arange(num_nodes) - np.repeat(offsets[:-1], np.diff(offsets))
 
+    # every attribute block is built in graph order, so the stacked matrix
+    # splits straight into per-graph views
     labels_path = prefix + "_node_labels.txt"
     attrs_path = prefix + "_node_attributes.txt"
     blocks = []
@@ -443,7 +445,7 @@ def load_tu_dataset(path: str, name: str):
             )
         lo, hi = int(raw.min()), int(raw.max())
         onehot = np.zeros((num_nodes, hi - lo + 1), dtype=np.float64)
-        onehot[np.arange(num_nodes), raw - lo] = 1.0
+        onehot[np.arange(num_nodes), raw[order] - lo] = 1.0
         blocks.append(onehot)
     if os.path.exists(attrs_path):
         attrs = _read_table(attrs_path, np.float64)
@@ -451,6 +453,7 @@ def load_tu_dataset(path: str, name: str):
             raise DatasetError(
                 f"{attrs_path}: {len(attrs)} rows for {num_nodes} nodes"
             )
+        attrs = attrs[order]
         blocks.append(attrs)
     if not blocks:
         raise DatasetError(f"need {labels_path} or {attrs_path}")
@@ -484,7 +487,7 @@ def load_tu_dataset(path: str, name: str):
 
     dataset = []
     graph_edges = np.split(local_edges, edge_offsets[1:-1])
-    graph_attributes = np.split(attributes[order], offsets[1:-1])
+    graph_attributes = np.split(attributes, offsets[1:-1])
     for gi in range(num_graphs):
         try:
             graph = LabelledGraph(

@@ -139,7 +139,11 @@ def init_params(
 
 
 def layer_forward(g: LabelledGraph, attributes, params: LayerParams) -> np.ndarray:
-    """One layer: walk features on the given attributes, mixed down to (n, R)."""
+    """One layer: walk features on the given attributes, mixed down to (n, R).
+
+    Raises :class:`~hypograph.lowrank.NonFiniteError` if the features or
+    the mixed rows overflow.
+    """
     attributes = np.asarray(attributes, dtype=np.float64)
     if attributes.shape != (g.n, params.attr_dim):
         raise ValueError(
@@ -151,7 +155,11 @@ def layer_forward(g: LabelledGraph, attributes, params: LayerParams) -> np.ndarr
     else:
         p = transition_matrix(graph)
     feats = batch_features(graph, p, params.vectors, params.config)
-    return feats @ params.mixing.T + params.bias
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = feats @ params.mixing.T + params.bias
+    if not np.isfinite(out).all():
+        raise NonFiniteError("non-finite value after mixing")
+    return out
 
 
 def model_forward(g: LabelledGraph, model: ModelConfig, offsets=None) -> np.ndarray:
@@ -159,7 +167,9 @@ def model_forward(g: LabelledGraph, model: ModelConfig, offsets=None) -> np.ndar
 
     Returns one (R,) row, or with ``offsets`` (as from
     :func:`~hypograph.graphs.disjoint_union`) a (G, R) array pooling each
-    node segment ``offsets[i]:offsets[i + 1]`` on its own.
+    node segment ``offsets[i]:offsets[i + 1]`` on its own.  Raises
+    :class:`~hypograph.lowrank.NonFiniteError` naming the layer, or the
+    pooling, where a value overflows.
     """
     single = offsets is None
     offsets = np.array([0, g.n] if single else offsets, dtype=np.int64)
@@ -172,7 +182,10 @@ def model_forward(g: LabelledGraph, model: ModelConfig, offsets=None) -> np.ndar
         except NonFiniteError as exc:
             raise NonFiniteError(f"layer {idx + 1}: {exc}") from exc
     pool = np.mean if model.pooling == "mean" else np.sum
-    pooled = np.stack([pool(x[a:b], axis=0) for a, b in zip(offsets[:-1], offsets[1:])])
+    with np.errstate(over="ignore", invalid="ignore"):
+        pooled = np.stack([pool(x[a:b], axis=0) for a, b in zip(offsets[:-1], offsets[1:])])
+    if not np.isfinite(pooled).all():
+        raise NonFiniteError(f"non-finite value after {model.pooling} pooling")
     return pooled[0] if single else pooled
 
 

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -91,6 +92,52 @@ class TestExtract:
                 obj["features"], [float(x) for x in parts[2:]], rtol=1e-16
             )
 
+    @pytest.mark.parametrize("labelled", [True, False])
+    @pytest.mark.parametrize("per_node", [False, True])
+    def test_row_bytes_match_reference_formatters(self, tmp_path, per_node, labelled):
+        write_tu_files(tmp_path, "rows", [(1, 2), (2, 1), (3, 4), (4, 3), (4, 5), (5, 4)],
+                       [1, 1, 2, 2, 2], node_labels=[0, 1, 1, 0, 1],
+                       graph_labels=[1, 0] if labelled else None)
+        extra = {"per_node": True} if per_node else {}
+        out_csv, out_jsonl = tmp_path / "f.csv", tmp_path / "f.jsonl"
+        assert main(extract_args(tmp_path, out_csv, name="rows", **extra)) == EXIT_OK
+        assert main(extract_args(tmp_path, out_jsonl, name="rows", format="jsonl", **extra)) == EXIT_OK
+        header, *csv_lines = out_csv.read_text().split("\n")
+        json_lines = out_jsonl.read_text().split("\n")
+        assert csv_lines.pop() == json_lines.pop() == ""  # every line ends in a newline
+        names = ["graph", "node"] if per_node else ["graph"]
+        assert header == ",".join(names + ["label", "f0", "f1", "f2", "f3"])
+        row_ids = [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)] if per_node else [(0,), (1,)]
+        assert len(csv_lines) == len(json_lines) == len(row_ids)
+        for ids, csv_line, json_line in zip(row_ids, csv_lines, json_lines):
+            label = ([1, 0] if labelled else [None, None])[ids[0]]
+            values = [float(x) for x in csv_line.split(",")[len(ids) + 1:]]
+            assert len(values) == 4
+            label_field = "" if label is None else str(label)
+            assert csv_line == ",".join(
+                [str(i) for i in ids] + [label_field] + [f"{v:.17g}" for v in values]
+            )
+            assert json_line == json.dumps({**dict(zip(names, ids)), "label": label,
+                                            "features": values})
+
+    def test_writers_format_awkward_floats(self):
+        values = np.array([[3.0, -0.0, 0.1, 1e16, 5e-324, 1.7976931348623157e308, -2.5e-7]])
+        dataset = [(None, 7), (None, None)]
+        results = [values[0], values[0][::-1]]
+        csv, jsonl = io.StringIO(), io.StringIO()
+        cli._write_csv(csv, cli._rows(dataset, results, False), 7, False)
+        cli._write_jsonl(jsonl, cli._rows(dataset, results, False), False)
+        want_csv = ["graph,label," + ",".join(f"f{i}" for i in range(7))]
+        want_jsonl = []
+        for gi, ((_, label), res) in enumerate(zip(dataset, results)):
+            want_csv.append(",".join([str(gi), "" if label is None else str(label)]
+                                     + [f"{v:.17g}" for v in res]))
+            want_jsonl.append(json.dumps({"graph": gi, "label": label,
+                                          "features": list(map(float, res))}))
+        assert csv.getvalue() == "\n".join(want_csv) + "\n"
+        assert jsonl.getvalue() == "\n".join(want_jsonl) + "\n"
+        assert '"features": [3.0, -0.0, 0.1, 1e+16, 5e-324, ' in jsonl.getvalue()
+
     def test_batched_matches_one_graph_per_chunk(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(4)
         graphs = [random_labelled_graph(rng, max_nodes=9, max_dim=1) for _ in range(12)]
@@ -159,6 +206,28 @@ class TestExtract:
         err = capsys.readouterr().err
         assert "graph row 1, layer 1: non-finite value at walk step" in err
         assert ", degree " in err
+
+    @pytest.mark.parametrize("value, per_node, fmt, where", [
+        ("3e307", False, "csv", "non-finite value after mean pooling"),
+        ("3e307", False, "jsonl", "non-finite value after mean pooling"),
+        ("5e307", False, "csv", "layer 1: non-finite value after mixing"),
+        ("5e307", True, "csv", "layer 1: non-finite value after mixing"),
+        ("5e307", True, "jsonl", "layer 1: non-finite value after mixing"),
+    ])
+    def test_output_overflow_is_data_error_and_writes_nothing(
+        self, tmp_path, capsys, value, per_node, fmt, where
+    ):
+        # finite through the recursion; the mixed rows (5e307) or the
+        # pooled mean (3e307) overflow
+        write_tu_files(tmp_path, "big", [(1, 2), (2, 1), (2, 3), (3, 2)], [1, 1, 1],
+                       node_attributes=[[value]] * 3)
+        out = tmp_path / f"o.{fmt}"
+        args = ["extract", "--dataset", str(tmp_path), "--name", "big", "--walk-length", "1",
+                "--max-degree", "1", "--rank", "8", "--no-diff", "--format", fmt,
+                "--out", str(out)]
+        assert main(args + (["--per-node"] if per_node else [])) == EXIT_DATA
+        assert f"hypograph: data error: graph row 0, {where}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCheck:

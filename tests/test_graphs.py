@@ -1,5 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import random_labelled_graph, write_tu_files
 from hypograph.config import FeatureConfig
@@ -463,6 +467,81 @@ class TestTuLoader:
             assert g.n == h.n
             np.testing.assert_array_equal(g.edges, h.edges)
             np.testing.assert_array_equal(g.attributes, h.attributes)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_fuzzed_files_load_in_file_order_or_fail_named(self, data):
+        """Random TU files: graph ids non-contiguous and interleaved, edges in
+        any order and direction, optional labels, attributes and graph
+        labels, blank lines anywhere.  Without junk lines they must load,
+        each graph holding its nodes' file rows in file order; a junk line
+        must make the load a DatasetError."""
+        ids = data.draw(st.lists(st.integers(-5, 60), min_size=1, max_size=4, unique=True))
+        sizes = data.draw(st.lists(st.integers(1, 4), min_size=len(ids), max_size=len(ids)))
+        indicator = data.draw(st.permutations(np.repeat(ids, sizes).tolist()))
+        members = {gid: [v for v, g in enumerate(indicator) if g == gid] for gid in ids}
+        edges, want_edges = [], {}
+        for gid in ids:
+            local = members[gid]
+            pairs = [(i, j) for i in range(len(local)) for j in range(i + 1, len(local))]
+            kept = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+            want_edges[gid] = sorted(kept)
+            for i, j in kept:
+                a, b = local[i] + 1, local[j] + 1
+                edges += data.draw(st.sampled_from([[(a, b)], [(b, a)], [(a, b), (b, a)]]))
+        edges = data.draw(st.permutations(edges))
+        n = len(indicator)
+        labels = data.draw(st.none() | st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        width = data.draw(st.integers(1, 2))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        row = st.lists(finite, min_size=width, max_size=width)
+        attrs = data.draw(st.none() | st.lists(row, min_size=n, max_size=n))
+        graph_labels = data.draw(
+            st.none() | st.lists(st.integers(0, 9), min_size=len(ids), max_size=len(ids))
+        )
+        files = {
+            "A": [f"{a}, {b}" for a, b in edges],
+            "graph_indicator": [str(g) for g in indicator],
+            "node_labels": None if labels is None else [str(v) for v in labels],
+            "node_attributes": None if attrs is None else [", ".join(map(repr, r)) for r in attrs],
+            "graph_labels": None if graph_labels is None else [str(v) for v in graph_labels],
+        }
+        present = [suffix for suffix, lines in files.items() if lines is not None]
+        junk = data.draw(st.lists(st.tuples(
+            st.sampled_from(present), st.integers(0, 100),
+            st.sampled_from(["x", "1;2", "--1", "nan", "1e400", "0x1f"]),
+        ), max_size=1))
+        blanks = data.draw(st.lists(st.tuples(
+            st.sampled_from(present), st.integers(0, 100), st.sampled_from(["", "  ", "\t"]),
+        ), max_size=3))
+        for suffix, pos, text in junk + blanks:
+            lines = files[suffix]
+            lines.insert(pos % (len(lines) + 1), text)
+        newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+        with tempfile.TemporaryDirectory() as tmp:
+            for suffix in present:
+                Path(tmp, f"fz_{suffix}.txt").write_text(
+                    "".join(line + newline for line in files[suffix]), newline=""
+                )
+            if junk or (labels is None and attrs is None):
+                with pytest.raises(DatasetError):
+                    load_tu_dataset(tmp, "fz")
+                return
+            got = load_tu_dataset(tmp, "fz")
+        blocks = []
+        if labels is not None:
+            onehot = np.zeros((n, max(labels) - min(labels) + 1))
+            onehot[np.arange(n), np.array(labels) - min(labels)] = 1.0
+            blocks.append(onehot)
+        if attrs is not None:
+            blocks.append(np.array(attrs))
+        rows = np.hstack(blocks)
+        assert len(got) == len(ids)
+        for (g, label), gid in zip(got, sorted(ids)):
+            np.testing.assert_array_equal(g.attributes, rows[members[gid]])
+            np.testing.assert_array_equal(g.edges.reshape(-1, 2), np.array(want_edges[gid]).reshape(-1, 2))
+            assert label == (None if graph_labels is None else graph_labels[sorted(ids).index(gid)])
 
     def test_crlf_and_spaces_accepted(self, tmp_path):
         (tmp_path / "win_A.txt").write_text("1 , 2\r\n2 , 1\r\n")
