@@ -10,7 +10,6 @@ for extraction, verification, and benchmarking.
 from .config import FeatureConfig
 from .tensoralg import (
     DenseTensor,
-    LiftCoefficients,
     TruncatedTensorSequence,
     algebra_mul,
     inner_product,
@@ -64,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "FeatureConfig",
     "DenseTensor",
-    "LiftCoefficients",
     "TruncatedTensorSequence",
     "algebra_mul",
     "inner_product",

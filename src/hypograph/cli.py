@@ -6,7 +6,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,143 +29,94 @@ CHUNK_ELEMENTS = 1 << 15
 
 
 class UsageError(ValueError):
-    """Invalid flag combination; maps to exit code 1."""
+    """Unknown, missing or out-of-range flag; maps to exit code 1."""
 
 
-@dataclass(frozen=True)
-class RunSpec:
-    """One validated CLI invocation."""
+def _at_least(lo: int):
+    """argparse ``type=`` for an int no smaller than ``lo``."""
 
-    command: str
-    dataset: str | None = None
-    name: str | None = None
-    walk_length: int = 5
-    max_degree: int = 2
-    rank: int = 8
-    layers: int = 1
-    diff: bool = True
-    zero_start: bool = True
-    time_param: bool = False
-    attention: bool = False
-    heads: int = 1
-    seed: int = 0
-    out: str | None = None
-    fmt: str = "csv"
-    per_node: bool = False
-    cases: int = 20
-    nodes: int = 8
-    min_exp: int = 12
-    max_exp: int = 18
-    repeats: int = 5
-    topology: str = "path"
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
 
-    def __post_init__(self):
-        if self.command not in ("extract", "check", "bench", "describe"):
-            raise UsageError(f"unknown command {self.command!r}")
-        if self.walk_length < 0:
-            raise UsageError("--walk-length must be >= 0")
-        if self.max_degree < 1:
-            raise UsageError("--max-degree must be >= 1")
-        if self.rank < 1:
-            raise UsageError("--rank must be >= 1")
-        if self.layers < 1:
-            raise UsageError("--layers must be >= 1")
-        if self.heads < 1:
-            raise UsageError("--heads must be >= 1")
-        if self.fmt not in ("csv", "jsonl"):
-            raise UsageError("--format must be csv or jsonl")
-        if self.command in ("extract", "describe"):
-            if not self.dataset or not self.name:
-                raise UsageError(f"{self.command} requires --dataset and --name")
-        if self.command == "extract" and not self.out:
-            raise UsageError("extract requires --out")
-        if self.cases < 1:
-            raise UsageError("--cases must be >= 1")
-
-    def feature_config(self) -> FeatureConfig:
-        return FeatureConfig(
-            walk_length=self.walk_length,
-            max_degree=self.max_degree,
-            rank=self.rank,
-            diff=self.diff,
-            zero_start=self.zero_start,
-            time_param=self.time_param,
-        )
+    parse.__name__ = "int"  # argparse's "invalid int value: ..." message
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage problems exit 1 (argparse's default is 2, reserved here for data)
+    # every usage problem reaches main's handler and exits 1 with one line
+    # (argparse's default is exit 2, reserved here for data errors)
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        raise UsageError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The one place each flag is declared and range-checked; a subcommand
+    takes only the flags its handler reads."""
     parser = _Parser(prog="hypograph", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--dataset", help="directory with TU-format files")
-        p.add_argument("--name", help="dataset name (file prefix)")
-        p.add_argument("--walk-length", type=int, default=5)
-        p.add_argument("--max-degree", type=int, default=2)
-        p.add_argument("--rank", type=int, default=8)
-        p.add_argument("--layers", type=int, default=1)
-        p.add_argument("--diff", action=argparse.BooleanOptionalAction, default=True)
-        p.add_argument(
-            "--zero-start", action=argparse.BooleanOptionalAction, default=True
-        )
-        p.add_argument("--time-param", action="store_true", default=False)
-        p.add_argument("--attention", action="store_true", default=False)
-        p.add_argument("--heads", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", help="output file path")
-        p.add_argument("--format", dest="fmt", choices=("csv", "jsonl"), default="csv")
-        p.add_argument("--per-node", action="store_true", default=False)
+    def add_dataset(p):
+        p.add_argument("--dataset", required=True, help="directory with TU-format files")
+        p.add_argument("--name", required=True, help="dataset name (file prefix)")
+
+    def add_walk(p):
+        p.add_argument("--walk-length", type=_at_least(0), default=5)
+        p.add_argument("--max-degree", type=_at_least(1), default=2)
+        p.add_argument("--rank", type=_at_least(1), default=8)
 
     p_extract = sub.add_parser("extract", help="write per-graph (or per-node) features")
-    add_common(p_extract)
+    add_dataset(p_extract)
+    add_walk(p_extract)
+    p_extract.add_argument("--seed", type=_at_least(0), default=0)
+    p_extract.add_argument("--layers", type=_at_least(1), default=1)
+    p_extract.add_argument("--diff", action=argparse.BooleanOptionalAction, default=True)
+    p_extract.add_argument(
+        "--zero-start", action=argparse.BooleanOptionalAction, default=True
+    )
+    p_extract.add_argument("--time-param", action="store_true")
+    p_extract.add_argument("--attention", action="store_true")
+    p_extract.add_argument("--heads", type=_at_least(1), default=1)
+    p_extract.add_argument("--out", required=True, help="output file path")
+    p_extract.add_argument("--format", dest="fmt", choices=("csv", "jsonl"), default="csv")
+    p_extract.add_argument("--per-node", action="store_true")
 
     p_check = sub.add_parser("check", help="run the low-rank vs. exact oracle suite")
-    add_common(p_check)
-    p_check.add_argument("--cases", type=int, default=20, help="randomized cases")
-    p_check.add_argument("--nodes", type=int, default=8, help="max graph size")
+    p_check.add_argument("--cases", type=_at_least(1), default=20, help="randomized cases")
+    p_check.add_argument("--nodes", type=_at_least(2), default=8, help="max graph size")
+    p_check.add_argument("--seed", type=_at_least(0), default=0)
 
     p_bench = sub.add_parser("bench", help="time the recursion on synthetic graphs")
-    add_common(p_bench)
-    p_bench.add_argument("--min-exp", type=int, default=12, help="smallest 2^e edges")
-    p_bench.add_argument("--max-exp", type=int, default=18, help="largest 2^e edges")
-    p_bench.add_argument("--repeats", type=int, default=5)
+    add_walk(p_bench)
+    p_bench.add_argument("--seed", type=_at_least(0), default=0)
+    p_bench.add_argument("--min-exp", type=_at_least(0), default=12, help="smallest 2^e edges")
+    p_bench.add_argument("--max-exp", type=_at_least(0), default=18, help="largest 2^e edges")
+    p_bench.add_argument("--repeats", type=_at_least(1), default=5)
     p_bench.add_argument("--topology", choices=("path", "grid"), default="path")
 
     p_desc = sub.add_parser("describe", help="summarize a TU-format dataset")
-    add_common(p_desc)
+    add_dataset(p_desc)
     return parser
 
 
-def _spec_from_args(args: argparse.Namespace) -> RunSpec:
-    fields = {k: v for k, v in vars(args).items() if v is not None}
-    return RunSpec(**fields)
-
-
-def _build_model(spec: RunSpec, attr_dim: int) -> ModelConfig:
-    cfg = spec.feature_config()
-    master = np.random.SeedSequence(spec.seed)
-    layer_seeds = master.spawn(spec.layers)
+def _build_model(args: argparse.Namespace, attr_dim: int) -> ModelConfig:
+    cfg = FeatureConfig(
+        walk_length=args.walk_length,
+        max_degree=args.max_degree,
+        rank=args.rank,
+        diff=args.diff,
+        zero_start=args.zero_start,
+        time_param=args.time_param,
+    )
+    layer_seeds = np.random.SeedSequence(args.seed).spawn(args.layers)
     layers: list[LayerParams] = []
     width = attr_dim
-    for idx in range(spec.layers):
-        layers.append(
-            init_params(
-                width,
-                cfg,
-                layer_seeds[idx],
-                attention=spec.attention,
-                heads=spec.heads,
-            )
-        )
-        width = spec.rank
-    return ModelConfig(tuple(layers), pooling="mean", seed=spec.seed)
+    for seed in layer_seeds:
+        layers.append(init_params(width, cfg, seed, attention=args.attention, heads=args.heads))
+        width = args.rank
+    return ModelConfig(tuple(layers), pooling="mean", seed=args.seed)
 
 
 def _chunks(graphs, rank: int) -> list[tuple[int, int]]:
@@ -230,43 +180,38 @@ def _write_jsonl(fh, rows, per_node: bool) -> None:
     fh.writelines(line % (*ids, label_text(label), values) for ids, label, values in rows)
 
 
-def cmd_extract(spec: RunSpec) -> int:
-    dataset = load_tu_dataset(spec.dataset, spec.name)
-    if not dataset:
-        raise DatasetError("dataset is empty")
-    model = _build_model(spec, dataset[0][0].attr_dim)
+def cmd_extract(args: argparse.Namespace) -> int:
+    dataset = load_tu_dataset(args.dataset, args.name)
+    model = _build_model(args, dataset[0][0].attr_dim)
     graphs = [g for g, _ in dataset]
     results = []
-    for start, stop in _chunks(graphs, spec.rank):
+    for start, stop in _chunks(graphs, args.rank):
         try:
-            results.extend(_chunk_rows(graphs[start:stop], model, spec.per_node))
+            results.extend(_chunk_rows(graphs[start:stop], model, args.per_node))
         except NonFiniteError:
             # run the chunk one graph at a time to name the graph that failed
             for row in range(start, stop):
                 try:
-                    results.extend(_chunk_rows(graphs[row : row + 1], model, spec.per_node))
+                    results.extend(_chunk_rows(graphs[row : row + 1], model, args.per_node))
                 except NonFiniteError as exc:
                     raise NonFiniteError(f"graph row {row}, {exc}") from exc
 
-    rows = _rows(dataset, results, spec.per_node)
-    with open(spec.out, "w", encoding="utf-8") as fh:
-        if spec.fmt == "csv":
-            _write_csv(fh, rows, results[0].shape[-1], spec.per_node)
+    rows = _rows(dataset, results, args.per_node)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        if args.fmt == "csv":
+            _write_csv(fh, rows, results[0].shape[-1], args.per_node)
         else:
-            _write_jsonl(fh, rows, spec.per_node)
-    count = sum(map(len, results)) if spec.per_node else len(results)
-    print(f"wrote {count} rows to {spec.out}")
+            _write_jsonl(fh, rows, args.per_node)
+    count = sum(map(len, results)) if args.per_node else len(results)
+    print(f"wrote {count} rows to {args.out}")
     return EXIT_OK
 
 
-def cmd_check(spec: RunSpec) -> int:
+def cmd_check(args: argparse.Namespace) -> int:
+    # walks of up to 4 steps, degrees up to 2 and rank 4 keep every case
+    # within the oracle's desk scale
     report = run_equivalence_suite(
-        cases=spec.cases,
-        seed=spec.seed,
-        max_nodes=spec.nodes,
-        max_degree=min(spec.max_degree, 3),
-        max_walk=min(spec.walk_length, 4),
-        rank=min(spec.rank, 4),
+        cases=args.cases, seed=args.seed, max_nodes=args.nodes, max_degree=2, max_walk=4, rank=4
     )
     for bucket in report.buckets:
         status = "ok" if bucket.passed else "FAIL"
@@ -281,16 +226,19 @@ def cmd_check(spec: RunSpec) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK
 
 
-def cmd_bench(spec: RunSpec) -> int:
+def cmd_bench(args: argparse.Namespace) -> int:
+    if args.max_exp < args.min_exp:
+        raise UsageError(f"argument --max-exp: must be >= --min-exp ({args.min_exp}), "
+                         f"got {args.max_exp}")
     rows = bench_mod.edge_scaling(
-        min_exp=spec.min_exp,
-        max_exp=spec.max_exp,
-        walk_length=spec.walk_length,
-        max_degree=spec.max_degree,
-        rank=spec.rank,
-        repeats=spec.repeats,
-        seed=spec.seed,
-        topology=spec.topology,
+        min_exp=args.min_exp,
+        max_exp=args.max_exp,
+        walk_length=args.walk_length,
+        max_degree=args.max_degree,
+        rank=args.rank,
+        repeats=args.repeats,
+        seed=args.seed,
+        topology=args.topology,
     )
     print(f"{'edges':>10s} {'seconds':>12s} {'ns/edge':>10s} {'ratio':>7s}  note")
     for row in rows:
@@ -302,11 +250,11 @@ def cmd_bench(spec: RunSpec) -> int:
             f"{row.edges:>10d} {row.seconds:>12.6f} {row.ns_per_edge:>10.1f} {ratio:>7s}  {note}"
         )
     deg = bench_mod.degree_scaling(
-        edges_exp=min(spec.max_exp, 15),
-        walk_length=spec.walk_length,
-        rank=spec.rank,
-        repeats=spec.repeats,
-        seed=spec.seed,
+        edges_exp=min(args.max_exp, 15),
+        walk_length=args.walk_length,
+        rank=args.rank,
+        repeats=args.repeats,
+        seed=args.seed,
     )
     lo, hi = sorted(deg["seconds"])
     print(
@@ -317,10 +265,8 @@ def cmd_bench(spec: RunSpec) -> int:
     return EXIT_OK
 
 
-def cmd_describe(spec: RunSpec) -> int:
-    dataset = load_tu_dataset(spec.dataset, spec.name)
-    if not dataset:
-        raise DatasetError("dataset is empty")
+def cmd_describe(args: argparse.Namespace) -> int:
+    dataset = load_tu_dataset(args.dataset, args.name)
     info = dataset_summary(dataset)
     print(f"graphs:         {info['graphs']}")
     print(f"attribute dim:  {info['attr_dim']}")
@@ -339,17 +285,15 @@ def cmd_describe(spec: RunSpec) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    handlers = {
+        "extract": cmd_extract,
+        "check": cmd_check,
+        "bench": cmd_bench,
+        "describe": cmd_describe,
+    }
     try:
-        spec = _spec_from_args(args)
-        handler = {
-            "extract": cmd_extract,
-            "check": cmd_check,
-            "bench": cmd_bench,
-            "describe": cmd_describe,
-        }[spec.command]
-        return handler(spec)
+        args = build_parser().parse_args(argv)
+        return handlers[args.command](args)
     except UsageError as exc:
         print(f"hypograph: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -11,7 +11,7 @@ import numpy as np
 
 from .config import FeatureConfig
 from .graphs import LabelledGraph, RowStochastic
-from .tensoralg import TruncatedTensorSequence, _lift_coeffs, algebra_mul, lift
+from .tensoralg import TruncatedTensorSequence, algebra_mul, lift
 
 MAX_ORACLE_NODES = 64
 MAX_ORACLE_DEGREE = 4
@@ -117,7 +117,7 @@ def _start_input(g: LabelledGraph, cfg: FeatureConfig, i: int) -> np.ndarray:
 def tensor_adjacency(g: LabelledGraph, cfg: FeatureConfig, step: int = 1) -> TensorMatrix:
     """Adjacency matrix whose entries lift the attribute change along each edge."""
     max_degree = cfg.max_degree
-    coeffs = _lift_coeffs(cfg, max_degree)
+    coeffs = cfg.coefficients(max_degree)
     rows: list[list] = [[] for _ in range(g.n)]
     for i, j in g.edges:
         rows[i].append((j, lift(_edge_input(g, cfg, i, j, step), max_degree, coeffs)))
@@ -140,7 +140,7 @@ def tensor_transition(
     if not p.pattern.same_as(g.pattern):
         raise ValueError("transition pattern does not match the graph")
     max_degree = cfg.max_degree
-    coeffs = _lift_coeffs(cfg, max_degree)
+    coeffs = cfg.coefficients(max_degree)
     pattern = p.pattern
     rows: list[list] = []
     for i in range(g.n):
@@ -230,7 +230,7 @@ def enumerate_walk_expectation(
     if _count_walks(g, k, start) > WALK_TERM_BUDGET:
         raise WalkBudgetError(f"more than {WALK_TERM_BUDGET} walk terms")
     max_degree = cfg.max_degree
-    coeffs = _lift_coeffs(cfg, max_degree)
+    coeffs = cfg.coefficients(max_degree)
     dims = cfg.lift_dim(g.attr_dim)
     pattern = g.pattern
     total = TruncatedTensorSequence.zero(dims, max_degree)
@@ -274,7 +274,7 @@ def node_features_exact(
             for step in range(k, 0, -1):
                 vec = _matvec(tensor_transition(g, cfg, p, step=step), vec)
     if cfg.zero_start:
-        coeffs = _lift_coeffs(cfg, cfg.max_degree)
+        coeffs = cfg.coefficients(cfg.max_degree)
         vec = TensorVector(
             [
                 algebra_mul(lift(_start_input(g, cfg, i), cfg.max_degree, coeffs), vec[i])

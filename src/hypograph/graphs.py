@@ -72,6 +72,18 @@ class AdjacencyPattern:
         )
 
 
+def _checked_attributes(n: int, attributes) -> np.ndarray:
+    """Read-only float64 (n, d) attribute matrix; rejects other shapes and
+    non-finite values."""
+    attributes = np.ascontiguousarray(attributes, dtype=np.float64)
+    if attributes.ndim != 2 or attributes.shape[0] != n:
+        raise ValueError(f"attributes must be (n, d) with n={n}, got {attributes.shape}")
+    if not np.all(np.isfinite(attributes)):
+        raise ValueError("attributes must be finite")
+    attributes.flags.writeable = False
+    return attributes
+
+
 class LabelledGraph:
     """Undirected graph with d-dimensional real node attributes.
 
@@ -92,18 +104,10 @@ class LabelledGraph:
             lo, hi = np.minimum(edges[:, 0], edges[:, 1]), np.maximum(edges[:, 0], edges[:, 1])
             codes = np.unique(lo * n + hi)
             edges = np.column_stack([codes // n, codes % n])
-        attributes = np.ascontiguousarray(attributes, dtype=np.float64)
-        if attributes.ndim != 2 or attributes.shape[0] != n:
-            raise ValueError(
-                f"attributes must be (n, d) with n={n}, got {attributes.shape}"
-            )
-        if not np.all(np.isfinite(attributes)):
-            raise ValueError("attributes must be finite")
         edges.flags.writeable = False
-        attributes.flags.writeable = False
         self.n = n
         self.edges = edges
-        self.attributes = attributes
+        self.attributes = _checked_attributes(n, attributes)
 
     @property
     def num_edges(self) -> int:
@@ -143,15 +147,9 @@ class LabelledGraph:
         shares it.
         """
         out = LabelledGraph.__new__(LabelledGraph)
-        attributes = np.ascontiguousarray(attributes, dtype=np.float64)
-        if attributes.ndim != 2 or attributes.shape[0] != self.n:
-            raise ValueError(f"attributes must be ({self.n}, d)")
-        if not np.all(np.isfinite(attributes)):
-            raise ValueError("attributes must be finite")
-        attributes.flags.writeable = False
         out.n = self.n
         out.edges = self.edges
-        out.attributes = attributes
+        out.attributes = _checked_attributes(self.n, attributes)
         # topology caches stay valid for the relabelled graph
         out.__dict__["degrees"] = self.degrees
         out.__dict__["pattern"] = self.pattern
@@ -531,7 +529,8 @@ def save_tu_dataset(path: str, name: str, dataset) -> None:
 
 
 def dataset_summary(dataset) -> dict:
-    """Aggregate statistics used by the describe command."""
+    """Aggregate statistics of a non-empty dataset, used by the describe
+    command."""
     nodes = np.array([g.n for g, _ in dataset])
     edges = np.array([g.num_edges for g, _ in dataset])
     labels = [label for _, label in dataset if label is not None]
@@ -540,13 +539,13 @@ def dataset_summary(dataset) -> dict:
         hist[label] = hist.get(label, 0) + 1
     return {
         "graphs": len(dataset),
-        "attr_dim": dataset[0][0].attr_dim if dataset else 0,
-        "nodes_total": int(nodes.sum()) if len(dataset) else 0,
-        "nodes_mean": float(nodes.mean()) if len(dataset) else 0.0,
-        "nodes_min": int(nodes.min()) if len(dataset) else 0,
-        "nodes_max": int(nodes.max()) if len(dataset) else 0,
-        "edges_total": int(edges.sum()) if len(dataset) else 0,
-        "edges_mean": float(edges.mean()) if len(dataset) else 0.0,
+        "attr_dim": dataset[0][0].attr_dim,
+        "nodes_total": int(nodes.sum()),
+        "nodes_mean": float(nodes.mean()),
+        "nodes_min": int(nodes.min()),
+        "nodes_max": int(nodes.max()),
+        "edges_total": int(edges.sum()),
+        "edges_mean": float(edges.mean()),
         "label_histogram": dict(sorted(hist.items())),
     }
 

@@ -41,6 +41,8 @@ class LayerParams:
         if not np.all(np.isfinite(vectors)):
             raise ValueError("component vectors must be finite")
         rank, deg, dim = vectors.shape
+        if rank != self.config.rank:
+            raise ValueError(f"{rank} functionals do not match config rank {self.config.rank}")
         if deg != self.config.max_degree:
             raise ValueError(
                 f"functional degree {deg} does not match config degree {self.config.max_degree}"
@@ -270,7 +272,7 @@ def load_params(path: str) -> ModelConfig:
             diff=entry["diff"],
             zero_start=entry["zero_start"],
             time_param=entry["time_param"],
-            lift_coeffs=tuple(entry["lift_coeffs"]) if entry["lift_coeffs"] else None,
+            lift_coeffs=None if entry["lift_coeffs"] is None else tuple(entry["lift_coeffs"]),
         )
         attn = None
         if entry.get("attention") is not None:

@@ -9,7 +9,6 @@ immutable values.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,56 +168,26 @@ def inner_product(v: TruncatedTensorSequence, w: TruncatedTensorSequence) -> flo
     )
 
 
-@dataclass(frozen=True)
-class LiftCoefficients:
-    """Per-degree scaling c_0..c_M of the algebra lift; c_0 is pinned to 1."""
-
-    coeffs: tuple[float, ...]
-
-    def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coeffs)
-        if not coeffs or coeffs[0] != 1.0:
-            raise ValueError("c_0 must equal 1")
-        if not all(math.isfinite(c) for c in coeffs):
-            raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @classmethod
-    def default(cls, max_degree: int) -> "LiftCoefficients":
-        """The factorial-reciprocal coefficients of the tensor exponential."""
-        return cls(tuple(1.0 / math.factorial(m) for m in range(max_degree + 1)))
-
-    def coeff(self, m: int) -> float:
-        return self.coeffs[m]
-
-
-def lift(
-    x, max_degree: int, coeffs: LiftCoefficients | None = None
-) -> TruncatedTensorSequence:
+def lift(x, max_degree: int, coeffs=None) -> TruncatedTensorSequence:
     """Lift a vector into the algebra: level m is c_m * x^(x)m.
 
-    With default coefficients this is the degree-truncated tensor
-    exponential.
+    ``coeffs`` is the sequence c_0..c_M, as from
+    :meth:`FeatureConfig.coefficients`; without it c_m = 1/m!, the
+    degree-truncated tensor exponential.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size < 1:
         raise ValueError(f"expected a 1-d vector, got shape {x.shape}")
     if coeffs is None:
-        coeffs = LiftCoefficients.default(max_degree)
-    elif len(coeffs.coeffs) < max_degree + 1:
-        raise ValueError(
-            f"coefficients cover degrees <= {len(coeffs.coeffs) - 1}, need {max_degree}"
-        )
+        coeffs = FeatureConfig().coefficients(max_degree)
+    elif len(coeffs) < max_degree + 1:
+        raise ValueError(f"coefficients cover degrees <= {len(coeffs) - 1}, need {max_degree}")
     levels = [np.float64(1.0)]
     power = np.float64(1.0)
     for m in range(1, max_degree + 1):
         power = np.multiply.outer(power, x)
-        levels.append(coeffs.coeff(m) * power)
+        levels.append(coeffs[m] * power)
     return TruncatedTensorSequence.from_arrays(levels, x.size)
-
-
-def _lift_coeffs(cfg: FeatureConfig, max_degree: int) -> LiftCoefficients:
-    return LiftCoefficients(tuple(cfg.coefficients(max_degree)))
 
 
 def sequence_feature(
@@ -245,7 +214,7 @@ def sequence_feature(
             factors = np.vstack([xs[:1], factors])
     else:
         factors = xs
-    coeffs = _lift_coeffs(cfg, max_degree)
+    coeffs = cfg.coefficients(max_degree)
     out = TruncatedTensorSequence.unit(xs.shape[1], max_degree)
     for row in factors:
         out = algebra_mul(out, lift(row, max_degree, coeffs))

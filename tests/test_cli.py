@@ -1,5 +1,8 @@
+import argparse
 import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,6 +315,19 @@ class TestDescribe:
         assert rc == EXIT_DATA
 
 
+@pytest.mark.parametrize("command", ["extract", "describe"])
+def test_blank_indicator_is_data_error_naming_file(tmp_path, capsys, command):
+    (tmp_path / "blank_A.txt").write_text("1, 2\n")
+    (tmp_path / "blank_graph_indicator.txt").write_text("\n  \n\n")
+    args = [command, "--dataset", str(tmp_path), "--name", "blank"]
+    if command == "extract":
+        args += ["--out", str(tmp_path / "o.csv")]
+    assert main(args) == EXIT_DATA
+    indicator = tmp_path / "blank_graph_indicator.txt"
+    assert capsys.readouterr().err == f"hypograph: data error: {indicator} is empty\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
 class TestFullScalePipeline:
     """End-to-end run of the full extraction configuration (walk length 5,
     degree 2, rank 128, 4 layers) on a synthetic stand-in shaped like the
@@ -351,10 +367,44 @@ class TestFullScalePipeline:
 
 
 class TestFlags:
-    def test_unknown_flag_exits_one(self):
-        with pytest.raises(SystemExit) as err:
-            main(["extract", "--bogus"])
-        assert err.value.code == EXIT_USAGE
+    def test_unknown_flag_exits_one(self, tiny_dataset, tmp_path, capsys):
+        assert main(extract_args(tiny_dataset, tmp_path / "x.csv") + ["--bogus"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "hypograph: usage error: unrecognized arguments: --bogus\n"
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["check", "--nodes", "1"], "--nodes"),
+        (["bench", "--min-exp", "-1"], "--min-exp"),
+        (["bench", "--repeats", "0"], "--repeats"),
+        (["bench", "--min-exp", "5", "--max-exp", "3"], "--max-exp"),
+        (["check", "--rank", "128"], "--rank"),
+        (["bench", "--no-diff"], "--no-diff"),
+        (["describe", "--dataset", "d", "--name", "n", "--rank", "0"], "--rank"),
+        (["extract", "--dataset", "d", "--name", "n", "--out", "o", "--seed", "-1"], "--seed"),
+        (["bench", "--rank", "eight"], "--rank"),
+    ])
+    def test_bad_flag_is_one_usage_line(self, capsys, argv, flag):
+        assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("hypograph: usage error: ")
+        assert flag in err and "Traceback" not in err
+
+    def test_readme_lists_each_subcommands_flags(self):
+        block = (Path(__file__).parents[1] / "README.md").read_text()
+        block = block.split("## CLI", 1)[1].split("```")[1]
+        readme: dict[str, set[str]] = {}
+        for line in block.strip().splitlines():
+            if line.startswith("hypograph "):
+                flags = readme.setdefault(line.split()[1], set())
+            flags.update(re.findall(r"--[a-z][a-z-]*", line))
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(readme) == set(sub.choices)
+        for command, subparser in sub.choices.items():
+            declared = {s for a in subparser._actions for s in a.option_strings if s[:2] == "--"}
+            declared.discard("--help")
+            assert readme[command] == declared, command
 
     def test_boolean_flag_pairs(self, tiny_dataset, tmp_path):
         out1, out2 = tmp_path / "d.csv", tmp_path / "nd.csv"

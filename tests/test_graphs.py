@@ -44,6 +44,12 @@ class TestLabelledGraph:
             LabelledGraph(2, [(0, 1)], np.zeros((3, 1)))
         with pytest.raises(ValueError):
             LabelledGraph(2, [(0, 1)], [[np.nan], [0.0]])
+        g = LabelledGraph(2, [(0, 1)], np.zeros((2, 1)))
+        with pytest.raises(ValueError, match=r"\(n, d\) with n=2, got \(3, 1\)"):
+            g.with_attributes(np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="finite"):
+            g.with_attributes([[np.inf], [0.0]])
+        assert not g.with_attributes(np.ones((2, 4))).attributes.flags.writeable
 
     def test_pattern_includes_isolated_diagonal(self):
         g = LabelledGraph(3, [(0, 1)], np.zeros((3, 1)))

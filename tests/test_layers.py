@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -304,6 +306,26 @@ class TestSerialization:
         g = random_labelled_graph(np.random.default_rng(15), max_dim=3)
         g = g.with_attributes(np.random.default_rng(16).standard_normal((g.n, 3)))
         np.testing.assert_array_equal(model_forward(g, model), model_forward(g, loaded))
+
+    def test_vectors_must_match_config_rank_and_degree(self):
+        layer = make_layer(np.random.default_rng(17), 2, rank=4)
+        for rank, deg, msg in [
+            (8, 2, "4 functionals do not match config rank 8"),
+            (4, 3, "functional degree 2 does not match config degree 3"),
+        ]:
+            cfg = FeatureConfig(walk_length=2, max_degree=deg, rank=rank)
+            with pytest.raises(ValueError, match=msg):
+                LayerParams(layer.vectors, layer.mixing, layer.bias, cfg)
+
+    def test_empty_coefficient_list_rejected(self, tmp_path):
+        layer = make_layer(np.random.default_rng(18), 2, lift_coeffs=(1.0, 0.9, 0.4))
+        path = tmp_path / "model.json"
+        save_params(str(path), ModelConfig((layer,)))
+        doc = json.loads(path.read_text())
+        doc["layers"][0]["lift_coeffs"] = []
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="lift_coeffs must start with c_0 == 1"):
+            load_params(str(path))
 
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "bad.json"

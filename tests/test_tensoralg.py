@@ -6,7 +6,6 @@ import pytest
 from hypograph.config import FeatureConfig
 from hypograph.tensoralg import (
     DenseTensor,
-    LiftCoefficients,
     TruncatedTensorSequence,
     algebra_mul,
     inner_product,
@@ -197,14 +196,17 @@ class TestLift:
             np.testing.assert_array_equal(out.level(m), unit.level(m))
 
     def test_coefficient_override(self):
-        out = lift(np.array([2.0]), 2, LiftCoefficients((1.0, 1.0, 1.0)))
+        coeffs = FeatureConfig(max_degree=2, lift_coeffs=(1.0, 1.0, 1.0)).coefficients(2)
+        out = lift(np.array([2.0]), 2, coeffs)
         assert out.level(0) == 1.0
         np.testing.assert_array_equal(out.level(1), [2.0])
         np.testing.assert_array_equal(out.level(2), [[4.0]])
+        with pytest.raises(ValueError, match="cover degrees <= 2, need 3"):
+            lift(np.array([2.0]), 3, coeffs)
 
     def test_coefficients_pin_c0(self):
         with pytest.raises(ValueError):
-            LiftCoefficients((2.0, 1.0))
+            FeatureConfig(lift_coeffs=(2.0, 1.0))
 
     def test_parallel_exponential_relation(self):
         # d = 1: lift(x) * lift(lam*x) == lift((1+lam)*x) on retained degrees
@@ -322,5 +324,8 @@ class TestSequenceHelpers:
             np.testing.assert_allclose(scaled.level(m), 2.5 * a.level(m))
 
     def test_default_coefficients_are_factorial_reciprocals(self):
-        c = LiftCoefficients.default(4)
-        assert c.coeffs == tuple(1.0 / math.factorial(m) for m in range(5))
+        c = FeatureConfig().coefficients(4)
+        assert c == [1.0 / math.factorial(m) for m in range(5)]
+        x = np.array([0.3, -1.2])
+        for m in range(5):  # lift's default is the same sequence
+            np.testing.assert_array_equal(lift(x, 4).level(m), lift(x, 4, c).level(m))
