@@ -5,18 +5,12 @@ a generalized graph diffusion.  The package provides an exact dense
 oracle, an edge-linear low-rank recursion for rank-1 functionals of the
 same features, layer stacking with attention-weighted walks, and a CLI
 for extraction, verification, and benchmarking.
+
+The names below are the user surface.  The oracle and its algebra are
+imported from :mod:`hypograph.exact` and :mod:`hypograph.tensoralg`.
 """
 
 from .config import FeatureConfig
-from .tensoralg import (
-    DenseTensor,
-    TruncatedTensorSequence,
-    algebra_mul,
-    inner_product,
-    lift,
-    sequence_feature,
-    tensor_product,
-)
 from .graphs import (
     AttentionParams,
     DatasetError,
@@ -33,20 +27,7 @@ from .graphs import (
     transition_matrix,
     weighted_transition,
 )
-from .exact import (
-    OracleScaleError,
-    TensorMatrix,
-    TensorVector,
-    WalkBudgetError,
-    enumerate_walk_expectation,
-    forward_diffusion_exact,
-    graph_feature_exact,
-    node_features_exact,
-    tensor_adjacency,
-    tensor_mat_power_apply,
-    tensor_transition,
-)
-from .lowrank import NonFiniteError, RankOneFunctional, batch_features
+from .lowrank import NonFiniteError, batch_features
 from .layers import (
     LayerParams,
     ModelConfig,
@@ -62,13 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FeatureConfig",
-    "DenseTensor",
-    "TruncatedTensorSequence",
-    "algebra_mul",
-    "inner_product",
-    "lift",
-    "sequence_feature",
-    "tensor_product",
     "AttentionParams",
     "DatasetError",
     "LabelledGraph",
@@ -83,19 +57,7 @@ __all__ = [
     "save_tu_dataset",
     "transition_matrix",
     "weighted_transition",
-    "OracleScaleError",
-    "TensorMatrix",
-    "TensorVector",
-    "WalkBudgetError",
-    "enumerate_walk_expectation",
-    "forward_diffusion_exact",
-    "graph_feature_exact",
-    "node_features_exact",
-    "tensor_adjacency",
-    "tensor_mat_power_apply",
-    "tensor_transition",
     "NonFiniteError",
-    "RankOneFunctional",
     "batch_features",
     "LayerParams",
     "ModelConfig",

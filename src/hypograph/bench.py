@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -36,8 +37,34 @@ class BenchRow:
     edges: int
     seconds: float
     ns_per_edge: float
-    ratio: float | None  # vs. the previous (half-size) row
+    ratio: float | None  # time growth per doubling of edges since the previous row
     linear: bool | None  # ratio within the edge-linear bound
+
+
+def _grid_side(exp: int) -> int:
+    """Side of the square grid with about 2^exp edges (it has 2 s (s - 1))."""
+    return max(2, int(round((2**exp / 2) ** 0.5)))
+
+
+def ladder_edges(min_exp: int, max_exp: int, topology: str) -> list[int]:
+    """Edge count of each rung of the ladder.
+
+    Raises ValueError unless the counts strictly grow, so that every rung
+    after the first has a per-doubling time ratio.
+    """
+    exps = range(min_exp, max_exp + 1)
+    if topology == "path":
+        edges = [2**exp for exp in exps]
+    elif topology == "grid":
+        edges = [2 * side * (side - 1) for side in map(_grid_side, exps)]
+    else:
+        raise ValueError(f"topology must be 'path' or 'grid', got {topology!r}")
+    if any(b <= a for a, b in zip(edges, edges[1:])):
+        raise ValueError(
+            f"{topology} rungs for exponents {min_exp}..{max_exp} have "
+            f"{', '.join(map(str, edges))} edges, which do not strictly grow"
+        )
+    return edges
 
 
 def edge_scaling(
@@ -50,24 +77,28 @@ def edge_scaling(
     seed: int = 0,
     topology: str = "path",
 ) -> list[BenchRow]:
-    """Time a geometric ladder of edge counts at fixed (k, M, R, d)."""
-    if topology not in ("path", "grid"):
-        raise ValueError(f"topology must be 'path' or 'grid', got {topology!r}")
+    """Time a geometric ladder of edge counts at fixed (k, M, R, d).
+
+    A row's ratio is the time growth per doubling of the edge count,
+    (t / t_prev) ** (1 / log2(E / E_prev)); on the path ladder E doubles
+    every rung, so it is t / t_prev.
+    """
+    ladder_edges(min_exp, max_exp, topology)
     cfg = FeatureConfig(
         walk_length=walk_length, max_degree=max_degree, rank=rank, diff=True,
         zero_start=True,
     )
     rows: list[BenchRow] = []
-    prev = None
     for exp in range(min_exp, max_exp + 1):
-        edges = 2**exp
         if topology == "path":
-            g = path_graph(edges, seed=seed)
+            g = path_graph(2**exp, seed=seed)
         else:
-            side = max(2, int(round((edges / 2) ** 0.5)))
-            g = grid_graph(side, seed=seed)
+            g = grid_graph(_grid_side(exp), seed=seed)
         seconds = time_batch(g, cfg, seed=seed, repeats=repeats)
-        ratio = None if prev is None else seconds / prev
+        ratio = None
+        if rows:
+            doublings = math.log2(g.num_edges / rows[-1].edges)
+            ratio = (seconds / rows[-1].seconds) ** (1.0 / doublings)
         rows.append(
             BenchRow(
                 edges=g.num_edges,
@@ -77,7 +108,6 @@ def edge_scaling(
                 linear=None if ratio is None else ratio <= LINEAR_RATIO_BOUND,
             )
         )
-        prev = seconds
     return rows
 
 

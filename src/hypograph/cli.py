@@ -47,7 +47,11 @@ def _at_least(lo: int):
 
 class _Parser(argparse.ArgumentParser):
     # every usage problem reaches main's handler and exits 1 with one line
-    # (argparse's default is exit 2, reserved here for data errors)
+    # (argparse's default is exit 2, reserved here for data errors); the
+    # subparsers share this class, so no parser accepts an abbreviated flag
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -230,6 +234,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.max_exp < args.min_exp:
         raise UsageError(f"argument --max-exp: must be >= --min-exp ({args.min_exp}), "
                          f"got {args.max_exp}")
+    try:
+        bench_mod.ladder_edges(args.min_exp, args.max_exp, args.topology)
+    except ValueError as exc:
+        raise UsageError(f"argument --min-exp: {exc}") from None
     rows = bench_mod.edge_scaling(
         min_exp=args.min_exp,
         max_exp=args.max_exp,

@@ -1,5 +1,8 @@
 """Reference oracle: tensor-valued walk matrices and exact diffusion.
 
+A truncated sequence is a tuple of levels as in :mod:`hypograph.tensoralg`.
+A node vector is a tuple of n sequences, and a tensor matrix is one tuple
+of (column, sequence) pairs per row, holding only the pattern entries.
 Everything here materializes dense degree-M tensors and is guarded to
 desk scale; the production path lives in :mod:`hypograph.lowrank` and is
 validated against this module.
@@ -7,11 +10,13 @@ validated against this module.
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from .config import FeatureConfig
 from .graphs import LabelledGraph, RowStochastic
-from .tensoralg import TruncatedTensorSequence, algebra_mul, lift
+from .tensoralg import add, algebra_mul, lift, scale, unit
 
 MAX_ORACLE_NODES = 64
 MAX_ORACLE_DEGREE = 4
@@ -24,73 +29,6 @@ class OracleScaleError(ValueError):
 
 class WalkBudgetError(ValueError):
     """Walk enumeration would exceed the term budget."""
-
-
-class TensorVector:
-    """Length-n vector with truncated-tensor entries."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        entries = tuple(entries)
-        if not entries:
-            raise ValueError("empty tensor vector")
-        d, m = entries[0].dims, entries[0].max_degree
-        for e in entries:
-            if e.dims != d or e.max_degree != m:
-                raise ValueError("entries must share dims and max_degree")
-        self.entries = entries
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, i) -> TruncatedTensorSequence:
-        return self.entries[i]
-
-    @property
-    def dims(self) -> int:
-        return self.entries[0].dims
-
-    @property
-    def max_degree(self) -> int:
-        return self.entries[0].max_degree
-
-
-class TensorMatrix:
-    """Sparse n x n matrix with truncated-tensor entries.
-
-    Only pattern entries are stored, as per-row (column, value) lists; the
-    zero pattern is a subset of adjacency plus diagonal.
-    """
-
-    __slots__ = ("n", "dims", "max_degree", "rows")
-
-    def __init__(self, n: int, rows):
-        self.n = n
-        self.rows = tuple(tuple(row) for row in rows)
-        if len(self.rows) != n:
-            raise ValueError(f"need {n} rows, got {len(self.rows)}")
-        first = None
-        for row in self.rows:
-            for j, value in row:
-                if not (0 <= j < n):
-                    raise ValueError(f"column {j} out of range")
-                if first is None:
-                    first = value
-                elif value.dims != first.dims or value.max_degree != first.max_degree:
-                    raise ValueError("entries must share dims and max_degree")
-        if first is None:
-            raise ValueError("matrix has no stored entries")
-        self.dims = first.dims
-        self.max_degree = first.max_degree
-
-    def degree0(self) -> np.ndarray:
-        """Scalar slice: the degree-0 level of every entry, as dense n x n."""
-        out = np.zeros((self.n, self.n))
-        for i, row in enumerate(self.rows):
-            for j, value in row:
-                out[i, j] = value.level(0)
-        return out
 
 
 def _edge_input(g: LabelledGraph, cfg: FeatureConfig, i: int, j: int, step: int) -> np.ndarray:
@@ -114,24 +52,9 @@ def _start_input(g: LabelledGraph, cfg: FeatureConfig, i: int) -> np.ndarray:
     return vec
 
 
-def tensor_adjacency(g: LabelledGraph, cfg: FeatureConfig, step: int = 1) -> TensorMatrix:
-    """Adjacency matrix whose entries lift the attribute change along each edge."""
-    max_degree = cfg.max_degree
-    coeffs = cfg.coefficients(max_degree)
-    rows: list[list] = [[] for _ in range(g.n)]
-    for i, j in g.edges:
-        rows[i].append((j, lift(_edge_input(g, cfg, i, j, step), max_degree, coeffs)))
-        rows[j].append((i, lift(_edge_input(g, cfg, j, i, step), max_degree, coeffs)))
-    for i in range(g.n):
-        rows[i].sort(key=lambda item: item[0])
-    if all(not row for row in rows):
-        raise ValueError("graph has no edges; adjacency matrix would be empty")
-    return TensorMatrix(g.n, rows)
-
-
 def tensor_transition(
     g: LabelledGraph, cfg: FeatureConfig, p: RowStochastic, step: int = 1
-) -> TensorMatrix:
+) -> tuple:
     """Transition matrix with entries P_ij * lift(edge input).
 
     The degree-0 slice equals P; isolated self-loops lift the stay-put
@@ -142,18 +65,19 @@ def tensor_transition(
     max_degree = cfg.max_degree
     coeffs = cfg.coefficients(max_degree)
     pattern = p.pattern
-    rows: list[list] = []
+    rows = []
     for i in range(g.n):
         row = []
         for e in range(pattern.indptr[i], pattern.indptr[i + 1]):
             j = int(pattern.indices[e])
             entry = lift(_edge_input(g, cfg, i, j, step), max_degree, coeffs)
-            row.append((j, entry.scale(float(p.values[e]))))
-        rows.append(row)
-    return TensorMatrix(g.n, rows)
+            row.append((j, scale(entry, float(p.values[e]))))
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
-def _guard(n: int, max_degree: int):
+def oracle_guard(n: int, max_degree: int):
+    """Raise OracleScaleError beyond the desk scale the oracle is validated at."""
     if n > MAX_ORACLE_NODES:
         raise OracleScaleError(f"oracle guard: n={n} exceeds {MAX_ORACLE_NODES}")
     if max_degree > MAX_ORACLE_DEGREE:
@@ -162,32 +86,26 @@ def _guard(n: int, max_degree: int):
         )
 
 
-def _matvec(mat: TensorMatrix, vec: TensorVector) -> TensorVector:
+def _matvec(mat, vec) -> tuple:
     """(A v)_i = sum_j A_ij * v_j, with the matrix entry left of the vector."""
-    out = []
-    for row in mat.rows:
-        acc = TruncatedTensorSequence.zero(mat.dims, mat.max_degree)
-        for j, value in row:
-            acc = acc.add(algebra_mul(value, vec[j]))
-        out.append(acc)
-    return TensorVector(out)
+    return tuple(reduce(add, (algebra_mul(value, vec[j]) for j, value in row)) for row in mat)
 
 
-def _vecmat(vec: TensorVector, mat: TensorMatrix) -> TensorVector:
+def _vecmat(vec, mat) -> tuple:
     """(v^T A)_j = sum_i v_i * A_ij, with the vector entry left of the matrix."""
-    out = [TruncatedTensorSequence.zero(mat.dims, mat.max_degree) for _ in range(mat.n)]
-    for i, row in enumerate(mat.rows):
+    terms = [[] for _ in mat]
+    for i, row in enumerate(mat):
         for j, value in row:
-            out[j] = out[j].add(algebra_mul(vec[i], value))
-    return TensorVector(out)
+            terms[j].append(algebra_mul(vec[i], value))
+    return tuple(reduce(add, column) for column in terms)
 
 
-def tensor_mat_power_apply(mat: TensorMatrix, k: int, v0: TensorVector) -> TensorVector:
+def tensor_mat_power_apply(mat, k: int, v0) -> tuple:
     """A^k v0 by k sparse tensor matrix-vector products."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    _guard(mat.n, mat.max_degree)
-    if len(v0) != mat.n or v0.dims != mat.dims or v0.max_degree != mat.max_degree:
+    oracle_guard(len(mat), len(v0[0]) - 1)
+    if len(v0) != len(mat):
         raise ValueError("vector does not match the matrix")
     vec = v0
     for _ in range(k):
@@ -213,7 +131,7 @@ def _count_walks(g: LabelledGraph, k: int, start: int) -> int:
 
 def enumerate_walk_expectation(
     g: LabelledGraph, p: RowStochastic, cfg: FeatureConfig, k: int, start: int
-) -> TruncatedTensorSequence:
+) -> tuple:
     """Brute-force sum over all length-k walks from ``start``.
 
     Each walk contributes its probability times the ordered product of
@@ -231,27 +149,24 @@ def enumerate_walk_expectation(
         raise WalkBudgetError(f"more than {WALK_TERM_BUDGET} walk terms")
     max_degree = cfg.max_degree
     coeffs = cfg.coefficients(max_degree)
-    dims = cfg.lift_dim(g.attr_dim)
     pattern = g.pattern
-    total = TruncatedTensorSequence.zero(dims, max_degree)
 
-    def descend(node: int, depth: int, prefix: TruncatedTensorSequence, prob: float):
-        nonlocal total
+    def walks(node: int, depth: int, prefix, prob: float):
         if depth == k:
-            total = total.add(prefix.scale(prob))
+            yield scale(prefix, prob)
             return
         for e in range(pattern.indptr[node], pattern.indptr[node + 1]):
             j = int(pattern.indices[e])
             factor = lift(_edge_input(g, cfg, node, j, depth + 1), max_degree, coeffs)
-            descend(j, depth + 1, algebra_mul(prefix, factor), prob * float(p.values[e]))
+            yield from walks(j, depth + 1, algebra_mul(prefix, factor), prob * float(p.values[e]))
 
-    descend(start, 0, TruncatedTensorSequence.unit(dims, max_degree), 1.0)
-    return total
+    # summed left to right in depth-first order, one walk at a time
+    return reduce(add, walks(start, 0, unit(cfg.lift_dim(g.attr_dim), max_degree), 1.0))
 
 
 def node_features_exact(
     g: LabelledGraph, p: RowStochastic, cfg: FeatureConfig, k: int
-) -> TensorVector:
+) -> tuple:
     """Exact walk-history features conditioned on the start node.
 
     Applies k transition steps to the all-unit vector; with ``zero_start``
@@ -260,11 +175,8 @@ def node_features_exact(
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    _guard(g.n, cfg.max_degree)
-    dims = cfg.lift_dim(g.attr_dim)
-    vec = TensorVector(
-        [TruncatedTensorSequence.unit(dims, cfg.max_degree) for _ in range(g.n)]
-    )
+    oracle_guard(g.n, cfg.max_degree)
+    vec = (unit(cfg.lift_dim(g.attr_dim), cfg.max_degree),) * g.n
     if k > 0:
         if cfg.step_homogeneous:
             vec = tensor_mat_power_apply(tensor_transition(g, cfg, p), k, vec)
@@ -275,29 +187,23 @@ def node_features_exact(
                 vec = _matvec(tensor_transition(g, cfg, p, step=step), vec)
     if cfg.zero_start:
         coeffs = cfg.coefficients(cfg.max_degree)
-        vec = TensorVector(
-            [
-                algebra_mul(lift(_start_input(g, cfg, i), cfg.max_degree, coeffs), vec[i])
-                for i in range(g.n)
-            ]
+        vec = tuple(
+            algebra_mul(lift(_start_input(g, cfg, i), cfg.max_degree, coeffs), vec[i])
+            for i in range(g.n)
         )
     return vec
 
 
 def graph_feature_exact(
     g: LabelledGraph, p: RowStochastic, cfg: FeatureConfig, k: int
-) -> TruncatedTensorSequence:
+) -> tuple:
     """Mean of the exact node features."""
-    vec = node_features_exact(g, p, cfg, k)
-    acc = TruncatedTensorSequence.zero(vec.dims, vec.max_degree)
-    for entry in vec.entries:
-        acc = acc.add(entry)
-    return acc.scale(1.0 / g.n)
+    return scale(reduce(add, node_features_exact(g, p, cfg, k)), 1.0 / g.n)
 
 
 def forward_diffusion_exact(
     g: LabelledGraph, p: RowStochastic, cfg: FeatureConfig, k: int
-) -> TensorVector:
+) -> tuple:
     """Walk-history features conditioned on the end node.
 
     Entry i is P[walk ends at i] times the expected step-lift product
@@ -306,14 +212,8 @@ def forward_diffusion_exact(
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    _guard(g.n, cfg.max_degree)
-    dims = cfg.lift_dim(g.attr_dim)
-    vec = TensorVector(
-        [
-            TruncatedTensorSequence.unit(dims, cfg.max_degree).scale(1.0 / g.n)
-            for _ in range(g.n)
-        ]
-    )
+    oracle_guard(g.n, cfg.max_degree)
+    vec = (scale(unit(cfg.lift_dim(g.attr_dim), cfg.max_degree), 1.0 / g.n),) * g.n
     if k == 0:
         return vec
     if cfg.step_homogeneous:
@@ -324,3 +224,16 @@ def forward_diffusion_exact(
         for step in range(1, k + 1):
             vec = _vecmat(vec, tensor_transition(g, cfg, p, step=step))
     return vec
+
+
+def level_tensor(vectors, m: int) -> np.ndarray:
+    """Dense degree-m level of the rank-1 functional whose component vectors
+    u_1..u_M are the rows of ``vectors``: the outer product of the last m."""
+    vectors = np.asarray(vectors, dtype=np.float64)
+    degree = vectors.shape[0]
+    if not (0 <= m <= degree):
+        raise ValueError(f"degree {m} out of range 0..{degree}")
+    out = np.float64(1.0)
+    for s in range(degree - m, degree):
+        out = np.multiply.outer(out, vectors[s])
+    return np.asarray(out)

@@ -29,9 +29,9 @@ class RankOneFunctional:
     """Rank-1 degree-M functional given by component vectors u_1..u_M.
 
     Row s-1 of ``vectors`` holds u_s; the degree-m level of the functional
-    is the outer product of the suffix u_{M-m+1}, ..., u_M.  A sequence of
-    functionals converts to the (R, M, dim) array :func:`batch_features`
-    takes.
+    is the outer product of the suffix u_{M-m+1}, ..., u_M (see
+    :func:`hypograph.exact.level_tensor`).  A sequence of functionals
+    converts to the (R, M, dim) array :func:`batch_features` takes.
     """
 
     vectors: np.ndarray
@@ -47,23 +47,6 @@ class RankOneFunctional:
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.vectors, dtype=dtype, copy=copy)
-
-    @property
-    def degree(self) -> int:
-        return int(self.vectors.shape[0])
-
-    @property
-    def dim(self) -> int:
-        return int(self.vectors.shape[1])
-
-    def level_tensor(self, m: int) -> np.ndarray:
-        """Dense degree-m level (outer product of the last m vectors)."""
-        if not (0 <= m <= self.degree):
-            raise ValueError(f"degree {m} out of range 0..{self.degree}")
-        out = np.float64(1.0)
-        for s in range(self.degree - m, self.degree):
-            out = np.multiply.outer(out, self.vectors[s])
-        return np.asarray(out)
 
 
 def _edge_attr_inputs(g: LabelledGraph, cfg: FeatureConfig) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import FeatureConfig
-from .exact import MAX_ORACLE_DEGREE, MAX_ORACLE_NODES, OracleScaleError, node_features_exact
+from .exact import level_tensor, node_features_exact, oracle_guard
 from .graphs import (
     AttentionParams,
     LabelledGraph,
@@ -25,7 +25,7 @@ from .graphs import (
     transition_matrix,
     weighted_transition,
 )
-from .lowrank import RankOneFunctional, batch_features
+from .lowrank import batch_features
 
 TOLERANCE = 1e-10
 TRANSITION_KINDS = ("uniform", "weighted", "attention")
@@ -106,16 +106,18 @@ def case_error(
     functionals,
     k: int,
 ) -> float:
-    """Worst entry error of the low-rank features against the oracle."""
-    low = batch_features(g, p, functionals, cfg)
+    """Worst entry error of the low-rank features against the oracle, for
+    an (R, M, dim) array-like of functionals as :func:`batch_features` takes."""
+    vectors = np.asarray(functionals, dtype=np.float64)
+    low = batch_features(g, p, vectors, cfg)
     exact = node_features_exact(g, p, cfg, k)
     m_max = cfg.max_degree
     worst = 0.0
-    for j, f in enumerate(functionals):
+    for j, u in enumerate(vectors):
         for m in range(1, m_max + 1):
-            level = f.level_tensor(m)
+            level = level_tensor(u, m)
             for i in range(g.n):
-                want = float(np.vdot(level, exact[i].level(m)))
+                want = float(np.vdot(level, exact[i][m]))
                 got = float(low[i, j * m_max + (m - 1)])
                 worst = max(worst, rel_err(got, want))
     return worst
@@ -135,14 +137,7 @@ def run_equivalence_suite(
     variation-flag combinations, so each (kind, flags) bucket is hit
     roughly cases/24 times.
     """
-    if max_nodes > MAX_ORACLE_NODES:
-        raise OracleScaleError(
-            f"oracle guard: max_nodes={max_nodes} exceeds {MAX_ORACLE_NODES}"
-        )
-    if max_degree > MAX_ORACLE_DEGREE:
-        raise OracleScaleError(
-            f"oracle guard: max_degree={max_degree} exceeds {MAX_ORACLE_DEGREE}"
-        )
+    oracle_guard(max_nodes, max_degree)
     rng = np.random.default_rng(seed)
     combos = list(itertools.product([True, False], repeat=3))
     buckets: dict[tuple[str, str], ConfigReport] = {}
@@ -167,7 +162,7 @@ def run_equivalence_suite(
         for _ in range(rank):
             vec = rng.standard_normal((m_deg, dim))
             vec /= np.linalg.norm(vec, axis=1, keepdims=True)
-            functionals.append(RankOneFunctional(vec))
+            functionals.append(vec)
         err = case_error(g, p, cfg, functionals, k)
         key = (kind, flag_label(cfg))
         bucket = buckets.setdefault(key, ConfigReport(kind, flag_label(cfg)))

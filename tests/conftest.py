@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from hypograph.graphs import LabelledGraph
@@ -37,3 +38,11 @@ def write_tu_files(directory, name, edges, indicator, node_labels=None,
         dump("node_attributes", [", ".join(str(x) for x in row) for row in node_attributes])
     if graph_labels is not None:
         dump("graph_labels", [str(v) for v in graph_labels])
+
+
+def seq_allclose(v, w, rtol=1e-10, atol=1e-12):
+    """Level-wise np.allclose of two truncated sequences of equal shape."""
+    return len(v) == len(w) and all(
+        np.shape(a) == np.shape(b) and np.allclose(a, b, rtol=rtol, atol=atol)
+        for a, b in zip(v, w)
+    )

@@ -21,6 +21,7 @@ from hypograph.exact import (
     enumerate_walk_expectation,
     forward_diffusion_exact,
     graph_feature_exact,
+    level_tensor,
     node_features_exact,
 )
 from hypograph.graphs import (
@@ -79,8 +80,8 @@ def test_criterion_2_walk_enumeration_identity():
         for i in range(g.n):
             walk_sum = enumerate_walk_expectation(g, p, cfg, k, i)
             for m in range(cfg.max_degree + 1):
-                diff = np.abs(walk_sum.level(m) - feats[i].level(m))
-                scale = np.maximum(1.0, np.abs(feats[i].level(m)))
+                diff = np.abs(walk_sum[m] - feats[i][m])
+                scale = np.maximum(1.0, np.abs(feats[i][m]))
                 worst = max(worst, float(np.max(diff / scale)))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed <= 30.0
@@ -109,9 +110,9 @@ def test_criterion_3_zerostart_correction():
         ell = RankOneFunctional(u)
         corrected = batch_features(g, p, [ell], cfg)[:, m_max - 1]
         exact = node_features_exact(g, p, cfg, k)
-        level = ell.level_tensor(m_max)
+        level = level_tensor(ell, m_max)
         for i in range(g.n):
-            want = float(np.vdot(level, exact[i].level(m_max)))
+            want = float(np.vdot(level, exact[i][m_max]))
             worst = max(worst, rel_err(float(corrected[i]), want))
     report(
         "criterion 3: start-point correction matches exact zero-started features",
@@ -178,7 +179,7 @@ def test_criterion_5_invariance_suite():
     ga = graph_feature_exact(g, transition_matrix(g), cfg_p, 3)
     gb = graph_feature_exact(h, transition_matrix(h), cfg_p, 3)
     pooled = max(
-        float(np.max(np.abs(ga.level(m) - gb.level(m)))) for m in range(3)
+        float(np.max(np.abs(ga[m] - gb[m]))) for m in range(3)
     )
     checks.append(("pooled feature invariance", pooled <= 1e-12))
 
@@ -193,8 +194,8 @@ def test_criterion_5_invariance_suite():
         back = node_features_exact(gg, p, cfg, 3)
         fwd = forward_diffusion_exact(gg, p, cfg, 3)
         for m in range(3):
-            lhs = sum(back[i].level(m) for i in range(gg.n)) / gg.n
-            rhs = sum(fwd[i].level(m) for i in range(gg.n))
+            lhs = sum(back[i][m] for i in range(gg.n)) / gg.n
+            rhs = sum(fwd[i][m] for i in range(gg.n))
             scale = np.maximum(1.0, np.abs(lhs))
             worst_fb = max(worst_fb, float(np.max(np.abs(lhs - rhs) / scale)))
     checks.append(("forward/backward consistency", worst_fb <= 1e-10))
@@ -206,7 +207,7 @@ def test_criterion_5_invariance_suite():
         p = transition_matrix(gg)
         cfg = FeatureConfig(walk_length=4, max_degree=1)
         fwd = forward_diffusion_exact(gg, p, cfg, 4)
-        mass = sum(float(fwd[i].level(0)) for i in range(gg.n))
+        mass = sum(float(fwd[i][0]) for i in range(gg.n))
         worst_mass = max(worst_mass, abs(mass - 1.0))
     checks.append(("walk mass conservation", worst_mass <= 1e-12))
 
@@ -261,7 +262,7 @@ def test_criterion_8_l2_penalty_matches_dense_norms():
         layer = LayerParams(fs, np.zeros((rank, rank * m_max)), np.zeros(rank), cfg)
         lam = float(rng.uniform(0.1, 2.0))
         dense = lam * sum(
-            float(np.sum(f.level_tensor(m) ** 2))
+            float(np.sum(level_tensor(f, m) ** 2))
             for f in fs
             for m in range(1, m_max + 1)
         )
@@ -368,7 +369,7 @@ def test_criterion_10_walk_distribution_characterization():
                         time_param=True)
     fa = graph_feature_exact(path3, transition_matrix(path3), cfg, k)
     fb = graph_feature_exact(tri, transition_matrix(tri), cfg, k)
-    gap = max(float(np.max(np.abs(fa.level(m) - fb.level(m)))) for m in range(4))
+    gap = max(float(np.max(np.abs(fa[m] - fb[m]))) for m in range(4))
     report(
         "criterion 10: pooled features separate the witness graphs",
         gap >= 1e-6,
@@ -378,7 +379,7 @@ def test_criterion_10_walk_distribution_characterization():
     perm = rng.permutation(3)
     iso = tri.permuted(perm)
     fc = graph_feature_exact(iso, transition_matrix(iso), cfg, k)
-    same = max(float(np.max(np.abs(fb.level(m) - fc.level(m)))) for m in range(4))
+    same = max(float(np.max(np.abs(fb[m] - fc[m]))) for m in range(4))
     report(
         "criterion 10: isomorphic copies give equal pooled features",
         same <= 1e-12,

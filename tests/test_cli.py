@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import random_labelled_graph, write_tu_files
-from hypograph import cli, lowrank
+import hypograph
+from hypograph import bench, cli, exact, lowrank
 from hypograph.graphs import LabelledGraph, grid_graph, load_tu_dataset, save_tu_dataset
 from hypograph.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from hypograph.verify import run_equivalence_suite
@@ -250,6 +251,14 @@ class TestCheck:
         rc = main(["check", "--cases", "24", "--seed", "3"])
         assert rc == EXIT_CHECK
 
+    def test_operand_swap_fault_detected(self, monkeypatch):
+        # the graded product is non-commutative from degree 2 on, so an
+        # oracle multiplying in the wrong order must fail the gate
+        real = exact.algebra_mul
+        monkeypatch.setattr(exact, "algebra_mul", lambda v, w: real(w, v))
+        rc = main(["check", "--cases", "24", "--seed", "3"])
+        assert rc == EXIT_CHECK
+
     def test_oracle_guard_rejected(self, capsys):
         rc = main(["check", "--cases", "4", "--nodes", "100"])
         assert rc == EXIT_USAGE
@@ -291,6 +300,35 @@ class TestBench:
         )
         assert rc == EXIT_OK
         assert "ns/edge" in capsys.readouterr().out
+
+    def test_grid_ladder_that_does_not_grow_is_rejected(self, capsys):
+        # exponents 0..3 all give the 2 x 2 grid with 4 edges
+        rc = main(["bench", "--min-exp", "0", "--max-exp", "1", "--topology", "grid"])
+        assert rc == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "hypograph: usage error: argument --min-exp: grid rungs for exponents 0..1 "
+            "have 4, 4 edges, which do not strictly grow\n"
+        )
+
+    def test_grid_rungs_strictly_grow(self):
+        edges = bench.ladder_edges(3, 12, "grid")
+        assert all(b > a for a, b in zip(edges, edges[1:]))
+        rows = bench.edge_scaling(3, 6, walk_length=1, rank=1, repeats=1, topology="grid")
+        assert [row.edges for row in rows] == edges[:4] == [4, 12, 24, 60]
+
+    def test_ratio_is_per_doubling(self, monkeypatch):
+        # time proportional to edges grows 2x per doubling, whatever the rung
+        # spacing; on the path ladder the ratio is plain t / t_prev
+        monkeypatch.setattr(bench, "time_batch", lambda g, cfg, **kw: 1e-9 * g.num_edges)
+        grid = bench.edge_scaling(3, 8, topology="grid")
+        assert [row.ratio for row in grid[1:]] == pytest.approx([2.0] * 5, rel=1e-12)
+        monkeypatch.setattr(bench, "time_batch", lambda g, cfg, **kw: 1e-9 * g.num_edges**1.5)
+        path = bench.edge_scaling(3, 6, topology="path")
+        assert [row.ratio for row in path[1:]] == [
+            b.seconds / a.seconds for a, b in zip(path, path[1:])
+        ]
 
 
 class TestDescribe:
@@ -390,6 +428,23 @@ class TestFlags:
         assert err.count("\n") == 1 and err.startswith("hypograph: usage error: ")
         assert flag in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, abbrev", [
+        (["extract", "--dataset", "d", "--name", "n", "--out", "o", "--wal", "2"], "--wal"),
+        (["check", "--case", "1"], "--case"),
+        (["bench", "--min-exp", "5", "--max-exp", "5", "--repeats", "1", "--wal", "2"], "--wal"),
+        (["describe", "--data", "d", "--name", "n"], "--data"),
+    ])
+    def test_abbreviated_flag_is_usage_error(self, capsys, argv, abbrev):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        declared = {s for a in sub.choices[argv[0]]._actions for s in a.option_strings}
+        assert abbrev not in declared
+        assert any(flag.startswith(abbrev) for flag in declared)
+        assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("hypograph: usage error: ")
+
     def test_readme_lists_each_subcommands_flags(self):
         block = (Path(__file__).parents[1] / "README.md").read_text()
         block = block.split("## CLI", 1)[1].split("```")[1]
@@ -405,6 +460,14 @@ class TestFlags:
             declared = {s for a in subparser._actions for s in a.option_strings if s[:2] == "--"}
             declared.discard("--help")
             assert readme[command] == declared, command
+
+    def test_readme_library_example_runs_and_exports_resolve(self):
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        example = text.split("## Library example", 1)[1].split("```python", 1)[1]
+        exec(example.split("```", 1)[0], {})
+        assert len(hypograph.__all__) == 25
+        for name in hypograph.__all__:
+            assert getattr(hypograph, name) is not None, name
 
     def test_boolean_flag_pairs(self, tiny_dataset, tmp_path):
         out1, out2 = tmp_path / "d.csv", tmp_path / "nd.csv"

@@ -1,23 +1,23 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
-from conftest import random_labelled_graph
+from conftest import random_labelled_graph, seq_allclose
 from hypograph.config import FeatureConfig
 from hypograph.exact import (
     OracleScaleError,
-    TensorVector,
     WalkBudgetError,
     enumerate_walk_expectation,
     forward_diffusion_exact,
     graph_feature_exact,
     node_features_exact,
-    tensor_adjacency,
     tensor_mat_power_apply,
     tensor_transition,
 )
 from hypograph.graphs import LabelledGraph, transition_matrix, weighted_transition
 from hypograph.graphs import classic_diffusion
-from hypograph.tensoralg import TruncatedTensorSequence, algebra_mul, lift, sequence_feature
+from hypograph.tensoralg import add, algebra_mul, lift, scale, sequence_feature, unit
 from hypograph.verify import make_transition
 
 
@@ -28,54 +28,35 @@ def cfg_of(**kw):
 
 
 def entry(mat, i, j):
-    for col, value in mat.rows[i]:
+    for col, value in mat[i]:
         if col == j:
             return value
     raise KeyError((i, j))
 
 
-class TestTensorAdjacency:
-    def test_path_entries_are_increment_lifts(self, path2):
-        mat = tensor_adjacency(path2, cfg_of())
-        want01 = lift(np.array([1.0]), 2)
-        want10 = lift(np.array([-1.0]), 2)
-        for m in range(3):
-            np.testing.assert_allclose(entry(mat, 0, 1).level(m), want01.level(m))
-            np.testing.assert_allclose(entry(mat, 1, 0).level(m), want10.level(m))
-
-    def test_equal_attributes_give_units(self):
-        g = LabelledGraph(3, [(0, 1), (1, 2)], np.full((3, 2), 0.7))
-        mat = tensor_adjacency(g, cfg_of())
-        unit = TruncatedTensorSequence.unit(2, 2)
-        for i, row in enumerate(mat.rows):
-            for _, value in row:
-                for m in range(3):
-                    np.testing.assert_array_equal(value.level(m), unit.level(m))
-
-    def test_degree0_slice_is_adjacency(self):
-        rng = np.random.default_rng(0)
-        g = random_labelled_graph(rng, edge_prob=0.6)
-        mat = tensor_adjacency(g, cfg_of())
-        dense = np.zeros((g.n, g.n))
-        for i, j in g.edges:
-            dense[i, j] = dense[j, i] = 1.0
-        np.testing.assert_array_equal(mat.degree0(), dense)
+def degree0(mat):
+    """Scalar slice: the degree-0 level of every entry, as dense n x n."""
+    out = np.zeros((len(mat), len(mat)))
+    for i, row in enumerate(mat):
+        for j, value in row:
+            out[i, j] = value[0]
+    return out
 
 
 class TestTensorTransition:
     def test_triangle_scaling(self, triangle):
         p = transition_matrix(triangle)
         mat = tensor_transition(triangle, cfg_of(), p)
-        want = lift(np.array([1.0]), 2).scale(0.5)
+        want = scale(lift(np.array([1.0]), 2), 0.5)
         for m in range(3):
-            np.testing.assert_allclose(entry(mat, 0, 1).level(m), want.level(m))
+            np.testing.assert_allclose(entry(mat, 0, 1)[m], want[m])
 
     def test_isolated_diagonal_is_unit(self):
         g = LabelledGraph(3, [(0, 1)], np.array([[0.0], [1.0], [5.0]]))
         mat = tensor_transition(g, cfg_of(), transition_matrix(g))
-        unit = TruncatedTensorSequence.unit(1, 2)
+        one = unit(1, 2)
         for m in range(3):
-            np.testing.assert_array_equal(entry(mat, 2, 2).level(m), unit.level(m))
+            np.testing.assert_array_equal(entry(mat, 2, 2)[m], one[m])
 
     def test_degree0_slice_reproduces_weighted_transition(self):
         rng = np.random.default_rng(1)
@@ -84,7 +65,7 @@ class TestTensorTransition:
             pytest.skip("no edges drawn")
         p = weighted_transition(g, {tuple(e): float(rng.uniform(0.2, 2.0)) for e in g.edges})
         mat = tensor_transition(g, cfg_of(), p)
-        np.testing.assert_array_equal(mat.degree0(), p.toarray())
+        np.testing.assert_array_equal(degree0(mat), p.toarray())
 
     def test_pattern_mismatch_rejected(self, path2, triangle):
         p = transition_matrix(triangle)
@@ -96,35 +77,35 @@ class TestTensorMatPowerApply:
     def test_k0_returns_input(self, triangle):
         p = transition_matrix(triangle)
         mat = tensor_transition(triangle, cfg_of(), p)
-        v0 = TensorVector([lift(np.array([float(i)]), 2) for i in range(3)])
+        v0 = tuple(lift(np.array([float(i)]), 2) for i in range(3))
         out = tensor_mat_power_apply(mat, 0, v0)
         for i in range(3):
             for m in range(3):
-                np.testing.assert_array_equal(out[i].level(m), v0[i].level(m))
+                np.testing.assert_array_equal(out[i][m], v0[i][m])
 
     def test_single_deterministic_step(self, path2):
         p = transition_matrix(path2)
         mat = tensor_transition(path2, cfg_of(), p)
-        ones = TensorVector([TruncatedTensorSequence.unit(1, 2)] * 2)
+        ones = (unit(1, 2),) * 2
         out = tensor_mat_power_apply(mat, 1, ones)
         want = lift(np.array([1.0]), 2)
         for m in range(3):
-            np.testing.assert_allclose(out[0].level(m), want.level(m))
+            np.testing.assert_allclose(out[0][m], want[m])
 
     def test_triangle_hand_values(self, triangle):
         p = transition_matrix(triangle)
         mat = tensor_transition(triangle, cfg_of(), p)
-        ones = TensorVector([TruncatedTensorSequence.unit(1, 2)] * 3)
+        ones = (unit(1, 2),) * 3
         out = tensor_mat_power_apply(mat, 1, ones)
         # node 0: (exp[1] + exp[2]) / 2 -> degree 1 = 1.5, degree 2 = 1.25
-        np.testing.assert_allclose(out[0].level(1), [1.5])
-        np.testing.assert_allclose(out[0].level(2), [[1.25]])
+        np.testing.assert_allclose(out[0][1], [1.5])
+        np.testing.assert_allclose(out[0][2], [[1.25]])
 
     def test_scale_guard(self):
         g = LabelledGraph(65, [(i, i + 1) for i in range(64)], np.zeros((65, 1)))
         p = transition_matrix(g)
         mat = tensor_transition(g, cfg_of(max_degree=1), p)
-        ones = TensorVector([TruncatedTensorSequence.unit(1, 1)] * 65)
+        ones = (unit(1, 1),) * 65
         with pytest.raises(OracleScaleError):
             tensor_mat_power_apply(mat, 1, ones)
 
@@ -133,19 +114,19 @@ class TestWalkEnumeration:
     def test_k0_is_unit(self, triangle):
         p = transition_matrix(triangle)
         out = enumerate_walk_expectation(triangle, p, cfg_of(), 0, 0)
-        unit = TruncatedTensorSequence.unit(1, 2)
+        one = unit(1, 2)
         for m in range(3):
-            np.testing.assert_array_equal(out.level(m), unit.level(m))
+            np.testing.assert_array_equal(out[m], one[m])
 
     def test_path_cancellation(self, path2):
         # two steps out and back: degree 1 cancels, degree 2 = 0.5 - 1 + 0.5 = 0
         p = transition_matrix(path2)
         out = enumerate_walk_expectation(path2, p, cfg_of(), 2, 0)
-        np.testing.assert_allclose(out.level(1), [0.0], atol=1e-15)
-        np.testing.assert_allclose(out.level(2), [[0.0]], atol=1e-15)
+        np.testing.assert_allclose(out[1], [0.0], atol=1e-15)
+        np.testing.assert_allclose(out[2], [[0.0]], atol=1e-15)
         prod = algebra_mul(lift(np.array([1.0]), 2), lift(np.array([-1.0]), 2))
         for m in range(3):
-            np.testing.assert_allclose(out.level(m), prod.level(m), atol=1e-15)
+            np.testing.assert_allclose(out[m], prod[m], atol=1e-15)
 
     def test_matches_matrix_powers_randomized(self):
         rng = np.random.default_rng(2)
@@ -161,7 +142,7 @@ class TestWalkEnumeration:
             feats = node_features_exact(g, p, cfg, k)
             for start in range(g.n):
                 walk_sum = enumerate_walk_expectation(g, p, cfg, k, start)
-                assert walk_sum.allclose(feats[start], rtol=1e-10, atol=1e-12)
+                assert seq_allclose(walk_sum, feats[start], rtol=1e-10, atol=1e-12)
 
     def test_budget_guard(self):
         n = 30
@@ -179,15 +160,15 @@ class TestNodeFeatures:
         for i in range(3):
             want = lift(triangle.attributes[i], 2)
             for m in range(3):
-                np.testing.assert_array_equal(out[i].level(m), want.level(m))
+                np.testing.assert_array_equal(out[i][m], want[m])
 
     def test_k0_no_zero_start_gives_units(self, triangle):
         p = transition_matrix(triangle)
         out = node_features_exact(triangle, p, cfg_of(zero_start=False), 0)
-        unit = TruncatedTensorSequence.unit(1, 2)
+        one = unit(1, 2)
         for i in range(3):
             for m in range(3):
-                np.testing.assert_array_equal(out[i].level(m), unit.level(m))
+                np.testing.assert_array_equal(out[i][m], one[m])
 
     def test_zero_start_from_origin_attribute(self, path2):
         # start attribute 0 lifts to the unit, so the start factor is invisible
@@ -195,7 +176,7 @@ class TestNodeFeatures:
         out = node_features_exact(path2, p, cfg_of(zero_start=True), 1)
         want = lift(np.array([1.0]), 2)
         for m in range(3):
-            np.testing.assert_allclose(out[0].level(m), want.level(m))
+            np.testing.assert_allclose(out[0][m], want[m])
 
     def test_degree0_is_one(self):
         rng = np.random.default_rng(3)
@@ -204,7 +185,7 @@ class TestNodeFeatures:
             p = transition_matrix(g)
             out = node_features_exact(g, p, cfg_of(), 3)
             for i in range(g.n):
-                assert out[i].level(0) == pytest.approx(1.0, abs=1e-12)
+                assert out[i][0] == pytest.approx(1.0, abs=1e-12)
 
     def test_degree1_matches_classic_diffusion(self):
         # increments, no start factor: degree 1 telescopes to P^k f - f
@@ -215,7 +196,7 @@ class TestNodeFeatures:
             k = int(rng.integers(1, 4))
             out = node_features_exact(g, p, cfg_of(zero_start=False), k)
             want = classic_diffusion(g, k) - g.attributes
-            got = np.stack([out[i].level(1) for i in range(g.n)])
+            got = np.stack([out[i][1] for i in range(g.n)])
             np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_permutation_equivariance(self):
@@ -227,7 +208,7 @@ class TestNodeFeatures:
         fg = node_features_exact(g, transition_matrix(g), cfg, 2)
         fh = node_features_exact(h, transition_matrix(h), cfg, 2)
         for i in range(g.n):
-            assert fh[perm[i]].allclose(fg[i], rtol=1e-12, atol=1e-12)
+            assert seq_allclose(fh[perm[i]], fg[i], rtol=1e-12, atol=1e-12)
 
 
 class TestDeterministicWalkConsistency:
@@ -249,7 +230,7 @@ class TestDeterministicWalkConsistency:
         for start in (0, 1):
             seen = g.attributes[[(start + t) % 2 for t in range(k + 1)]]
             want = sequence_feature(seen, cfg, 3)
-            assert feats[start].allclose(want, rtol=1e-12, atol=1e-13)
+            assert seq_allclose(feats[start], want, rtol=1e-12, atol=1e-13)
 
     @pytest.mark.parametrize("tp", [True, False])
     def test_without_start_factor_increments(self, tp):
@@ -264,7 +245,7 @@ class TestDeterministicWalkConsistency:
         for start in (0, 1):
             seen = g.attributes[[(start + t) % 2 for t in range(k + 1)]]
             want = sequence_feature(seen, cfg, 3)
-            assert feats[start].allclose(want, rtol=1e-12, atol=1e-13)
+            assert seq_allclose(feats[start], want, rtol=1e-12, atol=1e-13)
 
 
 class TestGraphFeature:
@@ -274,7 +255,7 @@ class TestGraphFeature:
         out = graph_feature_exact(g, p, cfg_of(zero_start=True), 3)
         want = lift(g.attributes[0], 2)
         for m in range(3):
-            np.testing.assert_allclose(out.level(m), want.level(m))
+            np.testing.assert_allclose(out[m], want[m])
 
     def test_vertex_transitive_equal_attributes(self, triangle):
         g = triangle.with_attributes(np.full((3, 1), 2.0))
@@ -282,7 +263,7 @@ class TestGraphFeature:
         pooled = graph_feature_exact(g, p, cfg_of(zero_start=True), 2)
         per_node = node_features_exact(g, p, cfg_of(zero_start=True), 2)
         for i in range(3):
-            assert pooled.allclose(per_node[i], rtol=1e-12, atol=1e-12)
+            assert seq_allclose(pooled, per_node[i], rtol=1e-12, atol=1e-12)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(6)
@@ -291,7 +272,7 @@ class TestGraphFeature:
         cfg = cfg_of(zero_start=True)
         a = graph_feature_exact(g, transition_matrix(g), cfg, 2)
         b = graph_feature_exact(h, transition_matrix(h), cfg, 2)
-        assert a.allclose(b, rtol=1e-12, atol=1e-12)
+        assert seq_allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
 class TestForwardDiffusion:
@@ -299,7 +280,7 @@ class TestForwardDiffusion:
         p = transition_matrix(triangle)
         out = forward_diffusion_exact(triangle, p, cfg_of(), 0)
         for i in range(3):
-            assert out[i].level(0) == pytest.approx(1.0 / 3.0)
+            assert out[i][0] == pytest.approx(1.0 / 3.0)
 
     def test_degree0_is_end_distribution(self):
         rng = np.random.default_rng(7)
@@ -308,7 +289,7 @@ class TestForwardDiffusion:
             p = transition_matrix(g)
             k = int(rng.integers(0, 4))
             out = forward_diffusion_exact(g, p, cfg_of(), k)
-            mass = np.array([out[i].level(0) for i in range(g.n)])
+            mass = np.array([out[i][0] for i in range(g.n)])
             dense = np.linalg.matrix_power(p.toarray(), k)
             want = np.ones(g.n) / g.n @ dense
             np.testing.assert_allclose(mass, want, atol=1e-12)
@@ -317,8 +298,8 @@ class TestForwardDiffusion:
     def test_path_single_step_split(self, path2):
         p = transition_matrix(path2)
         out = forward_diffusion_exact(path2, p, cfg_of(), 1)
-        assert out[0].level(0) == pytest.approx(0.5)
-        assert out[1].level(0) == pytest.approx(0.5)
+        assert out[0][0] == pytest.approx(0.5)
+        assert out[1][0] == pytest.approx(0.5)
 
     def test_forward_backward_consistency(self):
         # mean of start-conditioned features == sum of end-conditioned entries
@@ -334,9 +315,6 @@ class TestForwardDiffusion:
             k = int(rng.integers(0, 4))
             back = node_features_exact(g, p, cfg, k)
             fwd = forward_diffusion_exact(g, p, cfg, k)
-            acc_b = TruncatedTensorSequence.zero(back.dims, back.max_degree)
-            acc_f = TruncatedTensorSequence.zero(back.dims, back.max_degree)
-            for i in range(g.n):
-                acc_b = acc_b.add(back[i])
-                acc_f = acc_f.add(fwd[i])
-            assert acc_b.scale(1.0 / g.n).allclose(acc_f, rtol=1e-10, atol=1e-12)
+            acc_b = reduce(add, back)
+            acc_f = reduce(add, fwd)
+            assert seq_allclose(scale(acc_b, 1.0 / g.n), acc_f, rtol=1e-10, atol=1e-12)

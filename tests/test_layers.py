@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_labelled_graph
 from hypograph.config import FeatureConfig
+from hypograph.exact import level_tensor
 from hypograph.graphs import AttentionParams, LabelledGraph, disjoint_union, transition_matrix
 from hypograph.layers import (
     LayerParams,
@@ -16,7 +17,7 @@ from hypograph.layers import (
     model_forward,
     save_params,
 )
-from hypograph.lowrank import RankOneFunctional, batch_features
+from hypograph.lowrank import batch_features
 
 
 def make_layer(rng, d, rank=3, max_degree=2, walk_length=2, attention=False, **cfg_kw):
@@ -259,7 +260,7 @@ class TestL2Penalty:
             layer = LayerParams(vectors, np.zeros((rank, rank * m_max)), np.zeros(rank), cfg)
             lam = float(rng.uniform(0.1, 2.0))
             dense = lam * sum(
-                float(np.sum(RankOneFunctional(u).level_tensor(m) ** 2))
+                float(np.sum(level_tensor(u, m) ** 2))
                 for u in vectors
                 for m in range(1, m_max + 1)
             )

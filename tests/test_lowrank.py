@@ -6,10 +6,10 @@ import pytest
 
 from conftest import random_labelled_graph
 from hypograph.config import FeatureConfig
-from hypograph.exact import node_features_exact
+from hypograph.exact import level_tensor, node_features_exact
 from hypograph.graphs import LabelledGraph, transition_matrix
 from hypograph.lowrank import NonFiniteError, RankOneFunctional, batch_features
-from hypograph.verify import make_transition
+from hypograph.verify import case_error, make_transition
 
 
 def cfg_of(**kw):
@@ -23,16 +23,30 @@ class TestRankOneFunctional:
         rng = np.random.default_rng(0)
         u = rng.standard_normal((3, 2))
         f = RankOneFunctional(u)
-        np.testing.assert_allclose(f.level_tensor(1), u[2])
-        np.testing.assert_allclose(f.level_tensor(2), np.multiply.outer(u[1], u[2]))
+        np.testing.assert_allclose(level_tensor(f, 1), u[2])
+        np.testing.assert_allclose(level_tensor(f, 2), np.multiply.outer(u[1], u[2]))
         np.testing.assert_allclose(
-            f.level_tensor(3), np.multiply.outer(np.multiply.outer(u[0], u[1]), u[2])
+            level_tensor(f, 3), np.multiply.outer(np.multiply.outer(u[0], u[1]), u[2])
         )
-        assert f.level_tensor(0) == 1.0
+        assert level_tensor(f, 0) == 1.0
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             RankOneFunctional(np.array([[np.inf]]))
+
+    @pytest.mark.parametrize("zero_start", [True, False])
+    def test_list_matches_stacked_array(self, zero_start):
+        # perfbench/worker.py passes lists of functionals to both entry points
+        rng = np.random.default_rng(9)
+        g = random_labelled_graph(rng, max_nodes=7)
+        p = make_transition(g, "attention", rng)
+        cfg = FeatureConfig(walk_length=3, max_degree=2, rank=3, zero_start=zero_start)
+        vectors = rng.standard_normal((3, 2, g.attr_dim))
+        fs = [RankOneFunctional(u) for u in vectors]
+        feats = batch_features(g, p, vectors, cfg)
+        assert np.array_equal(batch_features(g, p, fs, cfg), feats)
+        err = case_error(g, p, cfg, vectors, cfg.walk_length)
+        assert case_error(g, p, cfg, fs, cfg.walk_length) == err <= 1e-10
 
 
 def features(g, u, cfg, p=None):
@@ -185,8 +199,8 @@ class TestZeroStartCorrect:
             ell = RankOneFunctional(u)
             got = batch_features(g, p, [ell], cfg)[:, m_max - 1]
             exact = node_features_exact(g, p, cfg, k)
-            level = ell.level_tensor(m_max)
-            want = [float(np.vdot(level, exact[i].level(m_max))) for i in range(g.n)]
+            level = level_tensor(ell, m_max)
+            want = [float(np.vdot(level, exact[i][m_max])) for i in range(g.n)]
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
     def test_non_finite_correction_names_degree(self):
@@ -309,8 +323,8 @@ class TestBatchFeatures:
         got = batch_features(g, p, [ell], cfg)
         exact = node_features_exact(g, p, cfg, 2)
         for m in (1, 2):
-            level = ell.level_tensor(m)
-            want = [float(np.vdot(level, exact[i].level(m))) for i in range(g.n)]
+            level = level_tensor(ell, m)
+            want = [float(np.vdot(level, exact[i][m])) for i in range(g.n)]
             np.testing.assert_allclose(got[:, m - 1], want, rtol=1e-10, atol=1e-12)
 
     def test_suffix_scaling_linearity(self):
@@ -352,9 +366,9 @@ class TestBatchFeatures:
             exact = node_features_exact(g, p, cfg, k)
             for j, f in enumerate(fs):
                 for m in range(1, m_max + 1):
-                    level = f.level_tensor(m)
+                    level = level_tensor(f, m)
                     want = [
-                        float(np.vdot(level, exact[i].level(m))) for i in range(g.n)
+                        float(np.vdot(level, exact[i][m])) for i in range(g.n)
                     ]
                     np.testing.assert_allclose(
                         got[:, j * m_max + (m - 1)], want, rtol=1e-9, atol=1e-10

@@ -5,13 +5,13 @@ import pytest
 
 from hypograph.config import FeatureConfig
 from hypograph.tensoralg import (
-    DenseTensor,
-    TruncatedTensorSequence,
+    add,
     algebra_mul,
     inner_product,
     lift,
+    scale,
     sequence_feature,
-    tensor_product,
+    unit,
 )
 
 
@@ -37,74 +37,32 @@ def convolution_oracle(v, w):
     return out
 
 
-def tts(arrays, dims):
-    return TruncatedTensorSequence.from_arrays(arrays, dims)
-
-
-class TestDenseTensor:
-    def test_scalar_needs_dims(self):
-        with pytest.raises(ValueError):
-            DenseTensor(np.float64(1.0))
-        t = DenseTensor(np.float64(3.0), dims=2)
-        assert t.degree == 0 and t.dims == 2
-
-    def test_rejects_non_cube(self):
-        with pytest.raises(ValueError):
-            DenseTensor(np.zeros((2, 3)))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            DenseTensor(np.array([1.0, np.inf]))
-
-
-class TestTensorProduct:
-    def test_basis_case(self):
-        a = DenseTensor(np.array([1.0, 0.0]))
-        b = DenseTensor(np.array([0.0, 1.0]))
-        out = tensor_product(a, b)
-        assert out.degree == 2
-        np.testing.assert_array_equal(out.entries, [[0.0, 1.0], [0.0, 0.0]])
-
-    def test_scalar_multiplies(self):
-        out = tensor_product(DenseTensor(np.float64(3.0), dims=2), DenseTensor([2.0, 5.0]))
-        np.testing.assert_array_equal(out.entries, [6.0, 15.0])
-
-    def test_matches_loop_oracle(self):
-        a, b = np.array([1.0, 2.0]), np.array([3.0, 4.0])
-        out = tensor_product(DenseTensor(a), DenseTensor(b))
-        np.testing.assert_array_equal(out.entries, outer_loop_oracle(a, b))
-        np.testing.assert_array_equal(out.entries, [[3.0, 4.0], [6.0, 8.0]])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            tensor_product(DenseTensor([1.0, 2.0]), DenseTensor([1.0, 2.0, 3.0]))
-
-
 class TestAlgebraMul:
     def test_degree_one_expansion(self):
         a, b = np.array([1.0, -2.0]), np.array([0.5, 3.0])
-        v = tts([np.float64(1.0), a, np.zeros((2, 2))], 2)
-        w = tts([np.float64(1.0), b, np.zeros((2, 2))], 2)
+        v = [np.float64(1.0), a, np.zeros((2, 2))]
+        w = [np.float64(1.0), b, np.zeros((2, 2))]
         out = algebra_mul(v, w)
-        assert out.level(0) == 1.0
-        np.testing.assert_allclose(out.level(1), a + b)
-        np.testing.assert_allclose(out.level(2), np.outer(a, b))
+        assert out[0] == 1.0
+        np.testing.assert_allclose(out[1], a + b)
+        np.testing.assert_allclose(out[2], np.outer(a, b))
 
     def test_unit_is_identity(self):
         rng = np.random.default_rng(0)
-        w = tts([np.float64(rng.standard_normal())] +
-                [rng.standard_normal((3,) * m) for m in (1, 2)], 3)
-        unit = TruncatedTensorSequence.unit(3, 2)
-        for prod in (algebra_mul(unit, w), algebra_mul(w, unit)):
+        w = [np.float64(rng.standard_normal())] + [
+            rng.standard_normal((3,) * m) for m in (1, 2)
+        ]
+        one = unit(3, 2)
+        for prod in (algebra_mul(one, w), algebra_mul(w, one)):
             for m in range(3):
-                np.testing.assert_array_equal(prod.level(m), w.level(m))
+                np.testing.assert_array_equal(prod[m], w[m])
 
     def test_matches_convolution_oracle_d1(self):
-        v = tts([np.float64(1.0), np.array([1.0]), np.array([[0.5]])], 1)
+        v = [np.float64(1.0), np.array([1.0]), np.array([[0.5]])]
         out = algebra_mul(v, v)
-        assert out.level(0) == 1.0
-        np.testing.assert_allclose(out.level(1), [2.0])
-        np.testing.assert_allclose(out.level(2), [[2.0]])  # 0.5 + 1*1 + 0.5
+        assert out[0] == 1.0
+        np.testing.assert_allclose(out[1], [2.0])
+        np.testing.assert_allclose(out[2], [[2.0]])  # 0.5 + 1*1 + 0.5
 
     def test_matches_convolution_oracle_random(self):
         rng = np.random.default_rng(42)
@@ -114,69 +72,65 @@ class TestAlgebraMul:
                 rng.standard_normal((d,) * m) for m in range(1, m_max + 1)
             ]
             a, b = lv(), lv()
-            got = algebra_mul(tts(a, d), tts(b, d))
+            got = algebra_mul(a, b)
             want = convolution_oracle(a, b)
             for m in range(m_max + 1):
-                np.testing.assert_allclose(got.level(m), want[m], rtol=1e-12, atol=1e-14)
+                np.testing.assert_allclose(got[m], want[m], rtol=1e-12, atol=1e-14)
 
     def test_associative(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             d, m_max = int(rng.integers(1, 4)), int(rng.integers(1, 5))
-            mk = lambda: tts(
-                [np.float64(rng.standard_normal())]
-                + [rng.standard_normal((d,) * m) for m in range(1, m_max + 1)],
-                d,
-            )
+            mk = lambda: [np.float64(rng.standard_normal())] + [
+                rng.standard_normal((d,) * m) for m in range(1, m_max + 1)
+            ]
             u, v, w = mk(), mk(), mk()
             left = algebra_mul(algebra_mul(u, v), w)
             right = algebra_mul(u, algebra_mul(v, w))
             for m in range(m_max + 1):
-                np.testing.assert_allclose(left.level(m), right.level(m), rtol=1e-12)
+                np.testing.assert_allclose(left[m], right[m], rtol=1e-12)
 
     def test_not_commutative(self):
-        e1 = tts([np.float64(0.0), np.array([1.0, 0.0]), np.zeros((2, 2))], 2)
-        e2 = tts([np.float64(0.0), np.array([0.0, 1.0]), np.zeros((2, 2))], 2)
+        e1 = [np.float64(0.0), np.array([1.0, 0.0]), np.zeros((2, 2))]
+        e2 = [np.float64(0.0), np.array([0.0, 1.0]), np.zeros((2, 2))]
         ab = algebra_mul(e1, e2)
         ba = algebra_mul(e2, e1)
-        assert not np.array_equal(ab.level(2), ba.level(2))
+        assert not np.array_equal(ab[2], ba[2])
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            algebra_mul(TruncatedTensorSequence.unit(2, 2), TruncatedTensorSequence.unit(3, 2))
+            algebra_mul(unit(2, 2), unit(3, 2))
 
 
 class TestInnerProduct:
     def test_orthonormal_basis_tensors(self):
         e1 = np.array([1.0, 0.0])
         e2 = np.array([0.0, 1.0])
-        e12 = tts([np.float64(0.0), np.zeros(2), np.outer(e1, e2)], 2)
-        e21 = tts([np.float64(0.0), np.zeros(2), np.outer(e2, e1)], 2)
+        e12 = [np.float64(0.0), np.zeros(2), np.outer(e1, e2)]
+        e21 = [np.float64(0.0), np.zeros(2), np.outer(e2, e1)]
         assert inner_product(e12, e12) == 1.0
         assert inner_product(e12, e21) == 0.0
 
     def test_unit(self):
-        unit = TruncatedTensorSequence.unit(2, 3)
-        assert inner_product(unit, unit) == 1.0
+        one = unit(2, 3)
+        assert inner_product(one, one) == 1.0
 
     def test_hand_value(self):
-        v = tts([np.float64(1.0), np.array([2.0]), np.array([[3.0]])], 1)
-        w = tts([np.float64(0.0), np.array([1.0]), np.array([[-1.0]])], 1)
+        v = [np.float64(1.0), np.array([2.0]), np.array([[3.0]])]
+        w = [np.float64(0.0), np.array([1.0]), np.array([[-1.0]])]
         assert inner_product(v, w) == -1.0  # 0 + 2 - 3
 
     def test_symmetric_bilinear_positive_definite(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             d = int(rng.integers(1, 4))
-            mk = lambda: tts(
-                [np.float64(rng.standard_normal())]
-                + [rng.standard_normal((d,) * m) for m in (1, 2)],
-                d,
-            )
+            mk = lambda: [np.float64(rng.standard_normal())] + [
+                rng.standard_normal((d,) * m) for m in (1, 2)
+            ]
             u, v, w = mk(), mk(), mk()
             a, b = rng.standard_normal(2)
             assert inner_product(u, v) == pytest.approx(inner_product(v, u))
-            lhs = inner_product(u.scale(a).add(v.scale(b)), w)
+            lhs = inner_product(add(scale(u, a), scale(v, b)), w)
             rhs = a * inner_product(u, w) + b * inner_product(v, w)
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
             assert inner_product(u, u) > 0.0
@@ -185,22 +139,22 @@ class TestInnerProduct:
 class TestLift:
     def test_tensor_exponential(self):
         out = lift(np.array([1.0, 0.0]), 2)
-        assert out.level(0) == 1.0
-        np.testing.assert_array_equal(out.level(1), [1.0, 0.0])
-        np.testing.assert_array_equal(out.level(2), [[0.5, 0.0], [0.0, 0.0]])
+        assert out[0] == 1.0
+        np.testing.assert_array_equal(out[1], [1.0, 0.0])
+        np.testing.assert_array_equal(out[2], [[0.5, 0.0], [0.0, 0.0]])
 
     def test_zero_vector_gives_unit(self):
         out = lift(np.zeros(3), 2)
-        unit = TruncatedTensorSequence.unit(3, 2)
+        one = unit(3, 2)
         for m in range(3):
-            np.testing.assert_array_equal(out.level(m), unit.level(m))
+            np.testing.assert_array_equal(out[m], one[m])
 
     def test_coefficient_override(self):
         coeffs = FeatureConfig(max_degree=2, lift_coeffs=(1.0, 1.0, 1.0)).coefficients(2)
         out = lift(np.array([2.0]), 2, coeffs)
-        assert out.level(0) == 1.0
-        np.testing.assert_array_equal(out.level(1), [2.0])
-        np.testing.assert_array_equal(out.level(2), [[4.0]])
+        assert out[0] == 1.0
+        np.testing.assert_array_equal(out[1], [2.0])
+        np.testing.assert_array_equal(out[2], [[4.0]])
         with pytest.raises(ValueError, match="cover degrees <= 2, need 3"):
             lift(np.array([2.0]), 3, coeffs)
 
@@ -217,7 +171,7 @@ class TestLift:
             left = algebra_mul(lift(x, 4), lift(lam * x, 4))
             right = lift((1.0 + lam) * x, 4)
             for m in range(5):
-                np.testing.assert_allclose(left.level(m), right.level(m),
+                np.testing.assert_allclose(left[m], right[m],
                                            rtol=1e-12, atol=1e-14)
 
 
@@ -228,24 +182,24 @@ class TestSequenceFeature:
         out = sequence_feature([x0], cfg, 3)
         want = lift(x0, 3)
         for m in range(4):
-            np.testing.assert_allclose(out.level(m), want.level(m))
+            np.testing.assert_allclose(out[m], want[m])
 
     def test_one_increment(self):
         cfg = FeatureConfig(diff=True, zero_start=False)
         x0, x1 = np.array([1.0, 2.0]), np.array([0.0, 5.0])
         out = sequence_feature([x0, x1], cfg, 2)
-        np.testing.assert_allclose(out.level(1), x1 - x0)
+        np.testing.assert_allclose(out[1], x1 - x0)
 
     def test_zero_start_expansion(self):
         cfg = FeatureConfig(diff=True, zero_start=True)
         out = sequence_feature([[0.0], [1.0]], cfg, 2)
-        assert out.level(0) == 1.0
-        np.testing.assert_allclose(out.level(1), [1.0])
-        np.testing.assert_allclose(out.level(2), [[0.5]])
+        assert out[0] == 1.0
+        np.testing.assert_allclose(out[1], [1.0])
+        np.testing.assert_allclose(out[2], [[0.5]])
         # with x0 = 0 the product collapses to a single lift
         want = lift(np.array([1.0]), 2)
         for m in range(3):
-            np.testing.assert_allclose(out.level(m), want.level(m))
+            np.testing.assert_allclose(out[m], want[m])
 
     def test_matches_explicit_product_oracle(self):
         rng = np.random.default_rng(11)
@@ -253,11 +207,11 @@ class TestSequenceFeature:
         xs = rng.standard_normal((5, 2))
         out = sequence_feature(xs, cfg, 3)
         factors = [xs[0]] + [xs[i] - xs[i - 1] for i in range(1, 5)]
-        want = TruncatedTensorSequence.unit(2, 3)
+        want = unit(2, 3)
         for f in factors:
             want = algebra_mul(want, lift(f, 3))
         for m in range(4):
-            np.testing.assert_allclose(out.level(m), want.level(m), rtol=1e-12)
+            np.testing.assert_allclose(out[m], want[m], rtol=1e-12)
 
     def test_nodiff_multiplies_raw_values(self):
         cfg = FeatureConfig(diff=False, zero_start=False)
@@ -265,14 +219,14 @@ class TestSequenceFeature:
         out = sequence_feature(xs, cfg, 2)
         want = algebra_mul(lift(xs[0], 2), lift(xs[1], 2))
         for m in range(3):
-            np.testing.assert_allclose(out.level(m), want.level(m))
+            np.testing.assert_allclose(out[m], want[m])
 
     def test_nodiff_zero_start_is_noop(self):
         xs = np.array([[1.0, 2.0], [0.5, 0.0], [3.0, 1.0]])
         a = sequence_feature(xs, FeatureConfig(diff=False, zero_start=False), 2)
         b = sequence_feature(xs, FeatureConfig(diff=False, zero_start=True), 2)
         for m in range(3):
-            np.testing.assert_array_equal(a.level(m), b.level(m))
+            np.testing.assert_array_equal(a[m], b[m])
 
     def test_time_param_increments(self):
         cfg = FeatureConfig(diff=True, zero_start=False, time_param=True)
@@ -281,7 +235,7 @@ class TestSequenceFeature:
         # increment of the time-augmented sequence is (1, 0)
         want = lift(np.array([1.0, 0.0]), 2)
         for m in range(3):
-            np.testing.assert_allclose(out.level(m), want.level(m))
+            np.testing.assert_allclose(out[m], want[m])
 
     def test_translation_invariant_without_zero_start(self):
         rng = np.random.default_rng(2)
@@ -290,14 +244,14 @@ class TestSequenceFeature:
         shifted = xs + np.array([1.0, -2.0])
         a, b = sequence_feature(xs, cfg, 3), sequence_feature(shifted, cfg, 3)
         for m in range(4):
-            np.testing.assert_array_equal(a.level(m), b.level(m))
+            np.testing.assert_array_equal(a[m], b[m])
 
     def test_zero_start_breaks_translation_invariance(self):
         cfg = FeatureConfig(diff=True, zero_start=True)
         xs = np.array([[0.0], [1.0]])
         a = sequence_feature(xs, cfg, 2)
         b = sequence_feature(xs + 1.0, cfg, 2)
-        assert not np.allclose(a.level(1), b.level(1))
+        assert not np.allclose(a[1], b[1])
 
     def test_degree0_is_one(self):
         rng = np.random.default_rng(9)
@@ -305,7 +259,7 @@ class TestSequenceFeature:
             for zs in (True, False):
                 cfg = FeatureConfig(diff=diff, zero_start=zs, time_param=bool(rng.integers(2)))
                 xs = rng.standard_normal((3, 2))
-                assert sequence_feature(xs, cfg, 2).level(0) == 1.0
+                assert sequence_feature(xs, cfg, 2)[0] == 1.0
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
@@ -317,15 +271,23 @@ class TestSequenceHelpers:
         rng = np.random.default_rng(1)
         a = lift(rng.standard_normal(2), 3)
         b = lift(rng.standard_normal(2), 3)
-        summed = a.add(b)
-        scaled = a.scale(2.5)
+        summed = add(a, b)
+        scaled = scale(a, 2.5)
         for m in range(4):
-            np.testing.assert_allclose(summed.level(m), a.level(m) + b.level(m))
-            np.testing.assert_allclose(scaled.level(m), 2.5 * a.level(m))
+            np.testing.assert_allclose(summed[m], a[m] + b[m])
+            np.testing.assert_allclose(scaled[m], 2.5 * a[m])
+
+    def test_levels_are_read_only_float64_arrays(self):
+        out = lift([1, 2], 2)
+        assert isinstance(out, tuple)
+        assert [lv.shape for lv in out] == [(), (2,), (2, 2)]
+        assert all(lv.dtype == np.float64 and not lv.flags.writeable for lv in out)
+        with pytest.raises(ValueError, match="finite"):
+            lift([np.inf], 2)
 
     def test_default_coefficients_are_factorial_reciprocals(self):
         c = FeatureConfig().coefficients(4)
         assert c == [1.0 / math.factorial(m) for m in range(5)]
         x = np.array([0.3, -1.2])
         for m in range(5):  # lift's default is the same sequence
-            np.testing.assert_array_equal(lift(x, 4).level(m), lift(x, 4, c).level(m))
+            np.testing.assert_array_equal(lift(x, 4)[m], lift(x, 4, c)[m])
