@@ -3,9 +3,17 @@
 from __future__ import annotations
 
 import argparse
+import bisect
 import functools
+import io
+import itertools
 import json
+import os
+import shutil
+import signal
 import sys
+import tempfile
+import threading
 
 import numpy as np
 
@@ -21,15 +29,22 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_CHECK = 3
+EXIT_WORKER = 4
 
 # extract runs consecutive graphs as one disjoint union while their
 # (2 * edges + nodes) * rank stays within this many values; a larger
-# graph runs alone
+# graph runs alone.  The chunks are then split into one contiguous share
+# per usable CPU, each computed and formatted by its own process.
 CHUNK_ELEMENTS = 1 << 15
 
 
 class UsageError(ValueError):
     """Unknown, missing or out-of-range flag; maps to exit code 1."""
+
+
+class WorkerError(RuntimeError):
+    """An extract child process died or raised something other than
+    NonFiniteError; names its graph rows and maps to exit code 4."""
 
 
 def _at_least(lo: int):
@@ -137,6 +152,28 @@ def _chunks(graphs, rank: int) -> list[tuple[int, int]]:
     return bounds
 
 
+def _shares(graphs, chunks, parts: int) -> list[list[tuple[int, int]]]:
+    """Split chunks into `parts` contiguous non-empty runs of about equal
+    (2 * edges + nodes) cost: a chunk joins the run its cost midpoint falls
+    in."""
+    costs = [sum(2 * g.num_edges + g.n for g in graphs[a:b]) for a, b in chunks]
+    mids = [end - cost / 2 for end, cost in zip(itertools.accumulate(costs), costs)]
+    cuts = [0]
+    for i in range(1, parts):
+        cut = bisect.bisect_left(mids, sum(costs) * i / parts)
+        cuts.append(min(max(cut, cuts[-1] + 1), len(chunks) - parts + i))
+    cuts.append(len(chunks))
+    return [chunks[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork, or should not
+    because another Python thread might hold a lock the child would need."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
 def _chunk_rows(graphs, model: ModelConfig, per_node: bool) -> list[np.ndarray]:
     """Per graph, its pooled row or (per_node) its node rows, all computed
     on one disjoint union of the graphs."""
@@ -152,10 +189,26 @@ def _chunk_rows(graphs, model: ModelConfig, per_node: bool) -> list[np.ndarray]:
     return np.split(x, offsets[1:-1])
 
 
-def _rows(dataset, results, per_node: bool):
+def _share_rows(dataset, graphs, share, model: ModelConfig, per_node: bool):
+    """The output rows of the chunks in share, computed one chunk at a time."""
+    for start, stop in share:
+        try:
+            results = _chunk_rows(graphs[start:stop], model, per_node)
+        except NonFiniteError:
+            # run the chunk one graph at a time to name the graph that failed
+            results = []
+            for row in range(start, stop):
+                try:
+                    results.extend(_chunk_rows(graphs[row : row + 1], model, per_node))
+                except NonFiniteError as exc:
+                    raise NonFiniteError(f"graph row {row}, {exc}") from exc
+        yield from _rows(dataset[start:stop], results, per_node, start)
+
+
+def _rows(dataset, results, per_node: bool, first: int = 0):
     """Yield (ids, label, values) per output row: ids is (graph,) or
-    (graph, node), values a list of floats."""
-    for gi, ((_, label), res) in enumerate(zip(dataset, results)):
+    (graph, node), values a list of floats; graphs count from first."""
+    for gi, ((_, label), res) in enumerate(zip(dataset, results), first):
         if per_node:
             for node, values in enumerate(res.tolist()):
                 yield (gi, node), label, values
@@ -163,12 +216,15 @@ def _rows(dataset, results, per_node: bool):
             yield (gi,), label, res.tolist()
 
 
-def _write_csv(fh, rows, width: int, per_node: bool) -> None:
-    """Header, then one line per row with 17 significant digits per value;
-    a missing label is an empty field."""
+def _csv_header(width: int, per_node: bool) -> str:
     names = ["graph", "node"] if per_node else ["graph"]
-    fh.write(",".join(names + ["label"] + [f"f{idx}" for idx in range(width)]) + "\n")
-    line = ",".join(["%d"] * len(names) + ["%s"] + ["%.17g"] * width) + "\n"
+    return ",".join(names + ["label"] + [f"f{idx}" for idx in range(width)]) + "\n"
+
+
+def _write_csv(fh, rows, width: int, per_node: bool) -> None:
+    """One line per row with 17 significant digits per value; a missing
+    label is an empty field."""
+    line = ",".join(["%d"] * (2 if per_node else 1) + ["%s"] + ["%.17g"] * width) + "\n"
     fh.writelines(
         line % (*ids, "" if label is None else label, *values) for ids, label, values in rows
     )
@@ -184,29 +240,101 @@ def _write_jsonl(fh, rows, per_node: bool) -> None:
     fh.writelines(line % (*ids, label_text(label), values) for ids, label, values in rows)
 
 
+def _child(write_share, share, fh, report_fd: int):
+    """Body of a forked child: write its share, report a failure through
+    the pipe (b"N" and an overflow's message, or b"E" and any other
+    exception), and leave by os._exit, never by returning or raising."""
+    code = 1
+    try:
+        try:
+            write_share(share, fh)
+            code = 0
+        except NonFiniteError as exc:
+            os.write(report_fd, b"N" + str(exc).encode())
+        except BaseException as exc:
+            os.write(report_fd, b"E" + f"{type(exc).__name__}: {exc}".encode())
+    finally:
+        os._exit(code)
+
+
+def _run_shares(shares, files, write_share) -> None:
+    """Call write_share(share, file) per share: share 0 in this process, the
+    others in forked children. Returns once every share has succeeded;
+    otherwise kills and reaps every child left and raises the error of the
+    lowest failing share."""
+    children = []  # (pid, read end of its report pipe, share), in share order
+    try:
+        for share, fh in zip(shares[1:], files[1:]):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                os.close(read_fd)
+                _child(write_share, share, fh, write_fd)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb"), share))
+        write_share(shares[0], files[0])
+        while children:
+            pid, pipe, share = children[0]
+            report = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            pipe.close()
+            if code == 0 and not report:
+                continue
+            if report[:1] == b"N":
+                raise NonFiniteError(report[1:].decode())
+            if report:
+                why = report[1:].decode()
+            elif code < 0:
+                why = f"killed by signal {-code}"
+            else:
+                why = f"exited with status {code}"
+            rows = f"{share[0][0]}-{share[-1][1] - 1}"
+            raise WorkerError(f"graph rows {rows}: extract process failed: {why}")
+    finally:
+        for pid, pipe, _ in children:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+            pipe.close()
+
+
 def cmd_extract(args: argparse.Namespace) -> int:
     dataset = load_tu_dataset(args.dataset, args.name)
     model = _build_model(args, dataset[0][0].attr_dim)
     graphs = [g for g, _ in dataset]
-    results = []
-    for start, stop in _chunks(graphs, args.rank):
-        try:
-            results.extend(_chunk_rows(graphs[start:stop], model, args.per_node))
-        except NonFiniteError:
-            # run the chunk one graph at a time to name the graph that failed
-            for row in range(start, stop):
-                try:
-                    results.extend(_chunk_rows(graphs[row : row + 1], model, args.per_node))
-                except NonFiniteError as exc:
-                    raise NonFiniteError(f"graph row {row}, {exc}") from exc
+    chunks = _chunks(graphs, args.rank)
+    shares = _shares(graphs, chunks, min(_usable_cpus(), len(chunks)))
 
-    rows = _rows(dataset, results, args.per_node)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    def write_share(share, fh):
+        text = io.TextIOWrapper(fh, encoding="utf-8")
+        rows = _share_rows(dataset, graphs, share, model, args.per_node)
         if args.fmt == "csv":
-            _write_csv(fh, rows, results[0].shape[-1], args.per_node)
+            _write_csv(text, rows, args.rank, args.per_node)
         else:
-            _write_jsonl(fh, rows, args.per_node)
-    count = sum(map(len, results)) if args.per_node else len(results)
+            _write_jsonl(text, rows, args.per_node)
+        text.detach().flush()  # a child leaves by os._exit, which flushes nothing
+
+    files = [tempfile.TemporaryFile() for _ in shares]
+    try:
+        _run_shares(shares, files, write_share)
+        with open(args.out, "wb") as out:
+            if args.fmt == "csv":
+                out.write(_csv_header(args.rank, args.per_node).encode())
+            for fh in files:
+                fh.seek(0)
+                shutil.copyfileobj(fh, out)
+    finally:
+        for fh in files:
+            fh.close()
+    count = sum(g.n for g in graphs) if args.per_node else len(graphs)
     print(f"wrote {count} rows to {args.out}")
     return EXIT_OK
 
@@ -311,6 +439,9 @@ def main(argv=None) -> int:
     except (DatasetError, NonFiniteError, OSError) as exc:
         print(f"hypograph: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except WorkerError as exc:
+        print(f"hypograph: {exc}", file=sys.stderr)
+        return EXIT_WORKER
 
 
 if __name__ == "__main__":

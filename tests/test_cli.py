@@ -1,7 +1,10 @@
 import argparse
 import io
 import json
+import os
 import re
+import signal
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,7 @@ from conftest import random_labelled_graph, write_tu_files
 import hypograph
 from hypograph import bench, cli, exact, lowrank
 from hypograph.graphs import LabelledGraph, grid_graph, load_tu_dataset, save_tu_dataset
-from hypograph.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from hypograph.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, EXIT_WORKER, main
 from hypograph.verify import run_equivalence_suite
 from hypograph.exact import OracleScaleError
 
@@ -129,6 +132,7 @@ class TestExtract:
         dataset = [(None, 7), (None, None)]
         results = [values[0], values[0][::-1]]
         csv, jsonl = io.StringIO(), io.StringIO()
+        csv.write(cli._csv_header(7, False))
         cli._write_csv(csv, cli._rows(dataset, results, False), 7, False)
         cli._write_jsonl(jsonl, cli._rows(dataset, results, False), False)
         want_csv = ["graph,label," + ",".join(f"f{i}" for i in range(7))]
@@ -231,6 +235,172 @@ class TestExtract:
                 "--out", str(out)]
         assert main(args + (["--per-node"] if per_node else [])) == EXIT_DATA
         assert f"hypograph: data error: graph row 0, {where}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+REAL_FORK = os.fork
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestProcesses:
+    """extract splits its chunks into one contiguous share per usable CPU;
+    every share but the first runs in a forked child."""
+
+    RANK = 4
+    BUDGET = 48 * 4  # CHUNK_ELEMENTS giving 11 chunks of one to three graphs
+
+    @pytest.fixture
+    def many(self, tmp_path, monkeypatch):
+        """(write, graphs) for a 30-graph dataset that splits into many
+        chunks under BUDGET: write(overflow) saves it and returns its
+        directory, giving the graph rows in `overflow` attributes of
+        +-1e300, which overflow the first layer's walk steps."""
+        monkeypatch.setattr(cli, "CHUNK_ELEMENTS", self.BUDGET)
+        rng = np.random.default_rng(8)
+        graphs = [random_labelled_graph(rng, max_nodes=7, max_dim=1) for _ in range(30)]
+
+        def write(overflow=()):
+            dataset = []
+            for row, g in enumerate(graphs):
+                if row in overflow:
+                    g = g.with_attributes([[(-1.0) ** i * 1e300] for i in range(g.n)])
+                dataset.append((g, row % 3))
+            save_tu_dataset(str(tmp_path), "many", dataset)
+            return tmp_path
+
+        return write, graphs
+
+    def run(self, monkeypatch, data_dir, out, procs, **extra):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: procs)
+        forks = []
+
+        def counted_fork():
+            forks.append(1)
+            return REAL_FORK()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        code = main(extract_args(data_dir, out, name="many", walk_length=3, **extra))
+        assert_no_child_left()
+        return code, len(forks)
+
+    def test_shares_are_contiguous_balanced_and_cover_every_chunk(self, many, monkeypatch):
+        _, graphs = many
+        chunks = cli._chunks(graphs, self.RANK)
+        assert len(chunks) >= 10
+        costs = {c: sum(2 * g.num_edges + g.n for g in graphs[c[0]:c[1]]) for c in chunks}
+        for parts in range(1, len(chunks) + 1):
+            shares = cli._shares(graphs, chunks, parts)
+            assert len(shares) == parts and all(shares)
+            assert [c for share in shares for c in share] == chunks
+            for share in shares:
+                cost = sum(costs[c] for c in share)
+                assert cost <= sum(costs.values()) / parts + max(costs.values())
+        # one chunk dominating the cost still leaves every share a chunk
+        heavy = [grid_graph(6, seed=1)] + graphs[:3]
+        monkeypatch.setattr(cli, "CHUNK_ELEMENTS", 0)
+        shares = cli._shares(heavy, cli._chunks(heavy, self.RANK), 4)
+        assert shares == [[(0, 1)], [(1, 2)], [(2, 3)], [(3, 4)]]
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("per_node", [False, True])
+    def test_output_bytes_do_not_depend_on_process_count(
+        self, many, monkeypatch, tmp_path, fmt, per_node
+    ):
+        write, graphs = many
+        data_dir = write()
+        extra = {"format": fmt, "layers": 2, "attention": True}
+        if per_node:
+            extra["per_node"] = True
+        outputs = []
+        for procs in (1, 2, 3):
+            out = tmp_path / f"p{procs}.{fmt}"
+            assert self.run(monkeypatch, data_dir, out, procs, **extra) == (EXIT_OK, procs - 1)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+        rows = sum(g.n for g in graphs) if per_node else len(graphs)
+        assert outputs[0].count(b"\n") == rows + (fmt == "csv")
+
+    def test_one_chunk_never_forks(self, tiny_dataset, tmp_path, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked for a one-chunk dataset")
+
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(os, "fork", no_fork)
+        out = tmp_path / "one.csv"
+        assert main(extract_args(tiny_dataset, out)) == EXIT_OK
+        assert len(out.read_text().splitlines()) == 3
+
+    def test_no_fork_while_another_thread_runs(self):
+        assert cli._usable_cpus() == len(os.sched_getaffinity(0))
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert cli._usable_cpus() == 1
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    @pytest.mark.parametrize("procs", [2, 3])
+    def test_lowest_overflowing_share_is_reported(self, many, monkeypatch, tmp_path, capsys, procs):
+        write, graphs = many
+        shares = cli._shares(graphs, cli._chunks(graphs, self.RANK), procs)
+        # the first graph of each of the last two shares overflows: with 3
+        # processes both are children's, with 2 the parent's and a child's
+        first, second = (share[0][0] for share in shares[-2:])
+        data_dir = write(overflow=(first, second))
+        out = tmp_path / "o.csv"
+        assert self.run(monkeypatch, data_dir, out, 1) == (EXIT_DATA, 0)
+        alone = capsys.readouterr().err
+        assert alone.startswith(f"hypograph: data error: graph row {first}, layer 1: ")
+        assert self.run(monkeypatch, data_dir, out, procs) == (EXIT_DATA, procs - 1)
+        assert capsys.readouterr().err == alone
+        assert not out.exists()
+
+    def test_overflow_in_child_share_only(self, many, monkeypatch, tmp_path, capsys):
+        write, graphs = many
+        last = cli._shares(graphs, cli._chunks(graphs, self.RANK), 2)[1]
+        data_dir = write(overflow=(last[-1][0],))
+        out = tmp_path / "o.jsonl"
+        code = self.run(monkeypatch, data_dir, out, 2, format="jsonl", per_node=True)
+        assert code == (EXIT_DATA, 1)
+        err = capsys.readouterr().err
+        assert err.startswith(f"hypograph: data error: graph row {last[-1][0]}, layer 1: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("death, why", [
+        ("signal", "killed by signal 9"),
+        ("raise", "RuntimeError: not a NonFiniteError"),
+    ])
+    def test_failed_child_exits_nonzero_naming_its_rows(
+        self, many, monkeypatch, tmp_path, capsys, death, why
+    ):
+        write, graphs = many
+        data_dir = write()
+        shares = cli._shares(graphs, cli._chunks(graphs, self.RANK), 3)
+        real = cli._share_rows
+
+        def share_rows(dataset, graphs, share, *rest):
+            # the child computing share 1 fails before its first row
+            if share == shares[1]:
+                if death == "signal":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("not a NonFiniteError")
+            return real(dataset, graphs, share, *rest)
+
+        monkeypatch.setattr(cli, "_share_rows", share_rows)
+        out = tmp_path / "o.csv"
+        assert self.run(monkeypatch, data_dir, out, 3) == (EXIT_WORKER, 2)
+        rows = f"{shares[1][0][0]}-{shares[1][-1][1] - 1}"
+        assert capsys.readouterr().err == (
+            f"hypograph: graph rows {rows}: extract process failed: {why}\n"
+        )
         assert not out.exists()
 
 
