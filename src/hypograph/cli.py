@@ -20,7 +20,8 @@ import numpy as np
 from .config import FeatureConfig
 from .exact import OracleScaleError
 from .graphs import DatasetError, dataset_summary, disjoint_union, load_tu_dataset
-from .layers import LayerParams, ModelConfig, init_params, layer_forward, model_forward
+from .layers import LayerParams, ModelConfig, init_params, model_forward
+from .layers import layer_forward  # not called here: perfbench traces cli.layer_forward
 from .lowrank import NonFiniteError
 from .verify import TOLERANCE, run_equivalence_suite
 from . import bench as bench_mod
@@ -135,7 +136,7 @@ def _build_model(args: argparse.Namespace, attr_dim: int) -> ModelConfig:
     for seed in layer_seeds:
         layers.append(init_params(width, cfg, seed, attention=args.attention, heads=args.heads))
         width = args.rank
-    return ModelConfig(tuple(layers), pooling="mean", seed=args.seed)
+    return ModelConfig(tuple(layers), pooling=None if args.per_node else "mean", seed=args.seed)
 
 
 def _chunks(graphs, rank: int) -> list[tuple[int, int]]:
@@ -174,35 +175,28 @@ def _usable_cpus() -> int:
     return 1
 
 
-def _chunk_rows(graphs, model: ModelConfig, per_node: bool) -> list[np.ndarray]:
-    """Per graph, its pooled row or (per_node) its node rows, all computed
-    on one disjoint union of the graphs."""
+def _chunk_rows(graphs, model: ModelConfig) -> list[np.ndarray]:
+    """Per graph, its pooled row or (pooling None) its node rows, all
+    computed on one disjoint union of the graphs."""
     union, offsets = disjoint_union(graphs)
-    if not per_node:
-        return list(model_forward(union, model, offsets))
-    x = union.attributes
-    for idx, layer in enumerate(model.layers):
-        try:
-            x = layer_forward(union, x, layer)
-        except NonFiniteError as exc:
-            raise NonFiniteError(f"layer {idx + 1}: {exc}") from exc
-    return np.split(x, offsets[1:-1])
+    x = model_forward(union, model, offsets)
+    return np.split(x, offsets[1:-1]) if model.pooling is None else list(x)
 
 
-def _share_rows(dataset, graphs, share, model: ModelConfig, per_node: bool):
+def _share_rows(dataset, graphs, share, model: ModelConfig):
     """The output rows of the chunks in share, computed one chunk at a time."""
     for start, stop in share:
         try:
-            results = _chunk_rows(graphs[start:stop], model, per_node)
+            results = _chunk_rows(graphs[start:stop], model)
         except NonFiniteError:
             # run the chunk one graph at a time to name the graph that failed
             results = []
             for row in range(start, stop):
                 try:
-                    results.extend(_chunk_rows(graphs[row : row + 1], model, per_node))
+                    results.extend(_chunk_rows(graphs[row : row + 1], model))
                 except NonFiniteError as exc:
                     raise NonFiniteError(f"graph row {row}, {exc}") from exc
-        yield from _rows(dataset[start:stop], results, per_node, start)
+        yield from _rows(dataset[start:stop], results, model.pooling is None, start)
 
 
 def _rows(dataset, results, per_node: bool, first: int = 0):
@@ -315,7 +309,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
     def write_share(share, fh):
         text = io.TextIOWrapper(fh, encoding="utf-8")
-        rows = _share_rows(dataset, graphs, share, model, args.per_node)
+        rows = _share_rows(dataset, graphs, share, model)
         if args.fmt == "csv":
             _write_csv(text, rows, args.rank, args.per_node)
         else:

@@ -264,13 +264,12 @@ class AttentionParams:
     """Additive-attention weights for learned walk transitions.
 
     One source/target vector pair per head; scores pass through a leaky
-    rectifier with the fixed slope 0.2 before the per-neighbourhood
-    softmax.
+    rectifier with the fixed slope ``LEAKY_SLOPE`` (0.2) before the
+    per-neighbourhood softmax.
     """
 
     w_source: np.ndarray
     w_target: np.ndarray
-    leaky_slope: float = LEAKY_SLOPE
 
     def __post_init__(self):
         ws = np.atleast_2d(np.asarray(self.w_source, dtype=np.float64))
@@ -279,8 +278,6 @@ class AttentionParams:
             raise ValueError("w_source and w_target must have matching shapes")
         if not (np.all(np.isfinite(ws)) and np.all(np.isfinite(wt))):
             raise ValueError("attention weights must be finite")
-        if self.leaky_slope != LEAKY_SLOPE:
-            raise ValueError(f"leaky_slope is fixed at {LEAKY_SLOPE}")
         ws.flags.writeable = False
         wt.flags.writeable = False
         object.__setattr__(self, "w_source", ws)
@@ -442,7 +439,13 @@ def load_tu_dataset(path: str, name: str):
                 f"{labels_path}: {len(raw)} labels for {num_nodes} nodes"
             )
         lo, hi = int(raw.min()), int(raw.max())
-        onehot = np.zeros((num_nodes, hi - lo + 1), dtype=np.float64)
+        try:
+            onehot = np.zeros((num_nodes, hi - lo + 1), dtype=np.float64)
+        except (MemoryError, ValueError) as exc:
+            raise DatasetError(
+                f"{labels_path}: node labels {lo}..{hi} are too wide a range to one-hot "
+                f"encode for {num_nodes} nodes"
+            ) from exc
         onehot[np.arange(num_nodes), raw[order] - lo] = 1.0
         blocks.append(onehot)
     if os.path.exists(attrs_path):

@@ -4,14 +4,15 @@ Forward inference only.  Each layer turns n x d node attributes into an
 n x R feature matrix by projecting walk-history features onto R rank-1
 functionals (all M degrees each) and mixing the R*M values back down to
 R; stacked layers feed one layer's output to the next as attributes, so
-the effective walk length grows additively.
+the effective walk length grows additively.  The model then pools the
+last layer's node rows per graph, or with pooling None returns them.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -55,18 +56,14 @@ class LayerParams:
             )
         if bias.shape != (rank,):
             raise ValueError(f"bias must be ({rank},), got {bias.shape}")
-        if self.attention is not None:
-            if self.attention.dim != self.attr_dim_from(dim):
-                raise ValueError("attention dimension does not match attributes")
+        if self.attention is not None and self.config.lift_dim(self.attention.dim) != dim:
+            raise ValueError("attention dimension does not match attributes")
         vectors.flags.writeable = False
         mixing.flags.writeable = False
         bias.flags.writeable = False
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "mixing", mixing)
         object.__setattr__(self, "bias", bias)
-
-    def attr_dim_from(self, lift_dim: int) -> int:
-        return lift_dim - 1 if self.config.time_param else lift_dim
 
     @property
     def rank(self) -> int:
@@ -75,23 +72,24 @@ class LayerParams:
     @property
     def attr_dim(self) -> int:
         """Attribute width this layer expects."""
-        return self.attr_dim_from(int(self.vectors.shape[2]))
+        return int(self.vectors.shape[2]) - self.config.lift_dim(0)
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """An ordered stack of layers plus the final pooling mode."""
+    """An ordered stack of layers plus the final pooling mode: "mean",
+    "sum", or None for the last layer's node rows unpooled."""
 
     layers: tuple[LayerParams, ...]
-    pooling: str = "mean"
+    pooling: str | None = "mean"
     seed: int | None = None
 
     def __post_init__(self):
         layers = tuple(self.layers)
         if not layers:
             raise ValueError("need at least one layer")
-        if self.pooling not in ("mean", "sum"):
-            raise ValueError(f"pooling must be 'mean' or 'sum', got {self.pooling!r}")
+        if self.pooling not in ("mean", "sum", None):
+            raise ValueError(f"pooling must be 'mean', 'sum' or None, got {self.pooling!r}")
         for prev, nxt in zip(layers, layers[1:]):
             if prev.rank != nxt.attr_dim:
                 raise ValueError(
@@ -169,9 +167,10 @@ def model_forward(g: LabelledGraph, model: ModelConfig, offsets=None) -> np.ndar
 
     Returns one (R,) row, or with ``offsets`` (as from
     :func:`~hypograph.graphs.disjoint_union`) a (G, R) array pooling each
-    node segment ``offsets[i]:offsets[i + 1]`` on its own.  Raises
-    :class:`~hypograph.lowrank.NonFiniteError` naming the layer, or the
-    pooling, where a value overflows.
+    node segment ``offsets[i]:offsets[i + 1]`` on its own.  With pooling
+    None it returns the last layer's (n, R) node rows, offsets or not.
+    Raises :class:`~hypograph.lowrank.NonFiniteError` naming the layer,
+    or the pooling, where a value overflows.
     """
     single = offsets is None
     offsets = np.array([0, g.n] if single else offsets, dtype=np.int64)
@@ -183,6 +182,8 @@ def model_forward(g: LabelledGraph, model: ModelConfig, offsets=None) -> np.ndar
             x = layer_forward(g, x, layer)
         except NonFiniteError as exc:
             raise NonFiniteError(f"layer {idx + 1}: {exc}") from exc
+    if model.pooling is None:
+        return x
     pool = np.mean if model.pooling == "mean" else np.sum
     with np.errstate(over="ignore", invalid="ignore"):
         pooled = np.stack([pool(x[a:b], axis=0) for a, b in zip(offsets[:-1], offsets[1:])])
@@ -209,25 +210,13 @@ MODEL_FORMAT = "hypograph-model"
 MODEL_VERSION = 1
 
 
-def _config_dict(cfg: FeatureConfig) -> dict:
-    return {
-        "walk_length": cfg.walk_length,
-        "max_degree": cfg.max_degree,
-        "rank": cfg.rank,
-        "diff": cfg.diff,
-        "zero_start": cfg.zero_start,
-        "time_param": cfg.time_param,
-        "lift_coeffs": list(cfg.lift_coeffs) if cfg.lift_coeffs is not None else None,
-    }
-
-
 def save_params(path: str, model: ModelConfig) -> None:
     """Serialize a model to versioned JSON.
 
-    Field order is fixed: header, then per layer the feature config, the
-    u-vectors grouped by functional then position, the mixing matrix in
-    row-major order, the bias, and the optional attention weights.  Floats
-    round-trip exactly.
+    Field order is fixed: header, then per layer the FeatureConfig fields
+    in declaration order, the u-vectors grouped by functional then
+    position, the mixing matrix in row-major order, the bias, and the
+    optional attention weights.  Floats round-trip exactly.
     """
     doc = {
         "format": MODEL_FORMAT,
@@ -237,7 +226,7 @@ def save_params(path: str, model: ModelConfig) -> None:
         "layers": [],
     }
     for layer in model.layers:
-        entry = _config_dict(layer.config)
+        entry = asdict(layer.config)
         entry["u_vectors"] = layer.vectors.tolist()
         entry["mixing"] = layer.mixing.tolist()
         entry["bias"] = layer.bias.tolist()
@@ -265,15 +254,7 @@ def load_params(path: str) -> ModelConfig:
         raise ValueError(f"unsupported version {doc.get('version')}")
     layers = []
     for entry in doc["layers"]:
-        cfg = FeatureConfig(
-            walk_length=entry["walk_length"],
-            max_degree=entry["max_degree"],
-            rank=entry["rank"],
-            diff=entry["diff"],
-            zero_start=entry["zero_start"],
-            time_param=entry["time_param"],
-            lift_coeffs=None if entry["lift_coeffs"] is None else tuple(entry["lift_coeffs"]),
-        )
+        cfg = FeatureConfig(**{f.name: entry[f.name] for f in fields(FeatureConfig)})
         attn = None
         if entry.get("attention") is not None:
             attn = AttentionParams(

@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import io
 import json
 import os
@@ -534,6 +535,35 @@ def test_blank_indicator_is_data_error_naming_file(tmp_path, capsys, command):
     indicator = tmp_path / "blank_graph_indicator.txt"
     assert capsys.readouterr().err == f"hypograph: data error: {indicator} is empty\n"
     assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["extract", "describe"])
+@pytest.mark.parametrize("top", [10**12, 2**62])
+def test_wide_node_label_range_is_data_error_naming_file(tmp_path, capsys, command, top):
+    # one-hot width top + 1 cannot be allocated (10**12) or exceeds the
+    # largest array numpy can describe (2**62)
+    write_tu_files(tmp_path, "wide", [(1, 2), (2, 1)], [1, 1], node_labels=[0, top])
+    args = [command, "--dataset", str(tmp_path), "--name", "wide"]
+    if command == "extract":
+        args += ["--out", str(tmp_path / "o.csv")]
+    assert main(args) == EXIT_DATA
+    labels = tmp_path / "wide_node_labels.txt"
+    assert capsys.readouterr().err == (
+        f"hypograph: data error: {labels}: node labels 0..{top} are too wide a range "
+        "to one-hot encode for 2 nodes\n"
+    )
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_benchmark_trace_targets_resolve(monkeypatch):
+    # perfbench's tracer replaces each (module, attribute) in SPANS, some of
+    # which nothing in the package calls; a missing one breaks --trace 1
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    worker = importlib.import_module("worker")
+    for name, targets in worker.SPANS.items():
+        for module, attr in targets:
+            assert callable(getattr(module, attr, None)), f"{name}: {module.__name__}.{attr}"
+    assert worker.RankOneFunctional is lowrank.RankOneFunctional
 
 
 class TestFullScalePipeline:

@@ -277,7 +277,8 @@ class TestAttentionTransition:
         np.testing.assert_allclose(combined, np.mean(singles, axis=0), atol=1e-14)
 
     def test_slope_is_pinned(self):
-        with pytest.raises(ValueError):
+        # the slope is the module constant LEAKY_SLOPE, not a field
+        with pytest.raises(TypeError):
             AttentionParams(np.zeros(2), np.zeros(2), leaky_slope=0.1)
 
     def test_dimension_mismatch(self):

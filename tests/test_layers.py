@@ -174,6 +174,29 @@ class TestModelForward:
         with pytest.raises(ValueError, match="offsets"):
             model_forward(g, model, offsets)
 
+    def test_node_rows_match_each_graph(self):
+        # pooling None returns the stack's node rows; a union's rows split
+        # into each member's own, isolated node included
+        rng = np.random.default_rng(19)
+        graphs = [LabelledGraph(g.n, g.edges, rng.standard_normal((g.n, 2)))
+                  for g in (random_labelled_graph(rng) for _ in range(2))]
+        graphs.append(LabelledGraph(1, [], [[0.3, -1.0]]))
+        model = ModelConfig(
+            (make_layer(rng, 2, rank=3, attention=True), make_layer(rng, 3, rank=2)), None
+        )
+        union, offsets = disjoint_union(graphs)
+        rows = model_forward(union, model, offsets)
+        assert rows.shape == (union.n, 2)
+        for a, b, g in zip(offsets[:-1], offsets[1:], graphs):
+            np.testing.assert_allclose(rows[a:b], model_forward(g, model), rtol=0, atol=1e-12)
+        with pytest.raises(ValueError, match="offsets"):
+            model_forward(union, model, offsets[1:])
+
+    def test_unknown_pooling_rejected(self):
+        layer = make_layer(np.random.default_rng(20), 2)
+        with pytest.raises(ValueError, match="pooling must be 'mean', 'sum' or None"):
+            ModelConfig((layer,), pooling="max")
+
     def test_isomorphic_graphs_give_equal_output(self):
         rng = np.random.default_rng(7)
         g = random_labelled_graph(rng)
@@ -307,6 +330,32 @@ class TestSerialization:
         g = random_labelled_graph(np.random.default_rng(15), max_dim=3)
         g = g.with_attributes(np.random.default_rng(16).standard_normal((g.n, 3)))
         np.testing.assert_array_equal(model_forward(g, model), model_forward(g, loaded))
+
+    def test_node_row_model_round_trips_as_null(self, tmp_path):
+        rng = np.random.default_rng(21)
+        model = ModelConfig((make_layer(rng, 2, rank=3),), pooling=None)
+        path = tmp_path / "model.json"
+        save_params(str(path), model)
+        assert json.loads(path.read_text())["pooling"] is None
+        loaded = load_params(str(path))
+        assert loaded.pooling is None
+        g = LabelledGraph(3, [(0, 1)], rng.standard_normal((3, 2)))
+        rows = model_forward(g, loaded)
+        assert rows.shape == (3, 3)
+        np.testing.assert_array_equal(rows, model_forward(g, model))
+
+    def test_layer_entry_keys_are_pinned(self, tmp_path):
+        # the file lists FeatureConfig's fields in declaration order, so
+        # reordering or renaming a field changes the model file format
+        layer = make_layer(np.random.default_rng(22), 2, lift_coeffs=(1.0, 0.5, 0.25))
+        path = tmp_path / "model.json"
+        save_params(str(path), ModelConfig((layer,)))
+        entry = json.loads(path.read_text())["layers"][0]
+        assert list(entry) == [
+            "walk_length", "max_degree", "rank", "diff", "zero_start", "time_param",
+            "lift_coeffs", "u_vectors", "mixing", "bias", "attention",
+        ]
+        assert entry["lift_coeffs"] == [1.0, 0.5, 0.25]
 
     def test_vectors_must_match_config_rank_and_degree(self):
         layer = make_layer(np.random.default_rng(17), 2, rank=4)
