@@ -15,21 +15,29 @@ from .lowrank import batch_features
 LINEAR_RATIO_BOUND = 2.5
 
 
-def time_batch(
-    g: LabelledGraph, cfg: FeatureConfig, seed: int = 0, repeats: int = 5
-) -> float:
-    """Median wall-clock seconds of batch_features; one warm-up run discarded."""
+def _timer(g: LabelledGraph, cfg: FeatureConfig, seed: int):
+    """Zero-argument callable returning the wall-clock seconds of one
+    batch_features run; one warm-up run is made and discarded here."""
     rng = np.random.default_rng(seed)
     dim = cfg.lift_dim(g.attr_dim)
     vectors = rng.standard_normal((cfg.rank, cfg.max_degree, dim))
     p = transition_matrix(g)
-    batch_features(g, p, vectors, cfg)  # warm-up
-    samples = []
-    for _ in range(repeats):
+
+    def run() -> float:
         start = time.perf_counter()
         batch_features(g, p, vectors, cfg)
-        samples.append(time.perf_counter() - start)
-    return float(np.median(samples))
+        return time.perf_counter() - start
+
+    run()  # warm-up
+    return run
+
+
+def time_batch(
+    g: LabelledGraph, cfg: FeatureConfig, seed: int = 0, repeats: int = 5
+) -> float:
+    """Median wall-clock seconds of batch_features; one warm-up run discarded."""
+    run = _timer(g, cfg, seed)
+    return float(np.median([run() for _ in range(repeats)]))
 
 
 @dataclass
@@ -119,18 +127,18 @@ def degree_scaling(
     repeats: int = 5,
     seed: int = 0,
 ) -> dict:
-    """Time the recursion at two tensor degrees on one fixed path graph."""
+    """Time the recursion at two tensor degrees on one fixed path graph, in
+    ``repeats`` interleaved pairs; the ratio is the median per-pair ratio,
+    so a burst of host load slows both runs of a pair, not one degree."""
     g = path_graph(2**edges_exp, seed=seed)
-    times = {}
-    for deg in degrees:
-        cfg = FeatureConfig(
-            walk_length=walk_length, max_degree=deg, rank=rank, diff=True,
-            zero_start=True,
-        )
-        times[deg] = time_batch(g, cfg, seed=seed, repeats=repeats)
     lo, hi = degrees
+    run_lo, run_hi = (
+        _timer(g, FeatureConfig(walk_length=walk_length, max_degree=deg, rank=rank), seed)
+        for deg in degrees
+    )
+    pairs = np.array([(run_lo(), run_hi()) for _ in range(repeats)])
     return {
         "edges": g.num_edges,
-        "seconds": times,
-        "ratio": times[hi] / times[lo],
+        "seconds": {lo: float(np.median(pairs[:, 0])), hi: float(np.median(pairs[:, 1]))},
+        "ratio": float(np.median(pairs[:, 1] / pairs[:, 0])),
     }

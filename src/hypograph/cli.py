@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_extract.add_argument("--time-param", action="store_true")
     p_extract.add_argument("--attention", action="store_true")
-    p_extract.add_argument("--heads", type=_at_least(1), default=1)
+    p_extract.add_argument("--heads", type=_at_least(1), help="with --attention only (default 1)")
     p_extract.add_argument("--out", required=True, help="output file path")
     p_extract.add_argument("--format", dest="fmt", choices=("csv", "jsonl"), default="csv")
     p_extract.add_argument("--per-node", action="store_true")
@@ -134,7 +134,7 @@ def _build_model(args: argparse.Namespace, attr_dim: int) -> ModelConfig:
     layers: list[LayerParams] = []
     width = attr_dim
     for seed in layer_seeds:
-        layers.append(init_params(width, cfg, seed, attention=args.attention, heads=args.heads))
+        layers.append(init_params(width, cfg, seed, args.attention, args.heads or 1))
         width = args.rank
     return ModelConfig(tuple(layers), pooling=None if args.per_node else "mean", seed=args.seed)
 
@@ -301,6 +301,8 @@ def _run_shares(shares, files, write_share) -> None:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
+    if args.heads is not None and not args.attention:
+        raise UsageError("argument --heads: only valid with --attention")
     dataset = load_tu_dataset(args.dataset, args.name)
     model = _build_model(args, dataset[0][0].attr_dim)
     graphs = [g for g, _ in dataset]

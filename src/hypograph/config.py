@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -27,6 +28,14 @@ class FeatureConfig:
     lift_coeffs: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        for name in ("walk_length", "max_degree", "rank"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name in ("diff", "zero_start", "time_param"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
         if self.walk_length < 0:
             raise ValueError(f"walk_length must be >= 0, got {self.walk_length}")
         if self.max_degree < 1:

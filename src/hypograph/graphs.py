@@ -25,6 +25,28 @@ class DatasetError(ValueError):
     """TU dataset files are missing, malformed, or inconsistent."""
 
 
+class NonFiniteError(ArithmeticError):
+    """A walk transition or feature computation produced a non-finite value."""
+
+
+def frozen(values, dtype=np.float64, what: str | None = None) -> np.ndarray:
+    """Read-only C-contiguous ``dtype`` array of ``values`` that no caller
+    can write through: a writeable array, or a view of one, is copied, and
+    a read-only array with no writeable base is shared.  With ``what``, a
+    non-finite entry raises ``ValueError("{what} must be finite")``."""
+    arr = np.asarray(values, dtype=dtype, order="C")
+    if arr is values or arr.base is not None:
+        owner = arr
+        while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+            owner = owner.base
+        if isinstance(owner, np.ndarray):
+            arr = arr.copy()
+    arr.flags.writeable = False
+    if what is not None and not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite")
+    return arr
+
+
 @dataclass(frozen=True)
 class AdjacencyPattern:
     """Immutable CSR pattern shared by all sparse matrices on one graph."""
@@ -35,16 +57,12 @@ class AdjacencyPattern:
 
     def __post_init__(self):
         for name in ("indptr", "indices"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.int32)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen(getattr(self, name), np.int32))
 
     @cached_property
     def rows(self) -> np.ndarray:
         """Row index of every stored entry (same length as indices)."""
-        out = np.repeat(np.arange(self.n, dtype=np.int32), np.diff(self.indptr))
-        out.flags.writeable = False
-        return out
+        return frozen(np.repeat(np.arange(self.n, dtype=np.int32), np.diff(self.indptr)), np.int32)
 
     @cached_property
     def incidence(self) -> sparse.csr_matrix:
@@ -75,12 +93,9 @@ class AdjacencyPattern:
 def _checked_attributes(n: int, attributes) -> np.ndarray:
     """Read-only float64 (n, d) attribute matrix; rejects other shapes and
     non-finite values."""
-    attributes = np.ascontiguousarray(attributes, dtype=np.float64)
+    attributes = frozen(attributes, what="attributes")
     if attributes.ndim != 2 or attributes.shape[0] != n:
         raise ValueError(f"attributes must be (n, d) with n={n}, got {attributes.shape}")
-    if not np.all(np.isfinite(attributes)):
-        raise ValueError("attributes must be finite")
-    attributes.flags.writeable = False
     return attributes
 
 
@@ -103,10 +118,9 @@ class LabelledGraph:
             # sorted unique (i, j) pairs with i < j, through one code per pair
             lo, hi = np.minimum(edges[:, 0], edges[:, 1]), np.maximum(edges[:, 0], edges[:, 1])
             codes = np.unique(lo * n + hi)
-            edges = np.column_stack([codes // n, codes % n])
-        edges.flags.writeable = False
+            edges = np.column_stack(np.divmod(codes, n))
         self.n = n
-        self.edges = edges
+        self.edges = frozen(edges, np.int64)
         self.attributes = _checked_attributes(n, attributes)
 
     @property
@@ -119,26 +133,18 @@ class LabelledGraph:
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        np.add.at(deg, self.edges.ravel(), 1)
-        deg.flags.writeable = False
-        return deg
+        return frozen(np.bincount(self.edges.ravel(), minlength=self.n), np.int64)
 
     @cached_property
     def pattern(self) -> AdjacencyPattern:
-        """Adjacency pattern plus diagonal slots for isolated nodes."""
+        """Adjacency pattern plus diagonal slots for isolated nodes, built
+        from the sorted pair codes i * n + j that the constructor uses."""
+        n = self.n
         i, j = self.edges[:, 0], self.edges[:, 1]
-        rows = np.concatenate([i, j])
-        cols = np.concatenate([j, i])
         isolated = np.flatnonzero(self.degrees == 0)
-        rows = np.concatenate([rows, isolated])
-        cols = np.concatenate([cols, isolated])
-        order = np.lexsort((cols, rows))
-        rows, cols = rows[order], cols[order]
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.add.at(indptr, rows + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return AdjacencyPattern(self.n, indptr, cols)
+        codes = np.sort(np.concatenate([i * n + j, j * n + i, isolated * (n + 1)]))
+        rows, cols = np.divmod(codes, n)
+        return AdjacencyPattern(n, np.searchsorted(rows, np.arange(n + 1)), cols)
 
     def with_attributes(self, attributes) -> "LabelledGraph":
         """Same topology, new attributes (used for layer stacking).
@@ -194,7 +200,7 @@ class RowStochastic:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
+        values = frozen(self.values, what="transition values")
         if values.shape != (self.pattern.nnz,):
             raise ValueError("values must align with the pattern entries")
         if np.any(values < 0.0) or np.any(values > 1.0):
@@ -202,7 +208,6 @@ class RowStochastic:
         row_sums = np.add.reduceat(values, self.pattern.indptr[:-1])
         if np.any(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
             raise ValueError("rows must sum to 1")
-        values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
     @property
@@ -217,32 +222,30 @@ class RowStochastic:
         return self.matrix.toarray()
 
 
-def _normalize_rows(pattern: AdjacencyPattern, weights: np.ndarray) -> RowStochastic:
+def _row_normalized(pattern: AdjacencyPattern, weights: np.ndarray) -> np.ndarray:
+    """``weights`` on the pattern entries, each divided by its row's sum."""
     row_sums = np.add.reduceat(weights, pattern.indptr[:-1])
-    values = weights / np.repeat(row_sums, np.diff(pattern.indptr))
-    return RowStochastic(pattern, values)
+    return weights / np.repeat(row_sums, np.diff(pattern.indptr))
 
 
 def transition_matrix(g: LabelledGraph) -> RowStochastic:
     """Uniform walk: probability 1/deg(i) per neighbour; isolated nodes stay."""
     pattern = g.pattern
-    deg = np.maximum(g.degrees, 1).astype(np.float64)
-    values = 1.0 / deg[pattern.rows]
-    return RowStochastic(pattern, values)
+    return RowStochastic(pattern, _row_normalized(pattern, np.ones(pattern.nnz)))
 
 
 def weighted_transition(g: LabelledGraph, weights) -> RowStochastic:
     """Walk with positive edge weights, rows normalized to 1.
 
-    ``weights`` maps undirected edges to positive reals; keys may use
-    either endpoint order.  Both directions of an edge share its weight,
-    and isolated nodes keep their unit self-loop.
+    ``weights`` maps undirected edges to positive finite reals; keys may
+    use either endpoint order.  Both directions of an edge share its
+    weight, and isolated nodes keep their unit self-loop.
     """
     lookup = {}
     for (a, b), w in dict(weights).items():
         w = float(w)
-        if w <= 0.0:
-            raise ValueError(f"weight for edge ({a}, {b}) must be positive, got {w}")
+        if not 0.0 < w < np.inf:
+            raise ValueError(f"weight for edge ({a}, {b}) must be positive and finite, got {w}")
         lookup[(min(a, b), max(a, b))] = w
     edge_weight = []
     for key in map(tuple, g.edges.tolist()):
@@ -256,7 +259,7 @@ def weighted_transition(g: LabelledGraph, weights) -> RowStochastic:
     slot = np.searchsorted(g.edges[:, 0] * n + g.edges[:, 1], lo * n + hi)
     # isolated nodes keep their unit self-loop
     raw = np.where(lo == hi, 1.0, np.append(edge_weight, 1.0)[slot])
-    return _normalize_rows(pattern, raw)
+    return RowStochastic(pattern, _row_normalized(pattern, raw))
 
 
 @dataclass(frozen=True)
@@ -272,16 +275,11 @@ class AttentionParams:
     w_target: np.ndarray
 
     def __post_init__(self):
-        ws = np.atleast_2d(np.asarray(self.w_source, dtype=np.float64))
-        wt = np.atleast_2d(np.asarray(self.w_target, dtype=np.float64))
-        if ws.shape != wt.shape:
+        for name in ("w_source", "w_target"):
+            weights = frozen(np.atleast_2d(getattr(self, name)), what="attention weights")
+            object.__setattr__(self, name, weights)
+        if self.w_source.shape != self.w_target.shape:
             raise ValueError("w_source and w_target must have matching shapes")
-        if not (np.all(np.isfinite(ws)) and np.all(np.isfinite(wt))):
-            raise ValueError("attention weights must be finite")
-        ws.flags.writeable = False
-        wt.flags.writeable = False
-        object.__setattr__(self, "w_source", ws)
-        object.__setattr__(self, "w_target", wt)
 
     @property
     def heads(self) -> int:
@@ -303,7 +301,8 @@ def attention_transition(g: LabelledGraph, params: AttentionParams) -> RowStocha
     leaky_relu(<w_source, f(i)> + <w_target, f(j)>).  With several heads,
     each head's transition matrix is computed independently and the
     matrices are averaged, which preserves row-stochasticity.  Isolated
-    nodes keep their unit self-loop.
+    nodes keep their unit self-loop.  Raises :class:`NonFiniteError` if a
+    score overflows.
     """
     if params.dim != g.attr_dim:
         raise ValueError(
@@ -311,16 +310,18 @@ def attention_transition(g: LabelledGraph, params: AttentionParams) -> RowStocha
         )
     pattern = g.pattern
     rows, cols = pattern.rows, pattern.indices
-    src = g.attributes @ params.w_source.T  # (n, heads)
-    tgt = g.attributes @ params.w_target.T
     counts = np.diff(pattern.indptr)
     accum = np.zeros(pattern.nnz, dtype=np.float64)
-    for h in range(params.heads):
-        scores = _leaky_relu(src[rows, h] + tgt[cols, h])
-        row_max = np.maximum.reduceat(scores, pattern.indptr[:-1])
-        expd = np.exp(scores - np.repeat(row_max, counts))
-        denom = np.add.reduceat(expd, pattern.indptr[:-1])
-        accum += expd / np.repeat(denom, counts)
+    # overflow surfaces as NonFiniteError; finite scores give softmax terms in [0, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        src = g.attributes @ params.w_source.T  # (n, heads)
+        tgt = g.attributes @ params.w_target.T
+        for h in range(params.heads):
+            scores = _leaky_relu(src[rows, h] + tgt[cols, h])
+            if not np.isfinite(scores).all():
+                raise NonFiniteError("non-finite value in the attention transition")
+            row_max = np.maximum.reduceat(scores, pattern.indptr[:-1])
+            accum += _row_normalized(pattern, np.exp(scores - np.repeat(row_max, counts)))
     return RowStochastic(pattern, accum / params.heads)
 
 
@@ -459,6 +460,8 @@ def load_tu_dataset(path: str, name: str):
     if not blocks:
         raise DatasetError(f"need {labels_path} or {attrs_path}")
     attributes = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
+    # frozen in place, so the graphs share its per-graph views, not copies
+    attributes.flags.writeable = False
 
     edges = _read_table(a_path, np.int64, 2)
     if edges.size and (edges.min() < 1 or edges.max() > num_nodes):

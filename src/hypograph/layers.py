@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .config import FeatureConfig
-from .graphs import AttentionParams, LabelledGraph, attention_transition, transition_matrix
+from .graphs import AttentionParams, LabelledGraph, attention_transition, frozen, transition_matrix
 from .lowrank import NonFiniteError, batch_features
 
 
@@ -36,11 +36,12 @@ class LayerParams:
     attention: AttentionParams | None = None
 
     def __post_init__(self):
-        vectors = np.ascontiguousarray(self.vectors, dtype=np.float64)
+        named = {"vectors": "component vectors", "mixing": "mixing", "bias": "bias"}
+        for name, what in named.items():
+            object.__setattr__(self, name, frozen(getattr(self, name), what=what))
+        vectors, mixing, bias = self.vectors, self.mixing, self.bias
         if vectors.ndim != 3 or 0 in vectors.shape:
             raise ValueError(f"vectors must be (R, M, dim), got {vectors.shape}")
-        if not np.all(np.isfinite(vectors)):
-            raise ValueError("component vectors must be finite")
         rank, deg, dim = vectors.shape
         if rank != self.config.rank:
             raise ValueError(f"{rank} functionals do not match config rank {self.config.rank}")
@@ -48,8 +49,6 @@ class LayerParams:
             raise ValueError(
                 f"functional degree {deg} does not match config degree {self.config.max_degree}"
             )
-        mixing = np.ascontiguousarray(self.mixing, dtype=np.float64)
-        bias = np.ascontiguousarray(self.bias, dtype=np.float64)
         if mixing.shape != (rank, rank * deg):
             raise ValueError(
                 f"mixing must be ({rank}, {rank * deg}), got {mixing.shape}"
@@ -58,12 +57,6 @@ class LayerParams:
             raise ValueError(f"bias must be ({rank},), got {bias.shape}")
         if self.attention is not None and self.config.lift_dim(self.attention.dim) != dim:
             raise ValueError("attention dimension does not match attributes")
-        vectors.flags.writeable = False
-        mixing.flags.writeable = False
-        bias.flags.writeable = False
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "mixing", mixing)
-        object.__setattr__(self, "bias", bias)
 
     @property
     def rank(self) -> int:
@@ -253,21 +246,16 @@ def load_params(path: str) -> ModelConfig:
     if doc.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported version {doc.get('version')}")
     layers = []
-    for entry in doc["layers"]:
-        cfg = FeatureConfig(**{f.name: entry[f.name] for f in fields(FeatureConfig)})
-        attn = None
-        if entry.get("attention") is not None:
-            attn = AttentionParams(
-                np.array(entry["attention"]["w_source"], dtype=np.float64),
-                np.array(entry["attention"]["w_target"], dtype=np.float64),
-            )
-        layers.append(
-            LayerParams(
-                np.array(entry["u_vectors"], dtype=np.float64),
-                np.array(entry["mixing"], dtype=np.float64),
-                np.array(entry["bias"], dtype=np.float64),
-                cfg,
-                attn,
-            )
-        )
+    for idx, entry in enumerate(doc["layers"], start=1):
+        try:
+            attn = entry.get("attention")
+            if attn is not None:
+                attn = AttentionParams(attn["w_source"], attn["w_target"])
+            cfg = FeatureConfig(**{f.name: entry[f.name] for f in fields(FeatureConfig)})
+            arrays = (entry["u_vectors"], entry["mixing"], entry["bias"])
+            layers.append(LayerParams(*arrays, cfg, attn))
+        except KeyError as exc:
+            raise ValueError(f"layer {idx}: missing field {exc.args[0]!r} in {path}") from None
+        except ValueError as exc:
+            raise ValueError(f"layer {idx}: {exc}") from exc
     return ModelConfig(tuple(layers), doc["pooling"], doc.get("seed"))

@@ -17,11 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FeatureConfig
-from .graphs import LabelledGraph, RowStochastic
-
-
-class NonFiniteError(ArithmeticError):
-    """The recursion produced a non-finite intermediate value."""
+from .graphs import LabelledGraph, NonFiniteError, RowStochastic, frozen
 
 
 @dataclass(frozen=True)
@@ -37,12 +33,9 @@ class RankOneFunctional:
     vectors: np.ndarray
 
     def __post_init__(self):
-        vectors = np.ascontiguousarray(self.vectors, dtype=np.float64)
+        vectors = frozen(self.vectors, what="component vectors")
         if vectors.ndim != 2 or vectors.shape[0] < 1 or vectors.shape[1] < 1:
             raise ValueError(f"vectors must be (M, dim), got {vectors.shape}")
-        if not np.all(np.isfinite(vectors)):
-            raise ValueError("component vectors must be finite")
-        vectors.flags.writeable = False
         object.__setattr__(self, "vectors", vectors)
 
     def __array__(self, dtype=None, copy=None):
@@ -153,11 +146,9 @@ def batch_features(
     coordinate (1 for increments, the step index otherwise; 0 at the
     start node).
     """
-    u_all = np.asarray(functionals, dtype=np.float64)
+    u_all = frozen(functionals, what="component vectors")
     if u_all.ndim != 3 or 0 in u_all.shape:
         raise ValueError(f"functionals must be an (R, M, dim) array, got shape {u_all.shape}")
-    if not np.isfinite(u_all).all():
-        raise ValueError("component vectors must be finite")
     rank, m_max, dim = u_all.shape
     if m_max != cfg.max_degree:
         raise ValueError(

@@ -13,18 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from .config import FeatureConfig
+from .graphs import frozen
 
 
 def _levels(arrays) -> tuple:
-    """Tuple of read-only float64 copies of ``arrays``, which must be finite."""
-    out = []
-    for arr in arrays:
-        arr = np.array(arr, dtype=np.float64)
-        if not np.isfinite(arr).all():
-            raise ValueError("tensor entries must be finite")
-        arr.flags.writeable = False
-        out.append(arr)
-    return tuple(out)
+    """Tuple of read-only float64 arrays of ``arrays``, which must be finite."""
+    return tuple(frozen(arr, what="tensor entries") for arr in arrays)
 
 
 def _check_compatible(v, w):

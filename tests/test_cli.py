@@ -216,6 +216,28 @@ class TestExtract:
         assert "graph row 1, layer 1: non-finite value at walk step" in err
         assert ", degree " in err
 
+    @pytest.mark.parametrize("procs", [1, 2])
+    def test_attention_overflow_is_one_line_naming_graph_and_layer(
+        self, tmp_path, capsys, monkeypatch, procs
+    ):
+        # the second graph's attention scores overflow; with 2 processes it
+        # is computed in the child
+        write_tu_files(tmp_path, "ov", [(1, 2), (2, 1), (3, 4), (4, 3), (4, 5), (5, 4)],
+                       [1, 1, 2, 2, 2],
+                       node_attributes=[[0.5], [1.0], [1.7e308], [-1.7e308], [1.7e308]])
+        monkeypatch.setattr(cli, "CHUNK_ELEMENTS", 0)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: procs)
+        out = tmp_path / "o.csv"
+        args = ["extract", "--dataset", str(tmp_path), "--name", "ov", "--rank", "4",
+                "--attention", "--heads", "2", "--out", str(out)]
+        assert main(args) == EXIT_DATA
+        assert_no_child_left()
+        assert capsys.readouterr().err == (
+            "hypograph: data error: graph row 1, layer 1: "
+            "non-finite value in the attention transition\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("value, per_node, fmt, where", [
         ("3e307", False, "csv", "non-finite value after mean pooling"),
         ("3e307", False, "jsonl", "non-finite value after mean pooling"),
@@ -644,6 +666,18 @@ class TestFlags:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("hypograph: usage error: ")
+
+    def test_heads_without_attention_is_usage_error(self, tiny_dataset, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(extract_args(tiny_dataset, out, heads=8)) == EXIT_USAGE
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and not out.exists()
+        assert err == "hypograph: usage error: argument --heads: only valid with --attention\n"
+        # with --attention, leaving --heads out means one head
+        one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+        assert main(extract_args(tiny_dataset, one, attention=True)) == EXIT_OK
+        assert main(extract_args(tiny_dataset, two, attention=True, heads=1)) == EXIT_OK
+        assert one.read_bytes() == two.read_bytes()
 
     def test_readme_lists_each_subcommands_flags(self):
         block = (Path(__file__).parents[1] / "README.md").read_text()

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from hypograph.config import FeatureConfig
@@ -17,6 +18,22 @@ def test_bounds_validated():
         FeatureConfig(max_degree=0)
     with pytest.raises(ValueError):
         FeatureConfig(rank=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("walk_length", 2.7), ("max_degree", "2"), ("rank", True), ("rank", np.True_),
+    ("diff", "no"), ("zero_start", 1), ("time_param", np.bool_(True)), ("diff", None),
+])
+def test_field_types_checked(field, value):
+    kind = "a bool" if field in ("diff", "zero_start", "time_param") else "an integer"
+    with pytest.raises(ValueError, match=f"^{field} must be {kind}, got "):
+        FeatureConfig(**{field: value})
+
+
+def test_numpy_integer_counts_are_stored_as_int():
+    cfg = FeatureConfig(walk_length=np.int64(3), max_degree=np.int32(2), rank=np.uint8(4))
+    assert (cfg.walk_length, cfg.max_degree, cfg.rank) == (3, 2, 4)
+    assert all(type(v) is int for v in (cfg.walk_length, cfg.max_degree, cfg.rank))
 
 
 def test_lift_coeffs_pin_c0():

@@ -11,9 +11,11 @@ from hypograph.graphs import (
     AttentionParams,
     DatasetError,
     LabelledGraph,
+    RowStochastic,
     attention_transition,
     classic_diffusion,
     disjoint_union,
+    frozen,
     grid_graph,
     load_tu_dataset,
     normalized_laplacian,
@@ -22,6 +24,7 @@ from hypograph.graphs import (
     transition_matrix,
     weighted_transition,
 )
+from hypograph.layers import LayerParams
 from hypograph.lowrank import RankOneFunctional, batch_features
 from hypograph.verify import TOLERANCE, case_error
 
@@ -59,6 +62,21 @@ class TestLabelledGraph:
             dense, [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
         )
 
+    def test_pattern_matches_brute_force_pair_set(self):
+        rng = np.random.default_rng(90)
+        graphs = [LabelledGraph(1, [], np.zeros((1, 1))), LabelledGraph(4, [], np.zeros((4, 2)))]
+        graphs += [random_labelled_graph(rng, max_nodes=9, edge_prob=p)
+                   for p in rng.uniform(0.0, 0.6, size=40)]
+        assert any(0 in g.degrees and g.num_edges for g in graphs)
+        for g in graphs:
+            edges = [tuple(e) for e in g.edges.tolist()]
+            isolated = [v for v in range(g.n) if not any(v in e for e in edges)]
+            pairs = sorted({*edges, *((j, i) for i, j in edges), *((v, v) for v in isolated)})
+            pat = g.pattern
+            assert list(zip(pat.rows.tolist(), pat.indices.tolist())) == pairs
+            assert pat.indptr.tolist() == [sum(i < r for i, _ in pairs) for r in range(g.n + 1)]
+            assert g.degrees.tolist() == [sum(v in e for e in edges) for v in range(g.n)]
+
     def test_permuted_preserves_structure(self):
         rng = np.random.default_rng(0)
         g = random_labelled_graph(rng)
@@ -68,6 +86,64 @@ class TestLabelledGraph:
         for i in range(g.n):
             np.testing.assert_array_equal(h.attributes[perm[i]], g.attributes[i])
         np.testing.assert_array_equal(h.degrees[perm], g.degrees)
+
+
+def _layer(vectors, mixing, bias):
+    return LayerParams(vectors, mixing, bias, FeatureConfig(rank=2, max_degree=1))
+
+
+# name -> (caller arrays, build the value from them, the value's fields to watch)
+OWNERSHIP_CASES = {
+    "graph": (lambda: [np.ones((3, 2))], lambda a: LabelledGraph(3, [(0, 1)], a[0]),
+              ["attributes"]),
+    "graph_from_view": (lambda: [np.ones((5, 2))], lambda a: LabelledGraph(3, [(0, 1)], a[0][:3]),
+                        ["attributes"]),
+    "with_attributes": (lambda: [np.ones((2, 3))],
+                        lambda a: path_graph(1).with_attributes(a[0]), ["attributes"]),
+    "layer": (lambda: [np.ones((2, 1, 3)), np.ones((2, 2)), np.ones(2)],
+              lambda a: _layer(*a), ["vectors", "mixing", "bias"]),
+    "attention": (lambda: [np.ones((2, 3)), np.ones((2, 3))],
+                  lambda a: AttentionParams(*a), ["w_source", "w_target"]),
+    "attention_1d": (lambda: [np.ones(3), np.ones(3)],
+                     lambda a: AttentionParams(*a), ["w_source", "w_target"]),
+    "row_stochastic": (lambda: [np.full(2, 1.0)],
+                       lambda a: RowStochastic(path_graph(1).pattern, a[0]), ["values"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OWNERSHIP_CASES))
+def test_value_types_ignore_later_writes_to_the_callers_arrays(case):
+    make, build, names = OWNERSHIP_CASES[case]
+    arrays = make()
+    value = build(arrays)
+    before = [getattr(value, name).copy() for name in names]
+    for arr in arrays:
+        assert arr.flags.writeable
+        arr *= 0.5
+    for name, want in zip(names, before):
+        got = getattr(value, name)
+        np.testing.assert_array_equal(got, want)
+        assert not got.flags.writeable and got.flags.c_contiguous
+
+
+class TestFrozen:
+    def test_copies_only_what_a_caller_could_write_through(self):
+        owner = frozen(np.arange(6.0).reshape(3, 2))
+        assert frozen(owner) is owner
+        assert frozen(owner[1:]).base is owner  # read-only view of a read-only owner: shared
+        base = np.zeros(3)
+        view = base.view()
+        view.flags.writeable = False
+        assert not np.shares_memory(frozen(view), base)
+        assert base.flags.writeable
+
+    def test_keeps_zero_d_and_checks_finite_values(self):
+        assert frozen(2.0).shape == () and frozen(np.float64(2.0)).shape == ()
+        assert frozen([[1, 2]], np.int32).dtype == np.int32
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="^x must be finite$"):
+                frozen([[0.0, bad]], what="x")
+        frozen([np.nan])  # no check without a name
 
 
 class TestDisjointUnion:
@@ -144,6 +220,11 @@ class TestTransitionMatrix:
         p = transition_matrix(g).toarray()
         assert p[2, 2] == 1.0
 
+    def test_rejects_non_finite_values(self, path2):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="transition values must be finite"):
+                RowStochastic(path2.pattern, np.full(path2.pattern.nnz, bad))
+
     def test_rows_stochastic_random(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
@@ -180,8 +261,14 @@ class TestWeightedTransition:
         g = LabelledGraph(2, [(0, 1)], np.zeros((2, 1)))
         with pytest.raises(ValueError, match=r"weight for edge \(0, 1\) must be positive"):
             weighted_transition(g, {(0, 1): 0.0})
-        with pytest.raises(ValueError, match="must be positive, got -1.0"):
+        with pytest.raises(ValueError, match="must be positive and finite, got -1.0"):
             weighted_transition(g, {(0, 1): -1.0})
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, weight):
+        g = LabelledGraph(3, [(0, 1), (1, 2)], np.zeros((3, 1)))
+        with pytest.raises(ValueError, match=rf"\(2, 1\) must be positive and finite, got {weight}"):
+            weighted_transition(g, {(0, 1): 1.0, (2, 1): weight})
 
     def test_rejects_missing_weight(self):
         g = LabelledGraph(4, [(0, 1), (1, 3)], np.zeros((4, 1)))
@@ -331,6 +418,14 @@ class TestSyntheticGraphs:
 
 
 class TestTuLoader:
+    def test_graphs_share_one_read_only_attribute_block(self, tmp_path):
+        write_tu_files(tmp_path, "two", [(1, 2), (2, 1)], [1, 1, 2, 2, 2],
+                       node_attributes=[[0.5], [1.5], [2.5], [3.5], [4.5]])
+        (g1, _), (g2, _) = load_tu_dataset(str(tmp_path), "two")
+        assert g1.attributes.base is not None and g1.attributes.base is g2.attributes.base
+        assert not g1.attributes.base.flags.writeable
+        np.testing.assert_array_equal(g2.attributes, [[2.5], [3.5], [4.5]])
+
     def test_minimal_dataset(self, tmp_path):
         write_tu_files(tmp_path, "tiny", [(1, 2), (2, 1)], [1, 1], node_labels=[0, 1])
         data = load_tu_dataset(str(tmp_path), "tiny")

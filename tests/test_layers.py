@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -366,6 +367,45 @@ class TestSerialization:
             cfg = FeatureConfig(walk_length=2, max_degree=deg, rank=rank)
             with pytest.raises(ValueError, match=msg):
                 LayerParams(layer.vectors, layer.mixing, layer.bias, cfg)
+
+    @pytest.mark.parametrize("name", ["mixing", "bias"])
+    def test_non_finite_mixing_and_bias_rejected(self, tmp_path, name):
+        layer = make_layer(np.random.default_rng(23), 2, rank=2)
+        fields = {"mixing": layer.mixing.copy(), "bias": layer.bias.copy()}
+        fields[name].flat[-1] = np.nan
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            LayerParams(layer.vectors, fields["mixing"], fields["bias"], layer.config)
+        # JSON's NaN literal loads and is rejected with the layer named
+        path = tmp_path / "model.json"
+        save_params(str(path), ModelConfig((layer, layer)))
+        doc = json.loads(path.read_text())
+        doc["layers"][1][name] = fields[name].tolist()
+        path.write_text(json.dumps(doc))
+        assert "NaN" in path.read_text()
+        with pytest.raises(ValueError, match=f"^layer 2: {name} must be finite$"):
+            load_params(str(path))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("walk_length", 2.7, "walk_length must be an integer, got 2.7"),
+        ("rank", True, "rank must be an integer, got True"),
+        ("max_degree", "2", "max_degree must be an integer, got '2'"),
+        ("diff", "no", "diff must be a bool, got 'no'"),
+        ("time_param", 0, "time_param must be a bool, got 0"),
+        ("zero_start", None, "missing field 'zero_start'"),
+        ("mixing", None, "missing field 'mixing'"),
+    ])
+    def test_mistyped_or_missing_field_names_field_and_layer(self, tmp_path, key, value, message):
+        layer = make_layer(np.random.default_rng(24), 2, rank=2)
+        path = tmp_path / "model.json"
+        save_params(str(path), ModelConfig((layer,)))
+        doc = json.loads(path.read_text())
+        if value is None:
+            del doc["layers"][0][key]
+        else:
+            doc["layers"][0][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^layer 1: {re.escape(message)}"):
+            load_params(str(path))
 
     def test_empty_coefficient_list_rejected(self, tmp_path):
         layer = make_layer(np.random.default_rng(18), 2, lift_coeffs=(1.0, 0.9, 0.4))
