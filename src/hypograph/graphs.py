@@ -392,6 +392,14 @@ def _parse_table(path: str, dtype, columns: int | None) -> np.ndarray:
     return np.stack(rows)
 
 
+def _file_line(path: str, row: int) -> int:
+    """File line number of table row ``row``, counting the skipped blank
+    lines as :func:`_parse_table` does."""
+    with open(path, "r", encoding="utf-8") as fh:
+        numbers = [number for number, line in enumerate(fh, start=1) if line.strip()]
+    return numbers[row]
+
+
 def load_tu_dataset(path: str, name: str):
     """Load a TU-format dataset directory.
 
@@ -455,6 +463,10 @@ def load_tu_dataset(path: str, name: str):
             raise DatasetError(
                 f"{attrs_path}: {len(attrs)} rows for {num_nodes} nodes"
             )
+        bad = np.flatnonzero(~np.isfinite(attrs).all(axis=1))
+        if bad.size:
+            line = _file_line(attrs_path, bad[0])
+            raise DatasetError(f"{attrs_path}: line {line}: attributes must be finite")
         attrs = attrs[order]
         blocks.append(attrs)
     if not blocks:
@@ -466,6 +478,10 @@ def load_tu_dataset(path: str, name: str):
     edges = _read_table(a_path, np.int64, 2)
     if edges.size and (edges.min() < 1 or edges.max() > num_nodes):
         raise DatasetError(f"{a_path}: node id out of range 1..{num_nodes}")
+    loops = np.flatnonzero(edges[:, 0] == edges[:, 1])
+    if loops.size:
+        line = _file_line(a_path, loops[0])
+        raise DatasetError(f"{a_path}: line {line}: self-loops are not allowed")
     u, v = edges[:, 0] - 1, edges[:, 1] - 1
     edge_graph = node_graph[u]
     crossing = np.flatnonzero(edge_graph != node_graph[v])

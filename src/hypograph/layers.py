@@ -241,10 +241,13 @@ def load_params(path: str) -> ModelConfig:
     """Load a model saved by :func:`save_params`."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != MODEL_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a {MODEL_FORMAT} file: {path}")
     if doc.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported version {doc.get('version')}")
+    for key in ("layers", "pooling"):
+        if key not in doc:
+            raise ValueError(f"missing field {key!r} in {path}")
     layers = []
     for idx, entry in enumerate(doc["layers"], start=1):
         try:

@@ -5,7 +5,8 @@ component vectors u_1..u_M reduces every walk step to scalar sparse
 arithmetic on the graph pattern: one value array per step for the plain
 transition and one per Hadamard chain of increment projections.  The
 chains are extended one factor at a time, so computing all degrees for a
-length-k walk costs O(k M^2 E) after an O(M E d) setup.
+length-k walk costs O(k M^2 E) after an O(M E d) setup.  The start-node
+factor is one more step of the same kernel, from each node to itself.
 
 The results are validated entry-wise against :mod:`hypograph.exact`.
 """
@@ -59,19 +60,23 @@ def _project(x: np.ndarray, u_attr: np.ndarray) -> np.ndarray:
     return x @ u_attr.transpose(1, 2, 0)
 
 
-def _step_terms(cvals: np.ndarray, p: RowStochastic, coeffs) -> list:
-    """Hadamard-chain terms of one walk step, per degree m = 1..M.
+def _same(x):
+    """The identity, step 0's plain product and per-row entry sum."""
+    return x
+
+
+def _step_terms(cvals: np.ndarray, weights, rowsum, coeffs) -> list:
+    """Hadamard-chain terms of one step, per degree m = 1..M.
 
     The degree-m chains start at slot s0 = M - m; the chain of length r
-    has weights c_r * P_e * prod_{t=s0}^{s0+r-1} cvals[t, e, :], shape
-    (nnz, R), and each extends the previous one by a single factor.  A
-    chain of length r < m multiplies state[m - r] at the entry's target;
-    the r = m chain multiplies state[0] == 1, so it enters as the constant
-    incidence @ weights of shape (n, R).  Returns (chains r < m, constant)
-    per degree.
+    has weights c_r * w_e * prod_{t=s0}^{s0+r-1} cvals[t, e, :], shape
+    (entries, R), and each extends the previous one by a single factor.  A
+    chain of length r < m multiplies degree m - r at the entry's target;
+    the r = m chain multiplies the constant degree 0, so it enters as its
+    per-row sum of shape (n, R).  Returns (chains r < m, constant) per
+    degree.
     """
     m_max = cvals.shape[0]
-    incidence = p.pattern.incidence
     terms = []
     for m in range(1, m_max + 1):
         chain = None
@@ -79,52 +84,33 @@ def _step_terms(cvals: np.ndarray, p: RowStochastic, coeffs) -> list:
         for r in range(1, m + 1):
             factor = cvals[m_max - m + r - 1]
             chain = factor if chain is None else chain * factor
-            chains.append((coeffs[r] * p.values)[:, None] * chain)
-        terms.append((chains[:-1], incidence @ chains[-1]))
+            chains.append((coeffs[r] * weights)[:, None] * chain)
+        terms.append((chains[:-1], rowsum(chains[-1])))
     return terms
 
 
-def _step(state: np.ndarray, p: RowStochastic, plain, terms: list, step: int) -> np.ndarray:
-    """One walk step on the state (M+1, n, R), whose level 0 is identically 1.
+def _step(state: np.ndarray, terms: list, targets, plain, rowsum, where: str) -> np.ndarray:
+    """One step on the state (M, n, R) of degrees 1..M.
 
-    Degree m is the plain product P @ state[m], plus one incidence-matrix
+    Degree m is the plain product of its previous value, plus one per-row
     sum of the chains against the lower degrees gathered at each entry's
-    target, plus the constant full-length chain.
+    target, plus the constant full-length chain.  ``where`` names the
+    step in the overflow message.
     """
-    m_max = state.shape[0] - 1
-    incidence = p.pattern.incidence
-    gathered = state[1:m_max, p.pattern.indices]  # gathered[j - 1] = state[j] per entry
+    m_max = state.shape[0]
+    gathered = state[: m_max - 1, targets]  # gathered[j - 1] = degree j per entry
     new = np.empty_like(state)
-    new[0] = 1.0
     for m, (chains, const) in enumerate(terms, start=1):
-        column = plain @ state[m] + const
+        column = plain(state[m - 1]) + const
         if chains:
             acc = chains[0] * gathered[m - 2]
             for r in range(2, m):
                 acc += chains[r - 1] * gathered[m - r - 1]
-            column += incidence @ acc
+            column += rowsum(acc)
         if not np.isfinite(column).all():
-            raise NonFiniteError(f"non-finite value at walk step {step}, degree {m}")
-        new[m] = column
+            raise NonFiniteError(f"non-finite value {where}, degree {m}")
+        new[m - 1] = column
     return new
-
-
-def _corrected(state: np.ndarray, fvals: np.ndarray, coeffs, m: int) -> np.ndarray:
-    """Degree-m functional values including the start-node factor.
-
-    state: (M+1, n, R); fvals: (M, n, R) start projections.  The degree-m
-    suffix functional pairs its first r vectors with the start factor and
-    the rest with the length-k tail, summed over r = 0..m.
-    """
-    m_max = fvals.shape[0]
-    out = state[m].copy()
-    prefix = np.ones_like(out)
-    for r in range(1, m + 1):
-        prefix = prefix * fvals[m_max - m + r - 1]
-        out += coeffs[r] * prefix * state[m - r]
-    if not np.isfinite(out).all():
-        raise NonFiniteError(f"non-finite value in the start-node correction, degree {m}")
-    return out
 
 
 def batch_features(
@@ -138,13 +124,12 @@ def batch_features(
     ``functionals`` is an (R, M, dim) array-like of component vectors,
     such as a list of :class:`RankOneFunctional`; M must equal
     ``cfg.max_degree`` and dim the lift dimension.  Column block j holds
-    the M degree values of functional j (j outer, degree inner).  Without
-    ``zero_start`` these are the recursion state after ``cfg.walk_length``
-    steps; with it the start-node correction is applied at every degree,
-    pairing the first factors of each suffix functional with the start
-    input.  With ``time_param`` the lift input gains a leading time
-    coordinate (1 for increments, the step index otherwise; 0 at the
-    start node).
+    the M degree values of functional j (j outer, degree inner): the
+    recursion state after ``cfg.walk_length`` walk steps and, with
+    ``zero_start``, the start-node factor as one more step 0 that moves
+    every node to itself with weight 1.  With ``time_param`` the lift
+    input gains a leading time coordinate (1 for increments, the step
+    index otherwise; 0 at the start node).
     """
     u_all = frozen(functionals, what="component vectors")
     if u_all.ndim != 3 or 0 in u_all.shape:
@@ -163,26 +148,26 @@ def batch_features(
     coeffs = cfg.coefficients(m_max)
     u_attr = u_all[:, :, 1:] if cfg.time_param else u_all
 
-    state = np.zeros((m_max + 1, g.n, rank))
-    state[0] = 1.0
+    state = np.zeros((m_max, g.n, rank))
     # overflow surfaces as NonFiniteError, so no warning is needed
     with np.errstate(over="ignore", invalid="ignore"):
-        plain = p.matrix
+        targets, plain = p.pattern.indices, p.matrix.__matmul__
+        rowsum = p.pattern.incidence.__matmul__
         cvals = _project(_edge_attr_inputs(g, cfg), u_attr)
         u_time = u_all[:, :, 0].T[:, None, :] if cfg.time_param else None
         terms = None
-        # the step-p terms are applied with p = k..1 so that the first walk
-        # step's factor lands leftmost in every product
+        # the step-s terms are applied with s = k..1, then the start-node
+        # factor as step 0, so that earlier factors land leftmost in every
+        # product
         for step in range(cfg.walk_length, 0, -1):
             if terms is None or not cfg.step_homogeneous:
                 step_cvals = cvals
                 if u_time is not None:
                     step_cvals = cvals + (1.0 if cfg.diff else float(step)) * u_time
-                terms = _step_terms(step_cvals, p, coeffs)
-            state = _step(state, p, plain, terms, step)
-        if not cfg.zero_start:
-            levels = state[1:]
-        else:
-            fvals = _project(g.attributes, u_attr)
-            levels = [_corrected(state, fvals, coeffs, m) for m in range(1, m_max + 1)]
-    return np.stack(levels, axis=-1).reshape(g.n, rank * m_max)
+                terms = _step_terms(step_cvals, p.values, rowsum, coeffs)
+            state = _step(state, terms, targets, plain, rowsum, f"at walk step {step}")
+        if cfg.zero_start:
+            # step 0 lifts the start projections <u, f(i)>, time coordinate 0
+            terms = _step_terms(_project(g.attributes, u_attr), np.ones(g.n), _same, coeffs)
+            state = _step(state, terms, slice(None), _same, _same, "in the start-node correction")
+    return np.stack(state, axis=-1).reshape(g.n, rank * m_max)

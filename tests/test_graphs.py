@@ -492,6 +492,7 @@ class TestTuLoader:
         ("1, 2\n2, 4\n", r"node id out of range 1\.\.3"),
         ("1, 2\n0, 1\n", r"node id out of range 1\.\.3"),
         ("1, 2\n2, 3\n", r"edge \(2, 3\) crosses graphs 5 and 9"),
+        ("1, 2\n\n1, 1\n", r"bad_A\.txt: line 3: self-loops are not allowed"),
     ])
     def test_bad_edge_file(self, tmp_path, a_text, pattern):
         write_tu_files(tmp_path, "bad", [], [5, 5, 9], node_labels=[0, 1, 0])
@@ -503,7 +504,8 @@ class TestTuLoader:
         ({"node_labels": [0, 1]}, r"node_labels\.txt: 2 labels for 3 nodes"),
         ({"node_attributes": [[1.0]] * 4}, r"node_attributes\.txt: 4 rows for 3 nodes"),
         ({"node_labels": [0, 1, 0], "graph_labels": [1]}, r"graph_labels\.txt: 1 labels for 2 graphs"),
-        ({"node_attributes": [[1.0], ["nan"], [0.0]]}, r"graph 1: attributes must be finite"),
+        ({"node_attributes": [[1.0], ["nan"], [0.0]]},
+         r"bad_node_attributes\.txt: line 2: attributes must be finite"),
     ])
     def test_count_mismatch_and_graph_errors(self, tmp_path, extra, pattern):
         write_tu_files(tmp_path, "bad", [(1, 2), (2, 1)], [1, 1, 2], **extra)

@@ -407,6 +407,17 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"^layer 1: {re.escape(message)}"):
             load_params(str(path))
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"format": "hypograph-model", "version": 1, "layers": []}, "missing field 'pooling'"),
+        ({"format": "hypograph-model", "version": 1, "pooling": "mean"}, "missing field 'layers'"),
+        ([{"format": "hypograph-model"}], "not a hypograph-model file"),
+    ])
+    def test_malformed_document_names_key_and_path(self, tmp_path, doc, message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}.* {re.escape(str(path))}$"):
+            load_params(str(path))
+
     def test_empty_coefficient_list_rejected(self, tmp_path):
         layer = make_layer(np.random.default_rng(18), 2, lift_coeffs=(1.0, 0.9, 0.4))
         path = tmp_path / "model.json"

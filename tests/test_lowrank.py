@@ -7,9 +7,9 @@ import pytest
 from conftest import random_labelled_graph
 from hypograph.config import FeatureConfig
 from hypograph.exact import level_tensor, node_features_exact
-from hypograph.graphs import LabelledGraph, transition_matrix
+from hypograph.graphs import LabelledGraph, disjoint_union, transition_matrix
 from hypograph.lowrank import NonFiniteError, RankOneFunctional, batch_features
-from hypograph.verify import case_error, make_transition
+from hypograph.verify import TOLERANCE, case_error, make_transition
 
 
 def cfg_of(**kw):
@@ -373,3 +373,62 @@ class TestBatchFeatures:
                     np.testing.assert_allclose(
                         got[:, j * m_max + (m - 1)], want, rtol=1e-9, atol=1e-10
                     )
+
+
+@pytest.fixture(scope="module")
+def molecule_union():
+    """50 molecule-like graphs as one union, with (R, M, dim) = (128, 3, 16)
+    vectors: random trees on 10..59 nodes plus n // 8 ring-closing edges,
+    16 random attributes per node."""
+    rng = np.random.default_rng(2022)
+    graphs = []
+    for n in range(10, 60):
+        tree = [(int(rng.integers(0, i)), i) for i in range(1, n)]
+        ends = rng.integers(0, n, n // 8)
+        rings = zip(ends.tolist(), ((ends + rng.integers(2, n, n // 8)) % n).tolist())
+        graphs.append(LabelledGraph(n, tree + list(rings), rng.standard_normal((n, 16))))
+    union, _ = disjoint_union(graphs)
+    return union, rng.standard_normal((128, 3, 16))
+
+
+def relative_error(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+class TestProductionShapeIdentities:
+    """Identities of the lift that need no oracle, at the extract's shape
+    (R=128, M=3, k=5, a 1725-node union), within the check gate's
+    tolerance relative to the largest entry."""
+
+    def features(self, g, vectors, zero_start):
+        cfg = FeatureConfig(walk_length=5, max_degree=3, rank=128, zero_start=zero_start)
+        return batch_features(g, transition_matrix(g), vectors, cfg).reshape(g.n, 128, 3)
+
+    def test_start_factor_is_leftmost_walk_factor(self, molecule_union):
+        # F1[m] = F0[m] + sum_{r=1..m} c_r prod_{t=M-m}^{M-m+r-1} <u_t, f_i> F0[m-r],
+        # with F0[0] = 1: the start projections paired with the walk's lower degrees
+        g, vectors = molecule_union
+        f0 = self.features(g, vectors, zero_start=False)
+        f1 = self.features(g, vectors, zero_start=True)
+        proj = np.einsum("id,rtd->irt", g.attributes, vectors)
+        lower = np.concatenate([np.ones((g.n, 128, 1)), f0], axis=2)
+        want = f0.copy()
+        for m in range(1, 4):
+            prefix = np.ones((g.n, 128))
+            for r in range(1, m + 1):
+                prefix = prefix * proj[:, :, 3 - m + r - 1]
+                want[:, :, m - 1] += prefix * lower[:, :, m - r] / math.factorial(r)
+        assert relative_error(f1, want) <= TOLERANCE
+
+    @pytest.mark.parametrize("zero_start", [False, True])
+    def test_degree_m_scales_as_lambda_to_the_m(self, molecule_union, zero_start):
+        g, vectors = molecule_union
+        base = self.features(g, vectors, zero_start)
+        scaled = self.features(g.with_attributes(3.0 * g.attributes), vectors, zero_start)
+        assert relative_error(scaled, base * 3.0 ** np.arange(1, 4)) <= TOLERANCE
+
+    def test_increments_ignore_a_constant_offset(self, molecule_union):
+        g, vectors = molecule_union
+        base = self.features(g, vectors, zero_start=False)
+        shifted = self.features(g.with_attributes(g.attributes + 1e3), vectors, zero_start=False)
+        assert relative_error(shifted, base) <= TOLERANCE
