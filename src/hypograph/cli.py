@@ -23,7 +23,7 @@ from .graphs import DatasetError, dataset_summary, disjoint_union, load_tu_datas
 from .layers import LayerParams, ModelConfig, init_params, model_forward
 from .layers import layer_forward  # not called here: perfbench traces cli.layer_forward
 from .lowrank import NonFiniteError
-from .verify import TOLERANCE, run_equivalence_suite
+from .verify import MAX_DEGREE, MAX_WALK, RANK, TOLERANCE, run_equivalence_suite
 from . import bench as bench_mod
 
 EXIT_OK = 0
@@ -336,11 +336,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    # walks of up to 4 steps, degrees up to 2 and rank 4 keep every case
-    # within the oracle's desk scale
-    report = run_equivalence_suite(
-        cases=args.cases, seed=args.seed, max_nodes=args.nodes, max_degree=2, max_walk=4, rank=4
-    )
+    report = run_equivalence_suite(cases=args.cases, seed=args.seed, max_nodes=args.nodes)
     for bucket in report.buckets:
         status = "ok" if bucket.passed else "FAIL"
         print(
@@ -348,7 +344,8 @@ def cmd_check(args: argparse.Namespace) -> int:
             f"cases={bucket.cases:3d} max_rel_err={bucket.max_rel_err:.3e}"
         )
     print(
-        f"checked {report.cases} cases in {report.elapsed:.2f}s; "
+        f"checked {report.cases} cases (walks 0..{MAX_WALK}, degrees 1..{MAX_DEGREE}, "
+        f"rank {RANK}) in {report.elapsed:.2f}s; "
         f"max relative error {report.max_rel_err:.3e} (tolerance {TOLERANCE:.0e})"
     )
     return EXIT_OK if report.passed else EXIT_CHECK

@@ -169,22 +169,20 @@ def node_features_exact(
 ) -> tuple:
     """Exact walk-history features conditioned on the start node.
 
-    Applies k transition steps to the all-unit vector; with ``zero_start``
-    each entry i is then left-multiplied by the lift of node i's start
-    factor.
+    Applies the step-s transition matrices with s = k..1 to the all-unit
+    vector, so the first walk step ends up leftmost in every product; with
+    ``zero_start`` each entry i is then left-multiplied by the lift of
+    node i's start factor.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     oracle_guard(g.n, cfg.max_degree)
     vec = (unit(cfg.lift_dim(g.attr_dim), cfg.max_degree),) * g.n
-    if k > 0:
-        if cfg.step_homogeneous:
-            vec = tensor_mat_power_apply(tensor_transition(g, cfg, p), k, vec)
-        else:
-            # step-indexed inputs: apply the step-p matrix with p = k..1 so
-            # the first walk step ends up leftmost in every product
-            for step in range(k, 0, -1):
-                vec = _matvec(tensor_transition(g, cfg, p, step=step), vec)
+    mat = None
+    for step in range(k, 0, -1):
+        if mat is None or not cfg.step_homogeneous:
+            mat = tensor_transition(g, cfg, p, step=step)
+        vec = _matvec(mat, vec)
     if cfg.zero_start:
         coeffs = cfg.coefficients(cfg.max_degree)
         vec = tuple(
@@ -214,15 +212,11 @@ def forward_diffusion_exact(
         raise ValueError("k must be >= 0")
     oracle_guard(g.n, cfg.max_degree)
     vec = (scale(unit(cfg.lift_dim(g.attr_dim), cfg.max_degree), 1.0 / g.n),) * g.n
-    if k == 0:
-        return vec
-    if cfg.step_homogeneous:
-        mat = tensor_transition(g, cfg, p)
-        for _ in range(k):
-            vec = _vecmat(vec, mat)
-    else:
-        for step in range(1, k + 1):
-            vec = _vecmat(vec, tensor_transition(g, cfg, p, step=step))
+    mat = None
+    for step in range(1, k + 1):
+        if mat is None or not cfg.step_homogeneous:
+            mat = tensor_transition(g, cfg, p, step=step)
+        vec = _vecmat(vec, mat)
     return vec
 
 

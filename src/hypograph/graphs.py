@@ -47,6 +47,19 @@ def frozen(values, dtype=np.float64, what: str | None = None) -> np.ndarray:
     return arr
 
 
+def _node_ids(values) -> np.ndarray:
+    """``values`` as an int64 array of node ids.  A float that is not a
+    whole number raises ValueError instead of being truncated."""
+    ids = np.asarray(values)
+    if ids.dtype.kind == "f":
+        with np.errstate(invalid="ignore"):  # nan and inf are caught below
+            whole = ids.astype(np.int64)
+        if not np.array_equal(whole, ids):
+            raise ValueError("node ids must be integers")
+        return whole
+    return ids.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class AdjacencyPattern:
     """Immutable CSR pattern shared by all sparse matrices on one graph."""
@@ -109,7 +122,7 @@ class LabelledGraph:
     def __init__(self, n: int, edges, attributes):
         if n < 1:
             raise ValueError(f"need at least one node, got n={n}")
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        edges = _node_ids(edges).reshape(-1, 2)
         if edges.size:
             if edges.min() < 0 or edges.max() >= n:
                 raise ValueError("edge endpoint out of range")
@@ -163,8 +176,8 @@ class LabelledGraph:
 
     def permuted(self, perm) -> "LabelledGraph":
         """Relabel nodes: new index perm[i] plays the role of old index i."""
-        perm = np.asarray(perm, dtype=np.int64)
-        if sorted(perm.tolist()) != list(range(self.n)):
+        perm = _node_ids(perm)
+        if not np.array_equal(np.sort(perm), np.arange(self.n)):
             raise ValueError("perm must be a permutation of 0..n-1")
         inv = np.empty(self.n, dtype=np.int64)
         inv[perm] = np.arange(self.n)

@@ -248,8 +248,12 @@ def load_params(path: str) -> ModelConfig:
     for key in ("layers", "pooling"):
         if key not in doc:
             raise ValueError(f"missing field {key!r} in {path}")
+    if not isinstance(doc["layers"], list):
+        raise ValueError(f"field 'layers' must be a list in {path}")
     layers = []
     for idx, entry in enumerate(doc["layers"], start=1):
+        if not isinstance(entry, dict):
+            raise ValueError(f"layer {idx}: not an object in {path}")
         try:
             attn = entry.get("attention")
             if attn is not None:

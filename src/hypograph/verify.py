@@ -29,6 +29,12 @@ from .lowrank import batch_features
 
 TOLERANCE = 1e-10
 TRANSITION_KINDS = ("uniform", "weighted", "attention")
+# every case draws its walk length from 0..MAX_WALK and its degree from
+# 1..MAX_DEGREE; degree 3 is the first to run a chain between the shortest
+# and the full-length one
+MAX_WALK = 4
+MAX_DEGREE = 3
+RANK = 4
 
 
 def rel_err(got: float, want: float) -> float:
@@ -48,7 +54,7 @@ def random_graph(rng: np.random.Generator, max_nodes: int, max_dim: int = 3) -> 
 
 
 def make_transition(g: LabelledGraph, kind: str, rng: np.random.Generator):
-    if kind == "uniform" or g.num_edges == 0:
+    if kind == "uniform":
         return transition_matrix(g)
     if kind == "weighted":
         weights = {tuple(e): float(rng.uniform(0.1, 3.0)) for e in g.edges}
@@ -123,21 +129,15 @@ def case_error(
     return worst
 
 
-def run_equivalence_suite(
-    cases: int = 200,
-    seed: int = 0,
-    max_nodes: int = 8,
-    max_walk: int = 4,
-    max_degree: int = 3,
-    rank: int = 2,
-) -> SuiteReport:
+def run_equivalence_suite(cases: int = 200, seed: int = 0, max_nodes: int = 8) -> SuiteReport:
     """Run the randomized suite and aggregate errors per configuration.
 
     Every case cycles through the three transition kinds and all eight
     variation-flag combinations, so each (kind, flags) bucket is hit
-    roughly cases/24 times.
+    roughly cases/24 times.  Walk lengths, degrees and the rank follow
+    MAX_WALK, MAX_DEGREE and RANK.
     """
-    oracle_guard(max_nodes, max_degree)
+    oracle_guard(max_nodes, MAX_DEGREE)
     rng = np.random.default_rng(seed)
     combos = list(itertools.product([True, False], repeat=3))
     buckets: dict[tuple[str, str], ConfigReport] = {}
@@ -147,19 +147,19 @@ def run_equivalence_suite(
         kind = TRANSITION_KINDS[case % len(TRANSITION_KINDS)]
         p = make_transition(g, kind, rng)
         diff, zero_start, time_param = combos[(case // len(TRANSITION_KINDS)) % len(combos)]
-        k = int(rng.integers(0, max_walk + 1))
-        m_deg = int(rng.integers(1, max_degree + 1))
+        k = int(rng.integers(0, MAX_WALK + 1))
+        m_deg = int(rng.integers(1, MAX_DEGREE + 1))
         cfg = FeatureConfig(
             walk_length=k,
             max_degree=m_deg,
-            rank=rank,
+            rank=RANK,
             diff=diff,
             zero_start=zero_start,
             time_param=time_param,
         )
         dim = cfg.lift_dim(g.attr_dim)
         functionals = []
-        for _ in range(rank):
+        for _ in range(RANK):
             vec = rng.standard_normal((m_deg, dim))
             vec /= np.linalg.norm(vec, axis=1, keepdims=True)
             functionals.append(vec)

@@ -47,8 +47,7 @@ def report(criterion: str, ok: bool, detail: str = ""):
 
 def test_criterion_1_oracle_equivalence():
     start = time.perf_counter()
-    suite = run_equivalence_suite(cases=216, seed=2024, max_nodes=8, max_walk=4,
-                                  max_degree=3, rank=2)
+    suite = run_equivalence_suite(cases=216, seed=2024)
     elapsed = time.perf_counter() - start
     combos_covered = len(suite.buckets) == 24 and all(
         b.cases >= 1 for b in suite.buckets

@@ -452,6 +452,26 @@ class TestCheck:
         rc = main(["check", "--cases", "24", "--seed", "3"])
         assert rc == EXIT_CHECK
 
+    @pytest.mark.parametrize("fault", ["zero_constant", "zero_last_chain"])
+    def test_degree_three_fault_detected(self, monkeypatch, fault):
+        # both faults touch only degrees >= 3, which a suite drawing degrees
+        # up to 2 never runs
+        real = lowrank._step_terms
+
+        def faulty(*args):
+            terms = real(*args)
+            for m, (chains, const) in enumerate(terms[2:], start=3):
+                if fault == "zero_constant":
+                    const = np.zeros_like(const)
+                else:
+                    chains = chains[:-1] + [np.zeros_like(chains[-1])]
+                terms[m - 1] = (chains, const)
+            return terms
+
+        monkeypatch.setattr(lowrank, "_step_terms", faulty)
+        rc = main(["check", "--cases", "24", "--seed", "3"])
+        assert rc == EXIT_CHECK
+
     def test_oracle_guard_rejected(self, capsys):
         rc = main(["check", "--cases", "4", "--nodes", "100"])
         assert rc == EXIT_USAGE

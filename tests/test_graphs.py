@@ -87,6 +87,21 @@ class TestLabelledGraph:
             np.testing.assert_array_equal(h.attributes[perm[i]], g.attributes[i])
         np.testing.assert_array_equal(h.degrees[perm], g.degrees)
 
+    def test_rejects_fractional_node_ids(self):
+        # a cast to int64 alone would store the edge (0, 1)
+        with pytest.raises(ValueError, match="node ids must be integers"):
+            LabelledGraph(3, [(0, 1.7)], np.zeros((3, 1)))
+        np.testing.assert_array_equal(LabelledGraph(3, [(0, 1.0)], np.zeros((3, 1))).edges, [[0, 1]])
+
+    @pytest.mark.parametrize("perm, message", [
+        ([2.9, 1.2, 0.1], "node ids must be integers"),  # would truncate to [2, 1, 0]
+        ([0, 0, 1], "perm must be a permutation"),
+        ([[2, 1, 0]], "perm must be a permutation"),
+    ])
+    def test_permuted_rejects_non_permutation(self, perm, message):
+        with pytest.raises(ValueError, match=message):
+            path_graph(2).permuted(perm)
+
 
 def _layer(vectors, mixing, bias):
     return LayerParams(vectors, mixing, bias, FeatureConfig(rank=2, max_degree=1))

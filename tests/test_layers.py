@@ -307,6 +307,10 @@ class TestL2Penalty:
             l2_penalty(layer, -1.0)
 
 
+# every top-level field of a model file except "layers"
+MODEL_HEADER = {"format": "hypograph-model", "version": 1, "pooling": "mean", "seed": 0}
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(14)
@@ -411,6 +415,10 @@ class TestSerialization:
         ({"format": "hypograph-model", "version": 1, "layers": []}, "missing field 'pooling'"),
         ({"format": "hypograph-model", "version": 1, "pooling": "mean"}, "missing field 'layers'"),
         ([{"format": "hypograph-model"}], "not a hypograph-model file"),
+        ({**MODEL_HEADER, "layers": 5}, "field 'layers' must be a list"),
+        ({**MODEL_HEADER, "layers": [7]}, "layer 1: not an object"),
+        ({**MODEL_HEADER, "layers": ["x"]}, "layer 1: not an object"),
+        ({**MODEL_HEADER, "layers": [None]}, "layer 1: not an object"),
     ])
     def test_malformed_document_names_key_and_path(self, tmp_path, doc, message):
         path = tmp_path / "model.json"
