@@ -18,12 +18,11 @@ import threading
 import numpy as np
 
 from .config import FeatureConfig
-from .exact import OracleScaleError
 from .graphs import DatasetError, dataset_summary, disjoint_union, load_tu_dataset
 from .layers import LayerParams, ModelConfig, init_params, model_forward
 from .layers import layer_forward  # not called here: perfbench traces cli.layer_forward
 from .lowrank import NonFiniteError
-from .verify import MAX_DEGREE, MAX_WALK, RANK, TOLERANCE, run_equivalence_suite
+from .verify import MAX_DEGREE, MAX_NODES, MAX_WALK, RANK, TOLERANCE, run_equivalence_suite
 from . import bench as bench_mod
 
 EXIT_OK = 0
@@ -105,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run the low-rank vs. exact oracle suite")
     p_check.add_argument("--cases", type=_at_least(1), default=20, help="randomized cases")
-    p_check.add_argument("--nodes", type=_at_least(2), default=8, help="max graph size")
     p_check.add_argument("--seed", type=_at_least(0), default=0)
 
     p_bench = sub.add_parser("bench", help="time the recursion on synthetic graphs")
@@ -336,7 +334,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    report = run_equivalence_suite(cases=args.cases, seed=args.seed, max_nodes=args.nodes)
+    report = run_equivalence_suite(cases=args.cases, seed=args.seed)
     for bucket in report.buckets:
         status = "ok" if bucket.passed else "FAIL"
         print(
@@ -344,8 +342,8 @@ def cmd_check(args: argparse.Namespace) -> int:
             f"cases={bucket.cases:3d} max_rel_err={bucket.max_rel_err:.3e}"
         )
     print(
-        f"checked {report.cases} cases (walks 0..{MAX_WALK}, degrees 1..{MAX_DEGREE}, "
-        f"rank {RANK}) in {report.elapsed:.2f}s; "
+        f"checked {report.cases} cases (nodes 2..{MAX_NODES}, walks 0..{MAX_WALK}, "
+        f"degrees 1..{MAX_DEGREE}, rank {RANK}) in {report.elapsed:.2f}s; "
         f"max relative error {report.max_rel_err:.3e} (tolerance {TOLERANCE:.0e})"
     )
     return EXIT_OK if report.passed else EXIT_CHECK
@@ -425,9 +423,6 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except UsageError as exc:
         print(f"hypograph: usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OracleScaleError as exc:
-        print(f"hypograph: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DatasetError, NonFiniteError, OSError) as exc:
         print(f"hypograph: data error: {exc}", file=sys.stderr)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 
@@ -15,8 +16,9 @@ class FeatureConfig:
     ``zero_start`` includes the start-node factor in front of the walk
     product; ``time_param`` augments every lift input with the step index,
     so lifts act on dimension d+1.  ``lift_coeffs`` overrides the
-    per-degree lift scaling c_0..c_M (default c_m = 1/m!, and c_0 is
-    pinned to 1 so the algebra unit is preserved).
+    per-degree lift scaling c_0..c_M (default c_m = 1/m!); it must cover
+    every degree up to ``max_degree``, and c_0 is pinned to 1 so the
+    algebra unit is preserved.
     """
 
     walk_length: int = 1
@@ -43,11 +45,22 @@ class FeatureConfig:
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         if self.lift_coeffs is not None:
-            coeffs = tuple(float(c) for c in self.lift_coeffs)
+            raw = self.lift_coeffs
+            if isinstance(raw, (str, bytes)) or not isinstance(raw, Iterable):
+                raise ValueError(f"lift_coeffs must be a sequence of numbers, got {raw!r}")
+            raw = tuple(raw)
+            for c in raw:
+                if isinstance(c, bool) or not isinstance(c, numbers.Real):
+                    raise ValueError(f"lift_coeffs must hold real numbers, got {c!r}")
+            coeffs = tuple(float(c) for c in raw)
             if not coeffs or coeffs[0] != 1.0:
                 raise ValueError("lift_coeffs must start with c_0 == 1")
             if not all(math.isfinite(c) for c in coeffs):
                 raise ValueError("lift_coeffs must be finite")
+            if len(coeffs) <= self.max_degree:
+                raise ValueError(
+                    f"lift_coeffs cover degrees <= {len(coeffs) - 1}, need {self.max_degree}"
+                )
             object.__setattr__(self, "lift_coeffs", coeffs)
 
     def lift_dim(self, d: int) -> int:
@@ -64,16 +77,9 @@ class FeatureConfig:
         """
         return self.diff or not self.time_param
 
-    def coefficient(self, m: int) -> float:
-        """Lift coefficient c_m; defaults to 1/m!."""
+    @property
+    def coefficients(self) -> tuple[float, ...]:
+        """Lift coefficients c_0..c_M: ``lift_coeffs`` or c_m = 1/m!."""
         if self.lift_coeffs is not None:
-            if m >= len(self.lift_coeffs):
-                raise ValueError(
-                    f"lift_coeffs covers degrees <= {len(self.lift_coeffs) - 1}, got {m}"
-                )
-            return self.lift_coeffs[m]
-        return 1.0 / math.factorial(m)
-
-    def coefficients(self, max_degree: int):
-        """Coefficients c_0..c_max_degree as a list."""
-        return [self.coefficient(m) for m in range(max_degree + 1)]
+            return self.lift_coeffs
+        return tuple(1.0 / math.factorial(m) for m in range(self.max_degree + 1))

@@ -62,8 +62,7 @@ def tensor_transition(
     """
     if not p.pattern.same_as(g.pattern):
         raise ValueError("transition pattern does not match the graph")
-    max_degree = cfg.max_degree
-    coeffs = cfg.coefficients(max_degree)
+    max_degree, coeffs = cfg.max_degree, cfg.coefficients
     pattern = p.pattern
     rows = []
     for i in range(g.n):
@@ -100,19 +99,6 @@ def _vecmat(vec, mat) -> tuple:
     return tuple(reduce(add, column) for column in terms)
 
 
-def tensor_mat_power_apply(mat, k: int, v0) -> tuple:
-    """A^k v0 by k sparse tensor matrix-vector products."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    oracle_guard(len(mat), len(v0[0]) - 1)
-    if len(v0) != len(mat):
-        raise ValueError("vector does not match the matrix")
-    vec = v0
-    for _ in range(k):
-        vec = _matvec(mat, vec)
-    return vec
-
-
 def _count_walks(g: LabelledGraph, k: int, start: int) -> int:
     pattern = g.pattern
     counts = np.zeros(g.n, dtype=np.float64)
@@ -147,8 +133,7 @@ def enumerate_walk_expectation(
         raise ValueError("transition pattern does not match the graph")
     if _count_walks(g, k, start) > WALK_TERM_BUDGET:
         raise WalkBudgetError(f"more than {WALK_TERM_BUDGET} walk terms")
-    max_degree = cfg.max_degree
-    coeffs = cfg.coefficients(max_degree)
+    max_degree, coeffs = cfg.max_degree, cfg.coefficients
     pattern = g.pattern
 
     def walks(node: int, depth: int, prefix, prob: float):
@@ -184,9 +169,8 @@ def node_features_exact(
             mat = tensor_transition(g, cfg, p, step=step)
         vec = _matvec(mat, vec)
     if cfg.zero_start:
-        coeffs = cfg.coefficients(cfg.max_degree)
         vec = tuple(
-            algebra_mul(lift(_start_input(g, cfg, i), cfg.max_degree, coeffs), vec[i])
+            algebra_mul(lift(_start_input(g, cfg, i), cfg.max_degree, cfg.coefficients), vec[i])
             for i in range(g.n)
         )
     return vec

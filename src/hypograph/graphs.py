@@ -9,6 +9,7 @@ put with probability one.
 
 from __future__ import annotations
 
+import numbers
 import os
 import warnings
 from dataclasses import dataclass
@@ -120,6 +121,9 @@ class LabelledGraph:
     """
 
     def __init__(self, n: int, edges, attributes):
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise ValueError(f"n must be an integer, got {n!r}")
+        n = int(n)
         if n < 1:
             raise ValueError(f"need at least one node, got n={n}")
         edges = _node_ids(edges).reshape(-1, 2)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -83,6 +84,10 @@ class ModelConfig:
             raise ValueError("need at least one layer")
         if self.pooling not in ("mean", "sum", None):
             raise ValueError(f"pooling must be 'mean', 'sum' or None, got {self.pooling!r}")
+        if self.seed is not None:
+            if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+                raise ValueError(f"seed must be None or an integer, got {self.seed!r}")
+            object.__setattr__(self, "seed", int(self.seed))
         for prev, nxt in zip(layers, layers[1:]):
             if prev.rank != nxt.attr_dim:
                 raise ValueError(
@@ -257,6 +262,8 @@ def load_params(path: str) -> ModelConfig:
         try:
             attn = entry.get("attention")
             if attn is not None:
+                if not isinstance(attn, dict):
+                    raise ValueError(f"field 'attention' must be null or an object in {path}")
                 attn = AttentionParams(attn["w_source"], attn["w_target"])
             cfg = FeatureConfig(**{f.name: entry[f.name] for f in fields(FeatureConfig)})
             arrays = (entry["u_vectors"], entry["mixing"], entry["bias"])
@@ -265,4 +272,7 @@ def load_params(path: str) -> ModelConfig:
             raise ValueError(f"layer {idx}: missing field {exc.args[0]!r} in {path}") from None
         except ValueError as exc:
             raise ValueError(f"layer {idx}: {exc}") from exc
-    return ModelConfig(tuple(layers), doc["pooling"], doc.get("seed"))
+    try:
+        return ModelConfig(tuple(layers), doc["pooling"], doc.get("seed"))
+    except ValueError as exc:
+        raise ValueError(f"{exc} in {path}") from exc

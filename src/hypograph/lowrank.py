@@ -145,7 +145,7 @@ def batch_features(
         )
     if not p.pattern.same_as(g.pattern):
         raise ValueError("pattern mismatch: transition does not match the graph")
-    coeffs = cfg.coefficients(m_max)
+    coeffs = cfg.coefficients
     u_attr = u_all[:, :, 1:] if cfg.time_param else u_all
 
     state = np.zeros((m_max, g.n, rank))

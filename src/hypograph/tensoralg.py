@@ -68,17 +68,14 @@ def inner_product(v, w) -> float:
 def lift(x, max_degree: int, coeffs=None) -> tuple:
     """Lift a vector into the algebra: level m is c_m * x^(x)m.
 
-    ``coeffs`` is the sequence c_0..c_M, as from
-    :meth:`FeatureConfig.coefficients`; without it c_m = 1/m!, the
-    degree-truncated tensor exponential.
+    ``coeffs`` is the sequence c_0..c_M, checked as
+    :attr:`FeatureConfig.coefficients` checks ``lift_coeffs``; without it
+    c_m = 1/m!, the degree-truncated tensor exponential.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size < 1:
         raise ValueError(f"expected a 1-d vector, got shape {x.shape}")
-    if coeffs is None:
-        coeffs = FeatureConfig().coefficients(max_degree)
-    elif len(coeffs) < max_degree + 1:
-        raise ValueError(f"coefficients cover degrees <= {len(coeffs) - 1}, need {max_degree}")
+    coeffs = FeatureConfig(max_degree=max_degree, lift_coeffs=coeffs).coefficients
     levels = [np.float64(1.0)]
     power = np.float64(1.0)
     for m in range(1, max_degree + 1):
@@ -87,8 +84,9 @@ def lift(x, max_degree: int, coeffs=None) -> tuple:
     return _levels(levels)
 
 
-def sequence_feature(xs, cfg: FeatureConfig, max_degree: int) -> tuple:
-    """Feature of a finite sequence: the ordered product of lifted factors.
+def sequence_feature(xs, cfg: FeatureConfig) -> tuple:
+    """Feature of a finite sequence: the ordered product of lifted factors,
+    truncated at ``cfg.max_degree`` and lifted with ``cfg.coefficients``.
 
     With ``diff`` the factors are the increments x_i - x_{i-1} (plus the
     start point x_0 when ``zero_start`` is set); without ``diff`` the raw
@@ -109,8 +107,7 @@ def sequence_feature(xs, cfg: FeatureConfig, max_degree: int) -> tuple:
             factors = np.vstack([xs[:1], factors])
     else:
         factors = xs
-    coeffs = cfg.coefficients(max_degree)
-    out = unit(xs.shape[1], max_degree)
+    out = unit(xs.shape[1], cfg.max_degree)
     for row in factors:
-        out = algebra_mul(out, lift(row, max_degree, coeffs))
+        out = algebra_mul(out, lift(row, cfg.max_degree, cfg.coefficients))
     return out

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import FeatureConfig
-from .exact import level_tensor, node_features_exact, oracle_guard
+from .exact import level_tensor, node_features_exact
 from .graphs import (
     AttentionParams,
     LabelledGraph,
@@ -29,9 +29,10 @@ from .lowrank import batch_features
 
 TOLERANCE = 1e-10
 TRANSITION_KINDS = ("uniform", "weighted", "attention")
-# every case draws its walk length from 0..MAX_WALK and its degree from
-# 1..MAX_DEGREE; degree 3 is the first to run a chain between the shortest
-# and the full-length one
+# every case draws its node count from 2..MAX_NODES, its walk length from
+# 0..MAX_WALK and its degree from 1..MAX_DEGREE; degree 3 is the first to
+# run a chain between the shortest and the full-length one
+MAX_NODES = 8
 MAX_WALK = 4
 MAX_DEGREE = 3
 RANK = 4
@@ -129,21 +130,20 @@ def case_error(
     return worst
 
 
-def run_equivalence_suite(cases: int = 200, seed: int = 0, max_nodes: int = 8) -> SuiteReport:
+def run_equivalence_suite(cases: int = 200, seed: int = 0) -> SuiteReport:
     """Run the randomized suite and aggregate errors per configuration.
 
     Every case cycles through the three transition kinds and all eight
     variation-flag combinations, so each (kind, flags) bucket is hit
-    roughly cases/24 times.  Walk lengths, degrees and the rank follow
-    MAX_WALK, MAX_DEGREE and RANK.
+    roughly cases/24 times.  Node counts, walk lengths, degrees and the
+    rank follow MAX_NODES, MAX_WALK, MAX_DEGREE and RANK.
     """
-    oracle_guard(max_nodes, MAX_DEGREE)
     rng = np.random.default_rng(seed)
     combos = list(itertools.product([True, False], repeat=3))
     buckets: dict[tuple[str, str], ConfigReport] = {}
     start = time.perf_counter()
     for case in range(cases):
-        g = random_graph(rng, max_nodes)
+        g = random_graph(rng, MAX_NODES)
         kind = TRANSITION_KINDS[case % len(TRANSITION_KINDS)]
         p = make_transition(g, kind, rng)
         diff, zero_start, time_param = combos[(case // len(TRANSITION_KINDS)) % len(combos)]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from hypograph.config import FeatureConfig
 def test_defaults_are_increment_map_with_start_factor():
     cfg = FeatureConfig()
     assert cfg.diff and cfg.zero_start and not cfg.time_param
-    assert cfg.coefficient(0) == 1.0
-    assert cfg.coefficient(3) == pytest.approx(1.0 / 6.0)
+    assert FeatureConfig(max_degree=3).coefficients[0] == 1.0
+    assert FeatureConfig(max_degree=3).coefficients[3] == pytest.approx(1.0 / 6.0)
 
 
 def test_bounds_validated():
@@ -44,10 +46,30 @@ def test_lift_coeffs_pin_c0():
 
 
 def test_lift_coeffs_length_checked_at_use():
+    # "use" is building the config: a short tuple never reaches a consumer
     cfg = FeatureConfig(max_degree=1, lift_coeffs=(1.0, 0.5))
-    assert cfg.coefficients(1) == [1.0, 0.5]
-    with pytest.raises(ValueError, match="covers degrees"):
-        cfg.coefficient(2)
+    assert cfg.coefficients == (1.0, 0.5)
+    with pytest.raises(ValueError, match=r"^lift_coeffs cover degrees <= 1, need 3$"):
+        FeatureConfig(max_degree=3, lift_coeffs=(1.0, 0.5))
+
+
+@pytest.mark.parametrize("value, message", [
+    (5, "lift_coeffs must be a sequence of numbers, got 5"),
+    ("1", "lift_coeffs must be a sequence of numbers, got '1'"),
+    ([[1.0]], "lift_coeffs must hold real numbers, got [1.0]"),
+    ([1.0, None], "lift_coeffs must hold real numbers, got None"),
+    ([1.0, True], "lift_coeffs must hold real numbers, got True"),
+    ([1.0, np.bool_(True)], "lift_coeffs must hold real numbers, got "),  # repr varies by numpy
+])
+def test_lift_coeffs_types_checked(value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        FeatureConfig(lift_coeffs=value)
+
+
+def test_lift_coeffs_stored_as_float_tuple():
+    cfg = FeatureConfig(max_degree=2, lift_coeffs=np.array([1, 2, 3], dtype=np.int64))
+    assert cfg.coefficients == (1.0, 2.0, 3.0)
+    assert all(type(c) is float for c in cfg.lift_coeffs)
 
 
 def test_lift_dim_and_homogeneity():

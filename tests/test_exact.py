@@ -12,7 +12,6 @@ from hypograph.exact import (
     forward_diffusion_exact,
     graph_feature_exact,
     node_features_exact,
-    tensor_mat_power_apply,
     tensor_transition,
 )
 from hypograph.graphs import LabelledGraph, transition_matrix, weighted_transition
@@ -71,43 +70,6 @@ class TestTensorTransition:
         p = transition_matrix(triangle)
         with pytest.raises(ValueError, match="pattern"):
             tensor_transition(path2, cfg_of(), p)
-
-
-class TestTensorMatPowerApply:
-    def test_k0_returns_input(self, triangle):
-        p = transition_matrix(triangle)
-        mat = tensor_transition(triangle, cfg_of(), p)
-        v0 = tuple(lift(np.array([float(i)]), 2) for i in range(3))
-        out = tensor_mat_power_apply(mat, 0, v0)
-        for i in range(3):
-            for m in range(3):
-                np.testing.assert_array_equal(out[i][m], v0[i][m])
-
-    def test_single_deterministic_step(self, path2):
-        p = transition_matrix(path2)
-        mat = tensor_transition(path2, cfg_of(), p)
-        ones = (unit(1, 2),) * 2
-        out = tensor_mat_power_apply(mat, 1, ones)
-        want = lift(np.array([1.0]), 2)
-        for m in range(3):
-            np.testing.assert_allclose(out[0][m], want[m])
-
-    def test_triangle_hand_values(self, triangle):
-        p = transition_matrix(triangle)
-        mat = tensor_transition(triangle, cfg_of(), p)
-        ones = (unit(1, 2),) * 3
-        out = tensor_mat_power_apply(mat, 1, ones)
-        # node 0: (exp[1] + exp[2]) / 2 -> degree 1 = 1.5, degree 2 = 1.25
-        np.testing.assert_allclose(out[0][1], [1.5])
-        np.testing.assert_allclose(out[0][2], [[1.25]])
-
-    def test_scale_guard(self):
-        g = LabelledGraph(65, [(i, i + 1) for i in range(64)], np.zeros((65, 1)))
-        p = transition_matrix(g)
-        mat = tensor_transition(g, cfg_of(max_degree=1), p)
-        ones = (unit(1, 1),) * 65
-        with pytest.raises(OracleScaleError):
-            tensor_mat_power_apply(mat, 1, ones)
 
 
 class TestWalkEnumeration:
@@ -178,6 +140,20 @@ class TestNodeFeatures:
         for m in range(3):
             np.testing.assert_allclose(out[0][m], want[m])
 
+    def test_single_deterministic_step(self, path2):
+        p = transition_matrix(path2)
+        out = node_features_exact(path2, p, cfg_of(), 1)
+        want = lift(np.array([1.0]), 2)
+        for m in range(3):
+            np.testing.assert_allclose(out[0][m], want[m])
+
+    def test_triangle_hand_values(self, triangle):
+        p = transition_matrix(triangle)
+        out = node_features_exact(triangle, p, cfg_of(), 1)
+        # node 0: (exp[1] + exp[2]) / 2 -> degree 1 = 1.5, degree 2 = 1.25
+        np.testing.assert_allclose(out[0][1], [1.5])
+        np.testing.assert_allclose(out[0][2], [[1.25]])
+
     def test_degree0_is_one(self):
         rng = np.random.default_rng(3)
         for _ in range(5):
@@ -211,6 +187,22 @@ class TestNodeFeatures:
             assert seq_allclose(fh[perm[i]], fg[i], rtol=1e-12, atol=1e-12)
 
 
+class TestOracleGuard:
+    @pytest.mark.parametrize("oracle", [node_features_exact, forward_diffusion_exact])
+    @pytest.mark.parametrize("n, max_degree", [(65, 1), (2, 5)])
+    def test_beyond_desk_scale_rejected(self, oracle, n, max_degree):
+        g = LabelledGraph(n, [(i, i + 1) for i in range(n - 1)], np.zeros((n, 1)))
+        with pytest.raises(OracleScaleError, match="oracle guard"):
+            oracle(g, transition_matrix(g), cfg_of(max_degree=max_degree), 1)
+
+    @pytest.mark.parametrize("oracle", [node_features_exact, forward_diffusion_exact])
+    @pytest.mark.parametrize("n, max_degree", [(64, 1), (2, 4)])
+    def test_desk_scale_bounds_accepted(self, oracle, n, max_degree):
+        g = LabelledGraph(n, [(i, i + 1) for i in range(n - 1)], np.zeros((n, 1)))
+        out = oracle(g, transition_matrix(g), cfg_of(max_degree=max_degree), 1)
+        assert len(out) == n and len(out[0]) == max_degree + 1
+
+
 class TestDeterministicWalkConsistency:
     """On a two-node path the walk is deterministic, so the diffusion
     features must equal the sequence feature of the literal attribute
@@ -229,7 +221,7 @@ class TestDeterministicWalkConsistency:
         feats = node_features_exact(g, p, cfg, k)
         for start in (0, 1):
             seen = g.attributes[[(start + t) % 2 for t in range(k + 1)]]
-            want = sequence_feature(seen, cfg, 3)
+            want = sequence_feature(seen, cfg)
             assert seq_allclose(feats[start], want, rtol=1e-12, atol=1e-13)
 
     @pytest.mark.parametrize("tp", [True, False])
@@ -244,7 +236,7 @@ class TestDeterministicWalkConsistency:
         feats = node_features_exact(g, p, cfg, k)
         for start in (0, 1):
             seen = g.attributes[[(start + t) % 2 for t in range(k + 1)]]
-            want = sequence_feature(seen, cfg, 3)
+            want = sequence_feature(seen, cfg)
             assert seq_allclose(feats[start], want, rtol=1e-12, atol=1e-13)
 
 

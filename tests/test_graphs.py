@@ -1,3 +1,4 @@
+import re
 import tempfile
 from pathlib import Path
 
@@ -41,6 +42,15 @@ class TestLabelledGraph:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             LabelledGraph(2, [(0, 2)], np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("n", [3.0, 2.5, True, np.float64(3.0), "3", None])
+    def test_rejects_non_integer_node_count(self, n):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {re.escape(repr(n))}$"):
+            LabelledGraph(n, [(0, 1)], np.zeros((3, 1)))
+
+    def test_numpy_integer_node_count_stored_as_int(self):
+        g = LabelledGraph(np.int64(3), [(0, 1)], np.zeros((3, 1)))
+        assert type(g.n) is int and g.degrees.tolist() == [1, 1, 0]
 
     def test_rejects_bad_attributes(self):
         with pytest.raises(ValueError):

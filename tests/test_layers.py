@@ -193,6 +193,13 @@ class TestModelForward:
         with pytest.raises(ValueError, match="offsets"):
             model_forward(union, model, offsets[1:])
 
+    def test_numpy_integer_seed_stored_as_int(self, tmp_path):
+        layer = make_layer(np.random.default_rng(20), 2)
+        model = ModelConfig((layer,), seed=np.int64(7))
+        assert type(model.seed) is int
+        save_params(str(tmp_path / "model.json"), model)  # json cannot write np.int64
+        assert load_params(str(tmp_path / "model.json")).seed == 7
+
     def test_unknown_pooling_rejected(self):
         layer = make_layer(np.random.default_rng(20), 2)
         with pytest.raises(ValueError, match="pooling must be 'mean', 'sum' or None"):
@@ -309,6 +316,12 @@ class TestL2Penalty:
 
 # every top-level field of a model file except "layers"
 MODEL_HEADER = {"format": "hypograph-model", "version": 1, "pooling": "mean", "seed": 0}
+# one valid layer entry: rank 1, degree 1, one attribute
+LAYER_ENTRY = {
+    "walk_length": 1, "max_degree": 1, "rank": 1, "diff": True, "zero_start": True,
+    "time_param": False, "lift_coeffs": None, "u_vectors": [[[0.5]]], "mixing": [[1.0]],
+    "bias": [0.0], "attention": None,
+}
 
 
 class TestSerialization:
@@ -397,6 +410,10 @@ class TestSerialization:
         ("time_param", 0, "time_param must be a bool, got 0"),
         ("zero_start", None, "missing field 'zero_start'"),
         ("mixing", None, "missing field 'mixing'"),
+        ("lift_coeffs", 5, "lift_coeffs must be a sequence of numbers, got 5"),
+        ("lift_coeffs", [[1.0]], "lift_coeffs must hold real numbers, got [1.0]"),
+        ("lift_coeffs", [1.0, None], "lift_coeffs must hold real numbers, got None"),
+        ("lift_coeffs", [1.0, 0.5], "lift_coeffs cover degrees <= 1, need 2"),
     ])
     def test_mistyped_or_missing_field_names_field_and_layer(self, tmp_path, key, value, message):
         layer = make_layer(np.random.default_rng(24), 2, rank=2)
@@ -419,6 +436,16 @@ class TestSerialization:
         ({**MODEL_HEADER, "layers": [7]}, "layer 1: not an object"),
         ({**MODEL_HEADER, "layers": ["x"]}, "layer 1: not an object"),
         ({**MODEL_HEADER, "layers": [None]}, "layer 1: not an object"),
+        ({**MODEL_HEADER, "layers": [{**LAYER_ENTRY, "attention": 5}]},
+         "layer 1: field 'attention' must be null or an object"),
+        ({**MODEL_HEADER, "layers": [{**LAYER_ENTRY, "attention": [1, 2]}]},
+         "layer 1: field 'attention' must be null or an object"),
+        ({**MODEL_HEADER, "seed": "x", "layers": [LAYER_ENTRY]},
+         "seed must be None or an integer, got 'x'"),
+        ({**MODEL_HEADER, "seed": True, "layers": [LAYER_ENTRY]},
+         "seed must be None or an integer, got True"),
+        ({**MODEL_HEADER, "seed": 1.5, "layers": [LAYER_ENTRY]},
+         "seed must be None or an integer, got 1.5"),
     ])
     def test_malformed_document_names_key_and_path(self, tmp_path, doc, message):
         path = tmp_path / "model.json"

@@ -150,7 +150,7 @@ class TestLift:
             np.testing.assert_array_equal(out[m], one[m])
 
     def test_coefficient_override(self):
-        coeffs = FeatureConfig(max_degree=2, lift_coeffs=(1.0, 1.0, 1.0)).coefficients(2)
+        coeffs = FeatureConfig(max_degree=2, lift_coeffs=(1.0, 1.0, 1.0)).coefficients
         out = lift(np.array([2.0]), 2, coeffs)
         assert out[0] == 1.0
         np.testing.assert_array_equal(out[1], [2.0])
@@ -177,22 +177,22 @@ class TestLift:
 
 class TestSequenceFeature:
     def test_single_element_is_lift(self):
-        cfg = FeatureConfig(diff=True, zero_start=True)
+        cfg = FeatureConfig(max_degree=3, diff=True, zero_start=True)
         x0 = np.array([0.5, -1.0])
-        out = sequence_feature([x0], cfg, 3)
+        out = sequence_feature([x0], cfg)
         want = lift(x0, 3)
         for m in range(4):
             np.testing.assert_allclose(out[m], want[m])
 
     def test_one_increment(self):
-        cfg = FeatureConfig(diff=True, zero_start=False)
+        cfg = FeatureConfig(max_degree=2, diff=True, zero_start=False)
         x0, x1 = np.array([1.0, 2.0]), np.array([0.0, 5.0])
-        out = sequence_feature([x0, x1], cfg, 2)
+        out = sequence_feature([x0, x1], cfg)
         np.testing.assert_allclose(out[1], x1 - x0)
 
     def test_zero_start_expansion(self):
-        cfg = FeatureConfig(diff=True, zero_start=True)
-        out = sequence_feature([[0.0], [1.0]], cfg, 2)
+        cfg = FeatureConfig(max_degree=2, diff=True, zero_start=True)
+        out = sequence_feature([[0.0], [1.0]], cfg)
         assert out[0] == 1.0
         np.testing.assert_allclose(out[1], [1.0])
         np.testing.assert_allclose(out[2], [[0.5]])
@@ -203,9 +203,9 @@ class TestSequenceFeature:
 
     def test_matches_explicit_product_oracle(self):
         rng = np.random.default_rng(11)
-        cfg = FeatureConfig(diff=True, zero_start=True)
+        cfg = FeatureConfig(max_degree=3, diff=True, zero_start=True)
         xs = rng.standard_normal((5, 2))
-        out = sequence_feature(xs, cfg, 3)
+        out = sequence_feature(xs, cfg)
         factors = [xs[0]] + [xs[i] - xs[i - 1] for i in range(1, 5)]
         want = unit(2, 3)
         for f in factors:
@@ -214,24 +214,24 @@ class TestSequenceFeature:
             np.testing.assert_allclose(out[m], want[m], rtol=1e-12)
 
     def test_nodiff_multiplies_raw_values(self):
-        cfg = FeatureConfig(diff=False, zero_start=False)
+        cfg = FeatureConfig(max_degree=2, diff=False, zero_start=False)
         xs = np.array([[1.0], [2.0]])
-        out = sequence_feature(xs, cfg, 2)
+        out = sequence_feature(xs, cfg)
         want = algebra_mul(lift(xs[0], 2), lift(xs[1], 2))
         for m in range(3):
             np.testing.assert_allclose(out[m], want[m])
 
     def test_nodiff_zero_start_is_noop(self):
         xs = np.array([[1.0, 2.0], [0.5, 0.0], [3.0, 1.0]])
-        a = sequence_feature(xs, FeatureConfig(diff=False, zero_start=False), 2)
-        b = sequence_feature(xs, FeatureConfig(diff=False, zero_start=True), 2)
+        a = sequence_feature(xs, FeatureConfig(max_degree=2, diff=False, zero_start=False))
+        b = sequence_feature(xs, FeatureConfig(max_degree=2, diff=False, zero_start=True))
         for m in range(3):
             np.testing.assert_array_equal(a[m], b[m])
 
     def test_time_param_increments(self):
-        cfg = FeatureConfig(diff=True, zero_start=False, time_param=True)
+        cfg = FeatureConfig(max_degree=2, diff=True, zero_start=False, time_param=True)
         xs = np.array([[1.0], [1.0]])  # constant sequence
-        out = sequence_feature(xs, cfg, 2)
+        out = sequence_feature(xs, cfg)
         # increment of the time-augmented sequence is (1, 0)
         want = lift(np.array([1.0, 0.0]), 2)
         for m in range(3):
@@ -239,31 +239,33 @@ class TestSequenceFeature:
 
     def test_translation_invariant_without_zero_start(self):
         rng = np.random.default_rng(2)
-        cfg = FeatureConfig(diff=True, zero_start=False)
+        cfg = FeatureConfig(max_degree=3, diff=True, zero_start=False)
         xs = rng.integers(-3, 4, size=(4, 2)).astype(float)
         shifted = xs + np.array([1.0, -2.0])
-        a, b = sequence_feature(xs, cfg, 3), sequence_feature(shifted, cfg, 3)
+        a, b = sequence_feature(xs, cfg), sequence_feature(shifted, cfg)
         for m in range(4):
             np.testing.assert_array_equal(a[m], b[m])
 
     def test_zero_start_breaks_translation_invariance(self):
-        cfg = FeatureConfig(diff=True, zero_start=True)
+        cfg = FeatureConfig(max_degree=2, diff=True, zero_start=True)
         xs = np.array([[0.0], [1.0]])
-        a = sequence_feature(xs, cfg, 2)
-        b = sequence_feature(xs + 1.0, cfg, 2)
+        a = sequence_feature(xs, cfg)
+        b = sequence_feature(xs + 1.0, cfg)
         assert not np.allclose(a[1], b[1])
 
     def test_degree0_is_one(self):
         rng = np.random.default_rng(9)
         for diff in (True, False):
             for zs in (True, False):
-                cfg = FeatureConfig(diff=diff, zero_start=zs, time_param=bool(rng.integers(2)))
+                cfg = FeatureConfig(
+                    max_degree=2, diff=diff, zero_start=zs, time_param=bool(rng.integers(2))
+                )
                 xs = rng.standard_normal((3, 2))
-                assert sequence_feature(xs, cfg, 2)[0] == 1.0
+                assert sequence_feature(xs, cfg)[0] == 1.0
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
-            sequence_feature(np.zeros((0, 2)), FeatureConfig(), 2)
+            sequence_feature(np.zeros((0, 2)), FeatureConfig(max_degree=2))
 
 
 class TestSequenceHelpers:
@@ -286,8 +288,8 @@ class TestSequenceHelpers:
             lift([np.inf], 2)
 
     def test_default_coefficients_are_factorial_reciprocals(self):
-        c = FeatureConfig().coefficients(4)
-        assert c == [1.0 / math.factorial(m) for m in range(5)]
+        c = FeatureConfig(max_degree=4).coefficients
+        assert c == tuple(1.0 / math.factorial(m) for m in range(5))
         x = np.array([0.3, -1.2])
         for m in range(5):  # lift's default is the same sequence
             np.testing.assert_array_equal(lift(x, 4)[m], lift(x, 4, c)[m])
