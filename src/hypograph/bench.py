@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,26 +76,20 @@ def ladder_edges(min_exp: int, max_exp: int, topology: str) -> list[int]:
 
 
 def edge_scaling(
+    cfg: FeatureConfig,
     min_exp: int = 12,
     max_exp: int = 18,
-    walk_length: int = 5,
-    max_degree: int = 2,
-    rank: int = 8,
     repeats: int = 5,
     seed: int = 0,
     topology: str = "path",
 ) -> list[BenchRow]:
-    """Time a geometric ladder of edge counts at fixed (k, M, R, d).
+    """Time a geometric ladder of edge counts at the fixed settings ``cfg``.
 
     A row's ratio is the time growth per doubling of the edge count,
     (t / t_prev) ** (1 / log2(E / E_prev)); on the path ladder E doubles
     every rung, so it is t / t_prev.
     """
     ladder_edges(min_exp, max_exp, topology)
-    cfg = FeatureConfig(
-        walk_length=walk_length, max_degree=max_degree, rank=rank, diff=True,
-        zero_start=True,
-    )
     rows: list[BenchRow] = []
     for exp in range(min_exp, max_exp + 1):
         if topology == "path":
@@ -120,22 +114,20 @@ def edge_scaling(
 
 
 def degree_scaling(
+    cfg: FeatureConfig,
     edges_exp: int = 15,
-    walk_length: int = 5,
-    rank: int = 8,
     degrees: tuple[int, int] = (2, 4),
     repeats: int = 5,
     seed: int = 0,
 ) -> dict:
     """Time the recursion at two tensor degrees on one fixed path graph, in
     ``repeats`` interleaved pairs; the ratio is the median per-pair ratio,
-    so a burst of host load slows both runs of a pair, not one degree."""
+    so a burst of host load slows both runs of a pair, not one degree.
+    Every other setting is taken from ``cfg``, whose ``max_degree`` is
+    replaced by each degree in turn."""
     g = path_graph(2**edges_exp, seed=seed)
     lo, hi = degrees
-    run_lo, run_hi = (
-        _timer(g, FeatureConfig(walk_length=walk_length, max_degree=deg, rank=rank), seed)
-        for deg in degrees
-    )
+    run_lo, run_hi = (_timer(g, replace(cfg, max_degree=deg), seed) for deg in degrees)
     pairs = np.array([(run_lo(), run_hi()) for _ in range(repeats)])
     return {
         "edges": g.num_edges,

@@ -357,15 +357,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         bench_mod.ladder_edges(args.min_exp, args.max_exp, args.topology)
     except ValueError as exc:
         raise UsageError(f"argument --min-exp: {exc}") from None
+    cfg = FeatureConfig(
+        walk_length=args.walk_length, max_degree=args.max_degree, rank=args.rank
+    )
     rows = bench_mod.edge_scaling(
-        min_exp=args.min_exp,
-        max_exp=args.max_exp,
-        walk_length=args.walk_length,
-        max_degree=args.max_degree,
-        rank=args.rank,
-        repeats=args.repeats,
-        seed=args.seed,
-        topology=args.topology,
+        cfg, args.min_exp, args.max_exp, args.repeats, args.seed, args.topology
     )
     print(f"{'edges':>10s} {'seconds':>12s} {'ns/edge':>10s} {'ratio':>7s}  note")
     for row in rows:
@@ -377,11 +373,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             f"{row.edges:>10d} {row.seconds:>12.6f} {row.ns_per_edge:>10.1f} {ratio:>7s}  {note}"
         )
     deg = bench_mod.degree_scaling(
-        edges_exp=min(args.max_exp, 15),
-        walk_length=args.walk_length,
-        rank=args.rank,
-        repeats=args.repeats,
-        seed=args.seed,
+        cfg, edges_exp=min(args.max_exp, 15), repeats=args.repeats, seed=args.seed
     )
     lo, hi = sorted(deg["seconds"])
     print(

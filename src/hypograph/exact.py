@@ -53,7 +53,7 @@ def _start_input(g: LabelledGraph, cfg: FeatureConfig, i: int) -> np.ndarray:
 
 
 def tensor_transition(
-    g: LabelledGraph, cfg: FeatureConfig, p: RowStochastic, step: int = 1
+    g: LabelledGraph, p: RowStochastic, cfg: FeatureConfig, step: int = 1
 ) -> tuple:
     """Transition matrix with entries P_ij * lift(edge input).
 
@@ -62,14 +62,13 @@ def tensor_transition(
     """
     if not p.pattern.same_as(g.pattern):
         raise ValueError("transition pattern does not match the graph")
-    max_degree, coeffs = cfg.max_degree, cfg.coefficients
     pattern = p.pattern
     rows = []
     for i in range(g.n):
         row = []
         for e in range(pattern.indptr[i], pattern.indptr[i + 1]):
             j = int(pattern.indices[e])
-            entry = lift(_edge_input(g, cfg, i, j, step), max_degree, coeffs)
+            entry = lift(_edge_input(g, cfg, i, j, step), cfg)
             row.append((j, scale(entry, float(p.values[e]))))
         rows.append(tuple(row))
     return tuple(rows)
@@ -116,24 +115,23 @@ def _count_walks(g: LabelledGraph, k: int, start: int) -> int:
 
 
 def enumerate_walk_expectation(
-    g: LabelledGraph, p: RowStochastic, cfg: FeatureConfig, k: int, start: int
+    g: LabelledGraph, p: RowStochastic, cfg: FeatureConfig, start: int
 ) -> tuple:
-    """Brute-force sum over all length-k walks from ``start``.
+    """Brute-force sum over all walks of length k = ``cfg.walk_length`` from
+    ``start``.
 
     Each walk contributes its probability times the ordered product of
     its per-step lifts; by construction this equals the corresponding
     entry of the k-th transition-matrix power applied to the all-unit
     vector.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    k = cfg.walk_length
     if not (0 <= start < g.n):
         raise ValueError(f"start node {start} out of range")
     if not p.pattern.same_as(g.pattern):
         raise ValueError("transition pattern does not match the graph")
     if _count_walks(g, k, start) > WALK_TERM_BUDGET:
         raise WalkBudgetError(f"more than {WALK_TERM_BUDGET} walk terms")
-    max_degree, coeffs = cfg.max_degree, cfg.coefficients
     pattern = g.pattern
 
     def walks(node: int, depth: int, prefix, prob: float):
@@ -142,64 +140,52 @@ def enumerate_walk_expectation(
             return
         for e in range(pattern.indptr[node], pattern.indptr[node + 1]):
             j = int(pattern.indices[e])
-            factor = lift(_edge_input(g, cfg, node, j, depth + 1), max_degree, coeffs)
+            factor = lift(_edge_input(g, cfg, node, j, depth + 1), cfg)
             yield from walks(j, depth + 1, algebra_mul(prefix, factor), prob * float(p.values[e]))
 
     # summed left to right in depth-first order, one walk at a time
-    return reduce(add, walks(start, 0, unit(cfg.lift_dim(g.attr_dim), max_degree), 1.0))
+    return reduce(add, walks(start, 0, unit(cfg.lift_dim(g.attr_dim), cfg.max_degree), 1.0))
 
 
-def node_features_exact(
-    g: LabelledGraph, p: RowStochastic, cfg: FeatureConfig, k: int
-) -> tuple:
+def node_features_exact(g: LabelledGraph, p: RowStochastic, cfg: FeatureConfig) -> tuple:
     """Exact walk-history features conditioned on the start node.
 
-    Applies the step-s transition matrices with s = k..1 to the all-unit
-    vector, so the first walk step ends up leftmost in every product; with
-    ``zero_start`` each entry i is then left-multiplied by the lift of
-    node i's start factor.
+    Applies the step-s transition matrices with s = k..1, k =
+    ``cfg.walk_length``, to the all-unit vector, so the first walk step
+    ends up leftmost in every product; with ``zero_start`` each entry i is
+    then left-multiplied by the lift of node i's start factor.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
     oracle_guard(g.n, cfg.max_degree)
     vec = (unit(cfg.lift_dim(g.attr_dim), cfg.max_degree),) * g.n
     mat = None
-    for step in range(k, 0, -1):
+    for step in range(cfg.walk_length, 0, -1):
         if mat is None or not cfg.step_homogeneous:
-            mat = tensor_transition(g, cfg, p, step=step)
+            mat = tensor_transition(g, p, cfg, step=step)
         vec = _matvec(mat, vec)
     if cfg.zero_start:
-        vec = tuple(
-            algebra_mul(lift(_start_input(g, cfg, i), cfg.max_degree, cfg.coefficients), vec[i])
-            for i in range(g.n)
-        )
+        vec = tuple(algebra_mul(lift(_start_input(g, cfg, i), cfg), vec[i]) for i in range(g.n))
     return vec
 
 
-def graph_feature_exact(
-    g: LabelledGraph, p: RowStochastic, cfg: FeatureConfig, k: int
-) -> tuple:
+def graph_feature_exact(g: LabelledGraph, p: RowStochastic, cfg: FeatureConfig) -> tuple:
     """Mean of the exact node features."""
-    return scale(reduce(add, node_features_exact(g, p, cfg, k)), 1.0 / g.n)
+    return scale(reduce(add, node_features_exact(g, p, cfg)), 1.0 / g.n)
 
 
-def forward_diffusion_exact(
-    g: LabelledGraph, p: RowStochastic, cfg: FeatureConfig, k: int
-) -> tuple:
-    """Walk-history features conditioned on the end node.
+def forward_diffusion_exact(g: LabelledGraph, p: RowStochastic, cfg: FeatureConfig) -> tuple:
+    """Walk-history features conditioned on the end node, after
+    k = ``cfg.walk_length`` steps.
 
     Entry i is P[walk ends at i] times the expected step-lift product
     given that ending; its degree-0 level is exactly that probability.
     The start-node factor is never included here.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
     oracle_guard(g.n, cfg.max_degree)
     vec = (scale(unit(cfg.lift_dim(g.attr_dim), cfg.max_degree), 1.0 / g.n),) * g.n
     mat = None
-    for step in range(1, k + 1):
+    for step in range(1, cfg.walk_length + 1):
         if mat is None or not cfg.step_homogeneous:
-            mat = tensor_transition(g, cfg, p, step=step)
+            mat = tensor_transition(g, p, cfg, step=step)
         vec = _vecmat(vec, mat)
     return vec
 

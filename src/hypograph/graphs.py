@@ -33,9 +33,16 @@ class NonFiniteError(ArithmeticError):
 def frozen(values, dtype=np.float64, what: str | None = None) -> np.ndarray:
     """Read-only C-contiguous ``dtype`` array of ``values`` that no caller
     can write through: a writeable array, or a view of one, is copied, and
-    a read-only array with no writeable base is shared.  With ``what``, a
-    non-finite entry raises ``ValueError("{what} must be finite")``."""
-    arr = np.asarray(values, dtype=dtype, order="C")
+    a read-only array with no writeable base is shared.  With ``what``,
+    values that are not an array of numbers raise ``ValueError("{what} must
+    be an array of numbers")`` and a non-finite entry ``ValueError("{what}
+    must be finite")``."""
+    try:
+        arr = np.asarray(values, dtype=dtype, order="C")
+    except (TypeError, ValueError):
+        if what is None:
+            raise
+        raise ValueError(f"{what} must be an array of numbers") from None
     if arr is values or arr.base is not None:
         owner = arr
         while isinstance(owner, np.ndarray) and not owner.flags.writeable:
@@ -126,7 +133,10 @@ class LabelledGraph:
         n = int(n)
         if n < 1:
             raise ValueError(f"need at least one node, got n={n}")
-        edges = _node_ids(edges).reshape(-1, 2)
+        edges = _node_ids(edges)
+        if edges.size and (edges.ndim != 2 or edges.shape[1] != 2):
+            raise ValueError(f"edges must be (m, 2) pairs, got shape {edges.shape}")
+        edges = edges.reshape(-1, 2)
         if edges.size:
             if edges.min() < 0 or edges.max() >= n:
                 raise ValueError("edge endpoint out of range")
@@ -294,6 +304,8 @@ class AttentionParams:
     def __post_init__(self):
         for name in ("w_source", "w_target"):
             weights = frozen(np.atleast_2d(getattr(self, name)), what="attention weights")
+            if weights.ndim != 2:
+                raise ValueError(f"{name} must be (heads, d), got shape {weights.shape}")
             object.__setattr__(self, name, weights)
         if self.w_source.shape != self.w_target.shape:
             raise ValueError("w_source and w_target must have matching shapes")

@@ -243,13 +243,17 @@ def save_params(path: str, model: ModelConfig) -> None:
 
 
 def load_params(path: str) -> ModelConfig:
-    """Load a model saved by :func:`save_params`."""
+    """Load a model saved by :func:`save_params`; every ``ValueError`` it
+    raises names ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{exc} in {path}") from exc
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a {MODEL_FORMAT} file: {path}")
     if doc.get("version") != MODEL_VERSION:
-        raise ValueError(f"unsupported version {doc.get('version')}")
+        raise ValueError(f"unsupported version {doc.get('version')} in {path}")
     for key in ("layers", "pooling"):
         if key not in doc:
             raise ValueError(f"missing field {key!r} in {path}")
@@ -263,7 +267,7 @@ def load_params(path: str) -> ModelConfig:
             attn = entry.get("attention")
             if attn is not None:
                 if not isinstance(attn, dict):
-                    raise ValueError(f"field 'attention' must be null or an object in {path}")
+                    raise ValueError("field 'attention' must be null or an object")
                 attn = AttentionParams(attn["w_source"], attn["w_target"])
             cfg = FeatureConfig(**{f.name: entry[f.name] for f in fields(FeatureConfig)})
             arrays = (entry["u_vectors"], entry["mixing"], entry["bias"])
@@ -271,7 +275,7 @@ def load_params(path: str) -> ModelConfig:
         except KeyError as exc:
             raise ValueError(f"layer {idx}: missing field {exc.args[0]!r} in {path}") from None
         except ValueError as exc:
-            raise ValueError(f"layer {idx}: {exc}") from exc
+            raise ValueError(f"layer {idx}: {exc} in {path}") from exc
     try:
         return ModelConfig(tuple(layers), doc["pooling"], doc.get("seed"))
     except ValueError as exc:

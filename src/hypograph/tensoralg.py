@@ -65,20 +65,17 @@ def inner_product(v, w) -> float:
     return float(sum(np.vdot(a, b) for a, b in zip(v, w)))
 
 
-def lift(x, max_degree: int, coeffs=None) -> tuple:
-    """Lift a vector into the algebra: level m is c_m * x^(x)m.
-
-    ``coeffs`` is the sequence c_0..c_M, checked as
-    :attr:`FeatureConfig.coefficients` checks ``lift_coeffs``; without it
-    c_m = 1/m!, the degree-truncated tensor exponential.
-    """
+def lift(x, cfg: FeatureConfig) -> tuple:
+    """Lift a vector into the algebra: level m is c_m * x^(x)m for m up to
+    ``cfg.max_degree``, with c_m from ``cfg.coefficients`` (by default
+    1/m!, the degree-truncated tensor exponential)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size < 1:
         raise ValueError(f"expected a 1-d vector, got shape {x.shape}")
-    coeffs = FeatureConfig(max_degree=max_degree, lift_coeffs=coeffs).coefficients
+    coeffs = cfg.coefficients
     levels = [np.float64(1.0)]
     power = np.float64(1.0)
-    for m in range(1, max_degree + 1):
+    for m in range(1, cfg.max_degree + 1):
         power = np.multiply.outer(power, x)
         levels.append(coeffs[m] * power)
     return _levels(levels)
@@ -109,5 +106,5 @@ def sequence_feature(xs, cfg: FeatureConfig) -> tuple:
         factors = xs
     out = unit(xs.shape[1], cfg.max_degree)
     for row in factors:
-        out = algebra_mul(out, lift(row, cfg.max_degree, cfg.coefficients))
+        out = algebra_mul(out, lift(row, cfg))
     return out

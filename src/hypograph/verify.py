@@ -106,18 +106,17 @@ class SuiteReport:
         return all(b.passed for b in self.buckets)
 
 
-def case_error(
-    g: LabelledGraph,
-    p,
-    cfg: FeatureConfig,
-    functionals,
-    k: int,
-) -> float:
+def case_error(g: LabelledGraph, p, cfg: FeatureConfig, functionals, k: int) -> float:
     """Worst entry error of the low-rank features against the oracle, for
-    an (R, M, dim) array-like of functionals as :func:`batch_features` takes."""
+    an (R, M, dim) array-like of functionals as :func:`batch_features` takes.
+
+    Both sides read the walk length from ``cfg``; ``k`` must repeat it.
+    """
+    if k != cfg.walk_length:
+        raise ValueError(f"k={k} differs from cfg.walk_length={cfg.walk_length}")
     vectors = np.asarray(functionals, dtype=np.float64)
     low = batch_features(g, p, vectors, cfg)
-    exact = node_features_exact(g, p, cfg, k)
+    exact = node_features_exact(g, p, cfg)
     m_max = cfg.max_degree
     worst = 0.0
     for j, u in enumerate(vectors):
@@ -163,7 +162,7 @@ def run_equivalence_suite(cases: int = 200, seed: int = 0) -> SuiteReport:
             vec = rng.standard_normal((m_deg, dim))
             vec /= np.linalg.norm(vec, axis=1, keepdims=True)
             functionals.append(vec)
-        err = case_error(g, p, cfg, functionals, k)
+        err = case_error(g, p, cfg, functionals, cfg.walk_length)
         key = (kind, flag_label(cfg))
         bucket = buckets.setdefault(key, ConfigReport(kind, flag_label(cfg)))
         bucket.cases += 1

@@ -75,9 +75,9 @@ def test_criterion_2_walk_enumeration_identity():
             zero_start=False,
             time_param=bool(rng.integers(2)),
         )
-        feats = node_features_exact(g, p, cfg, k)
+        feats = node_features_exact(g, p, cfg)
         for i in range(g.n):
-            walk_sum = enumerate_walk_expectation(g, p, cfg, k, i)
+            walk_sum = enumerate_walk_expectation(g, p, cfg, i)
             for m in range(cfg.max_degree + 1):
                 diff = np.abs(walk_sum[m] - feats[i][m])
                 scale = np.maximum(1.0, np.abs(feats[i][m]))
@@ -108,7 +108,7 @@ def test_criterion_3_zerostart_correction():
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         ell = RankOneFunctional(u)
         corrected = batch_features(g, p, [ell], cfg)[:, m_max - 1]
-        exact = node_features_exact(g, p, cfg, k)
+        exact = node_features_exact(g, p, cfg)
         level = level_tensor(ell, m_max)
         for i in range(g.n):
             want = float(np.vdot(level, exact[i][m_max]))
@@ -175,8 +175,8 @@ def test_criterion_5_invariance_suite():
     fa = batch_features(g, transition_matrix(g), fs, cfg_p)
     fb = batch_features(h, transition_matrix(h), fs, cfg_p)
     checks.append(("permutation equivariance", float(np.max(np.abs(fb[perm] - fa))) <= 1e-12))
-    ga = graph_feature_exact(g, transition_matrix(g), cfg_p, 3)
-    gb = graph_feature_exact(h, transition_matrix(h), cfg_p, 3)
+    ga = graph_feature_exact(g, transition_matrix(g), cfg_p)
+    gb = graph_feature_exact(h, transition_matrix(h), cfg_p)
     pooled = max(
         float(np.max(np.abs(ga[m] - gb[m]))) for m in range(3)
     )
@@ -190,8 +190,8 @@ def test_criterion_5_invariance_suite():
         cfg = FeatureConfig(
             walk_length=3, max_degree=2, diff=diff, zero_start=False, time_param=tp
         )
-        back = node_features_exact(gg, p, cfg, 3)
-        fwd = forward_diffusion_exact(gg, p, cfg, 3)
+        back = node_features_exact(gg, p, cfg)
+        fwd = forward_diffusion_exact(gg, p, cfg)
         for m in range(3):
             lhs = sum(back[i][m] for i in range(gg.n)) / gg.n
             rhs = sum(fwd[i][m] for i in range(gg.n))
@@ -205,7 +205,7 @@ def test_criterion_5_invariance_suite():
         gg = random_labelled_graph(rng, max_nodes=7)
         p = transition_matrix(gg)
         cfg = FeatureConfig(walk_length=4, max_degree=1)
-        fwd = forward_diffusion_exact(gg, p, cfg, 4)
+        fwd = forward_diffusion_exact(gg, p, cfg)
         mass = sum(float(fwd[i][0]) for i in range(gg.n))
         worst_mass = max(worst_mass, abs(mass - 1.0))
     checks.append(("walk mass conservation", worst_mass <= 1e-12))
@@ -215,7 +215,8 @@ def test_criterion_5_invariance_suite():
 
 
 def test_criterion_6_edge_linear_complexity():
-    rows = edge_scaling(12, 18, walk_length=5, max_degree=2, rank=8, repeats=5)
+    cfg = FeatureConfig(walk_length=5, max_degree=2, rank=8)
+    rows = edge_scaling(cfg, 12, 18, repeats=5)
     ratios = [row.ratio for row in rows if row.ratio is not None]
     in_range = sum(1 for r in ratios if 1.5 <= r <= 2.5)
     detail = "ratios " + ", ".join(f"{r:.2f}" for r in ratios)
@@ -224,7 +225,7 @@ def test_criterion_6_edge_linear_complexity():
         in_range >= 4,
         detail,
     )
-    deg = degree_scaling(15, walk_length=5, rank=8, degrees=(2, 4), repeats=5)
+    deg = degree_scaling(cfg, 15, degrees=(2, 4), repeats=5)
     report(
         "criterion 6: doubling max degree 2 -> 4 costs <= 5x",
         deg["ratio"] <= 5.0,
@@ -366,8 +367,8 @@ def test_criterion_10_walk_distribution_characterization():
     )
     cfg = FeatureConfig(walk_length=k, max_degree=3, diff=True, zero_start=True,
                         time_param=True)
-    fa = graph_feature_exact(path3, transition_matrix(path3), cfg, k)
-    fb = graph_feature_exact(tri, transition_matrix(tri), cfg, k)
+    fa = graph_feature_exact(path3, transition_matrix(path3), cfg)
+    fb = graph_feature_exact(tri, transition_matrix(tri), cfg)
     gap = max(float(np.max(np.abs(fa[m] - fb[m]))) for m in range(4))
     report(
         "criterion 10: pooled features separate the witness graphs",
@@ -377,7 +378,7 @@ def test_criterion_10_walk_distribution_characterization():
     rng = np.random.default_rng(101)
     perm = rng.permutation(3)
     iso = tri.permuted(perm)
-    fc = graph_feature_exact(iso, transition_matrix(iso), cfg, k)
+    fc = graph_feature_exact(iso, transition_matrix(iso), cfg)
     same = max(float(np.max(np.abs(fb[m] - fc[m]))) for m in range(4))
     report(
         "criterion 10: isomorphic copies give equal pooled features",

@@ -14,6 +14,7 @@ import pytest
 from conftest import random_labelled_graph, write_tu_files
 import hypograph
 from hypograph import bench, cli, exact, lowrank, verify
+from hypograph.config import FeatureConfig
 from hypograph.graphs import LabelledGraph, grid_graph, load_tu_dataset, save_tu_dataset
 from hypograph.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, EXIT_WORKER, main
 from hypograph.verify import run_equivalence_suite
@@ -524,17 +525,19 @@ class TestBench:
     def test_grid_rungs_strictly_grow(self):
         edges = bench.ladder_edges(3, 12, "grid")
         assert all(b > a for a, b in zip(edges, edges[1:]))
-        rows = bench.edge_scaling(3, 6, walk_length=1, rank=1, repeats=1, topology="grid")
+        rows = bench.edge_scaling(
+            FeatureConfig(walk_length=1, rank=1), 3, 6, repeats=1, topology="grid"
+        )
         assert [row.edges for row in rows] == edges[:4] == [4, 12, 24, 60]
 
     def test_ratio_is_per_doubling(self, monkeypatch):
         # time proportional to edges grows 2x per doubling, whatever the rung
         # spacing; on the path ladder the ratio is plain t / t_prev
         monkeypatch.setattr(bench, "time_batch", lambda g, cfg, **kw: 1e-9 * g.num_edges)
-        grid = bench.edge_scaling(3, 8, topology="grid")
+        grid = bench.edge_scaling(FeatureConfig(), 3, 8, topology="grid")
         assert [row.ratio for row in grid[1:]] == pytest.approx([2.0] * 5, rel=1e-12)
         monkeypatch.setattr(bench, "time_batch", lambda g, cfg, **kw: 1e-9 * g.num_edges**1.5)
-        path = bench.edge_scaling(3, 6, topology="path")
+        path = bench.edge_scaling(FeatureConfig(), 3, 6, topology="path")
         assert [row.ratio for row in path[1:]] == [
             b.seconds / a.seconds for a, b in zip(path, path[1:])
         ]

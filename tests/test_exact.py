@@ -45,14 +45,14 @@ def degree0(mat):
 class TestTensorTransition:
     def test_triangle_scaling(self, triangle):
         p = transition_matrix(triangle)
-        mat = tensor_transition(triangle, cfg_of(), p)
-        want = scale(lift(np.array([1.0]), 2), 0.5)
+        mat = tensor_transition(triangle, p, cfg_of())
+        want = scale(lift(np.array([1.0]), cfg_of()), 0.5)
         for m in range(3):
             np.testing.assert_allclose(entry(mat, 0, 1)[m], want[m])
 
     def test_isolated_diagonal_is_unit(self):
         g = LabelledGraph(3, [(0, 1)], np.array([[0.0], [1.0], [5.0]]))
-        mat = tensor_transition(g, cfg_of(), transition_matrix(g))
+        mat = tensor_transition(g, transition_matrix(g), cfg_of())
         one = unit(1, 2)
         for m in range(3):
             np.testing.assert_array_equal(entry(mat, 2, 2)[m], one[m])
@@ -63,19 +63,19 @@ class TestTensorTransition:
         if g.num_edges == 0:
             pytest.skip("no edges drawn")
         p = weighted_transition(g, {tuple(e): float(rng.uniform(0.2, 2.0)) for e in g.edges})
-        mat = tensor_transition(g, cfg_of(), p)
+        mat = tensor_transition(g, p, cfg_of())
         np.testing.assert_array_equal(degree0(mat), p.toarray())
 
     def test_pattern_mismatch_rejected(self, path2, triangle):
         p = transition_matrix(triangle)
         with pytest.raises(ValueError, match="pattern"):
-            tensor_transition(path2, cfg_of(), p)
+            tensor_transition(path2, p, cfg_of())
 
 
 class TestWalkEnumeration:
     def test_k0_is_unit(self, triangle):
         p = transition_matrix(triangle)
-        out = enumerate_walk_expectation(triangle, p, cfg_of(), 0, 0)
+        out = enumerate_walk_expectation(triangle, p, cfg_of(walk_length=0), 0)
         one = unit(1, 2)
         for m in range(3):
             np.testing.assert_array_equal(out[m], one[m])
@@ -83,10 +83,10 @@ class TestWalkEnumeration:
     def test_path_cancellation(self, path2):
         # two steps out and back: degree 1 cancels, degree 2 = 0.5 - 1 + 0.5 = 0
         p = transition_matrix(path2)
-        out = enumerate_walk_expectation(path2, p, cfg_of(), 2, 0)
+        out = enumerate_walk_expectation(path2, p, cfg_of(walk_length=2), 0)
         np.testing.assert_allclose(out[1], [0.0], atol=1e-15)
         np.testing.assert_allclose(out[2], [[0.0]], atol=1e-15)
-        prod = algebra_mul(lift(np.array([1.0]), 2), lift(np.array([-1.0]), 2))
+        prod = algebra_mul(lift(np.array([1.0]), cfg_of()), lift(np.array([-1.0]), cfg_of()))
         for m in range(3):
             np.testing.assert_allclose(out[m], prod[m], atol=1e-15)
 
@@ -95,15 +95,15 @@ class TestWalkEnumeration:
         for case in range(20):
             g = random_labelled_graph(rng, max_nodes=6, max_dim=2)
             p = make_transition(g, ("uniform", "weighted", "attention")[case % 3], rng)
-            k = int(rng.integers(0, 5))
             cfg = cfg_of(
+                walk_length=int(rng.integers(0, 5)),
                 max_degree=int(rng.integers(1, 4)),
                 diff=bool(rng.integers(2)),
                 time_param=bool(rng.integers(2)),
             )
-            feats = node_features_exact(g, p, cfg, k)
+            feats = node_features_exact(g, p, cfg)
             for start in range(g.n):
-                walk_sum = enumerate_walk_expectation(g, p, cfg, k, start)
+                walk_sum = enumerate_walk_expectation(g, p, cfg, start)
                 assert seq_allclose(walk_sum, feats[start], rtol=1e-10, atol=1e-12)
 
     def test_budget_guard(self):
@@ -112,21 +112,21 @@ class TestWalkEnumeration:
         g = LabelledGraph(n, edges, np.zeros((n, 1)))
         p = transition_matrix(g)
         with pytest.raises(WalkBudgetError):
-            enumerate_walk_expectation(g, p, cfg_of(max_degree=1), 5, 0)
+            enumerate_walk_expectation(g, p, cfg_of(max_degree=1, walk_length=5), 0)
 
 
 class TestNodeFeatures:
     def test_k0_zero_start_gives_lifts(self, triangle):
         p = transition_matrix(triangle)
-        out = node_features_exact(triangle, p, cfg_of(zero_start=True), 0)
+        out = node_features_exact(triangle, p, cfg_of(walk_length=0, zero_start=True))
         for i in range(3):
-            want = lift(triangle.attributes[i], 2)
+            want = lift(triangle.attributes[i], cfg_of())
             for m in range(3):
                 np.testing.assert_array_equal(out[i][m], want[m])
 
     def test_k0_no_zero_start_gives_units(self, triangle):
         p = transition_matrix(triangle)
-        out = node_features_exact(triangle, p, cfg_of(zero_start=False), 0)
+        out = node_features_exact(triangle, p, cfg_of(walk_length=0, zero_start=False))
         one = unit(1, 2)
         for i in range(3):
             for m in range(3):
@@ -135,21 +135,21 @@ class TestNodeFeatures:
     def test_zero_start_from_origin_attribute(self, path2):
         # start attribute 0 lifts to the unit, so the start factor is invisible
         p = transition_matrix(path2)
-        out = node_features_exact(path2, p, cfg_of(zero_start=True), 1)
-        want = lift(np.array([1.0]), 2)
+        out = node_features_exact(path2, p, cfg_of(walk_length=1, zero_start=True))
+        want = lift(np.array([1.0]), cfg_of())
         for m in range(3):
             np.testing.assert_allclose(out[0][m], want[m])
 
     def test_single_deterministic_step(self, path2):
         p = transition_matrix(path2)
-        out = node_features_exact(path2, p, cfg_of(), 1)
-        want = lift(np.array([1.0]), 2)
+        out = node_features_exact(path2, p, cfg_of(walk_length=1))
+        want = lift(np.array([1.0]), cfg_of())
         for m in range(3):
             np.testing.assert_allclose(out[0][m], want[m])
 
     def test_triangle_hand_values(self, triangle):
         p = transition_matrix(triangle)
-        out = node_features_exact(triangle, p, cfg_of(), 1)
+        out = node_features_exact(triangle, p, cfg_of(walk_length=1))
         # node 0: (exp[1] + exp[2]) / 2 -> degree 1 = 1.5, degree 2 = 1.25
         np.testing.assert_allclose(out[0][1], [1.5])
         np.testing.assert_allclose(out[0][2], [[1.25]])
@@ -159,7 +159,7 @@ class TestNodeFeatures:
         for _ in range(5):
             g = random_labelled_graph(rng, max_nodes=6)
             p = transition_matrix(g)
-            out = node_features_exact(g, p, cfg_of(), 3)
+            out = node_features_exact(g, p, cfg_of(walk_length=3))
             for i in range(g.n):
                 assert out[i][0] == pytest.approx(1.0, abs=1e-12)
 
@@ -170,7 +170,7 @@ class TestNodeFeatures:
             g = random_labelled_graph(rng, max_nodes=7)
             p = transition_matrix(g)
             k = int(rng.integers(1, 4))
-            out = node_features_exact(g, p, cfg_of(zero_start=False), k)
+            out = node_features_exact(g, p, cfg_of(walk_length=k, zero_start=False))
             want = classic_diffusion(g, k) - g.attributes
             got = np.stack([out[i][1] for i in range(g.n)])
             np.testing.assert_allclose(got, want, atol=1e-12)
@@ -180,9 +180,9 @@ class TestNodeFeatures:
         g = random_labelled_graph(rng, max_nodes=6)
         perm = rng.permutation(g.n)
         h = g.permuted(perm)
-        cfg = cfg_of(zero_start=True)
-        fg = node_features_exact(g, transition_matrix(g), cfg, 2)
-        fh = node_features_exact(h, transition_matrix(h), cfg, 2)
+        cfg = cfg_of(walk_length=2, zero_start=True)
+        fg = node_features_exact(g, transition_matrix(g), cfg)
+        fh = node_features_exact(h, transition_matrix(h), cfg)
         for i in range(g.n):
             assert seq_allclose(fh[perm[i]], fg[i], rtol=1e-12, atol=1e-12)
 
@@ -193,13 +193,13 @@ class TestOracleGuard:
     def test_beyond_desk_scale_rejected(self, oracle, n, max_degree):
         g = LabelledGraph(n, [(i, i + 1) for i in range(n - 1)], np.zeros((n, 1)))
         with pytest.raises(OracleScaleError, match="oracle guard"):
-            oracle(g, transition_matrix(g), cfg_of(max_degree=max_degree), 1)
+            oracle(g, transition_matrix(g), cfg_of(walk_length=1, max_degree=max_degree))
 
     @pytest.mark.parametrize("oracle", [node_features_exact, forward_diffusion_exact])
     @pytest.mark.parametrize("n, max_degree", [(64, 1), (2, 4)])
     def test_desk_scale_bounds_accepted(self, oracle, n, max_degree):
         g = LabelledGraph(n, [(i, i + 1) for i in range(n - 1)], np.zeros((n, 1)))
-        out = oracle(g, transition_matrix(g), cfg_of(max_degree=max_degree), 1)
+        out = oracle(g, transition_matrix(g), cfg_of(walk_length=1, max_degree=max_degree))
         assert len(out) == n and len(out[0]) == max_degree + 1
 
 
@@ -218,7 +218,7 @@ class TestDeterministicWalkConsistency:
         cfg = FeatureConfig(
             walk_length=k, max_degree=3, diff=diff, zero_start=True, time_param=tp
         )
-        feats = node_features_exact(g, p, cfg, k)
+        feats = node_features_exact(g, p, cfg)
         for start in (0, 1):
             seen = g.attributes[[(start + t) % 2 for t in range(k + 1)]]
             want = sequence_feature(seen, cfg)
@@ -233,7 +233,7 @@ class TestDeterministicWalkConsistency:
         cfg = FeatureConfig(
             walk_length=k, max_degree=3, diff=True, zero_start=False, time_param=tp
         )
-        feats = node_features_exact(g, p, cfg, k)
+        feats = node_features_exact(g, p, cfg)
         for start in (0, 1):
             seen = g.attributes[[(start + t) % 2 for t in range(k + 1)]]
             want = sequence_feature(seen, cfg)
@@ -244,16 +244,16 @@ class TestGraphFeature:
     def test_single_isolated_node(self):
         g = LabelledGraph(1, [], np.array([[2.0, -1.0]]))
         p = transition_matrix(g)
-        out = graph_feature_exact(g, p, cfg_of(zero_start=True), 3)
-        want = lift(g.attributes[0], 2)
+        out = graph_feature_exact(g, p, cfg_of(walk_length=3, zero_start=True))
+        want = lift(g.attributes[0], cfg_of())
         for m in range(3):
             np.testing.assert_allclose(out[m], want[m])
 
     def test_vertex_transitive_equal_attributes(self, triangle):
         g = triangle.with_attributes(np.full((3, 1), 2.0))
         p = transition_matrix(g)
-        pooled = graph_feature_exact(g, p, cfg_of(zero_start=True), 2)
-        per_node = node_features_exact(g, p, cfg_of(zero_start=True), 2)
+        pooled = graph_feature_exact(g, p, cfg_of(walk_length=2, zero_start=True))
+        per_node = node_features_exact(g, p, cfg_of(walk_length=2, zero_start=True))
         for i in range(3):
             assert seq_allclose(pooled, per_node[i], rtol=1e-12, atol=1e-12)
 
@@ -261,16 +261,16 @@ class TestGraphFeature:
         rng = np.random.default_rng(6)
         g = random_labelled_graph(rng, max_nodes=6)
         h = g.permuted(rng.permutation(g.n))
-        cfg = cfg_of(zero_start=True)
-        a = graph_feature_exact(g, transition_matrix(g), cfg, 2)
-        b = graph_feature_exact(h, transition_matrix(h), cfg, 2)
+        cfg = cfg_of(walk_length=2, zero_start=True)
+        a = graph_feature_exact(g, transition_matrix(g), cfg)
+        b = graph_feature_exact(h, transition_matrix(h), cfg)
         assert seq_allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
 class TestForwardDiffusion:
     def test_k0_uniform_units(self, triangle):
         p = transition_matrix(triangle)
-        out = forward_diffusion_exact(triangle, p, cfg_of(), 0)
+        out = forward_diffusion_exact(triangle, p, cfg_of(walk_length=0))
         for i in range(3):
             assert out[i][0] == pytest.approx(1.0 / 3.0)
 
@@ -280,7 +280,7 @@ class TestForwardDiffusion:
             g = random_labelled_graph(rng, max_nodes=6)
             p = transition_matrix(g)
             k = int(rng.integers(0, 4))
-            out = forward_diffusion_exact(g, p, cfg_of(), k)
+            out = forward_diffusion_exact(g, p, cfg_of(walk_length=k))
             mass = np.array([out[i][0] for i in range(g.n)])
             dense = np.linalg.matrix_power(p.toarray(), k)
             want = np.ones(g.n) / g.n @ dense
@@ -289,7 +289,7 @@ class TestForwardDiffusion:
 
     def test_path_single_step_split(self, path2):
         p = transition_matrix(path2)
-        out = forward_diffusion_exact(path2, p, cfg_of(), 1)
+        out = forward_diffusion_exact(path2, p, cfg_of(walk_length=1))
         assert out[0][0] == pytest.approx(0.5)
         assert out[1][0] == pytest.approx(0.5)
 
@@ -303,10 +303,10 @@ class TestForwardDiffusion:
                 zero_start=False,
                 diff=bool(rng.integers(2)),
                 time_param=bool(rng.integers(2)),
+                walk_length=int(rng.integers(0, 4)),
             )
-            k = int(rng.integers(0, 4))
-            back = node_features_exact(g, p, cfg, k)
-            fwd = forward_diffusion_exact(g, p, cfg, k)
+            back = node_features_exact(g, p, cfg)
+            fwd = forward_diffusion_exact(g, p, cfg)
             acc_b = reduce(add, back)
             acc_f = reduce(add, fwd)
             assert seq_allclose(scale(acc_b, 1.0 / g.n), acc_f, rtol=1e-10, atol=1e-12)

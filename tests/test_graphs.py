@@ -43,6 +43,20 @@ class TestLabelledGraph:
         with pytest.raises(ValueError):
             LabelledGraph(2, [(0, 2)], np.zeros((2, 1)))
 
+    @pytest.mark.parametrize("edges, shape", [
+        ([(0, 1, 2), (1, 2, 3)], (2, 3)),  # would re-pair as (0, 1), (2, 1), (2, 3)
+        ([0, 1], (2,)),
+        (np.zeros((1, 2, 2)), (1, 2, 2)),
+    ])
+    def test_rejects_edges_that_are_not_pairs(self, edges, shape):
+        message = f"edges must be (m, 2) pairs, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LabelledGraph(4, edges, np.zeros((4, 1)))
+
+    @pytest.mark.parametrize("edges", [[], np.zeros((0, 2), dtype=np.int64)])
+    def test_accepts_empty_edge_array(self, edges):
+        assert LabelledGraph(2, edges, np.zeros((2, 1))).edges.shape == (0, 2)
+
     @pytest.mark.parametrize("n", [3.0, 2.5, True, np.float64(3.0), "3", None])
     def test_rejects_non_integer_node_count(self, n):
         with pytest.raises(ValueError, match=f"^n must be an integer, got {re.escape(repr(n))}$"):
@@ -205,7 +219,7 @@ class TestDisjointUnion:
         functionals = [
             RankOneFunctional(rng.standard_normal((2, cfg.lift_dim(d)))) for _ in range(2)
         ]
-        assert case_error(union, p, cfg, functionals, 3) <= TOLERANCE
+        assert case_error(union, p, cfg, functionals, cfg.walk_length) <= TOLERANCE
 
     def test_member_rows_permutation_invariant(self):
         rng = np.random.default_rng(32)
@@ -392,6 +406,11 @@ class TestAttentionTransition:
         # the slope is the module constant LEAKY_SLOPE, not a field
         with pytest.raises(TypeError):
             AttentionParams(np.zeros(2), np.zeros(2), leaky_slope=0.1)
+
+    def test_rejects_weights_beyond_two_dimensions(self):
+        message = "w_source must be (heads, d), got shape (2, 1, 1)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            AttentionParams(np.zeros((2, 1, 1)), np.zeros((2, 1, 1)))
 
     def test_dimension_mismatch(self):
         g = LabelledGraph(2, [(0, 1)], np.zeros((2, 3)))

@@ -399,7 +399,8 @@ class TestSerialization:
         doc["layers"][1][name] = fields[name].tolist()
         path.write_text(json.dumps(doc))
         assert "NaN" in path.read_text()
-        with pytest.raises(ValueError, match=f"^layer 2: {name} must be finite$"):
+        pattern = f"^layer 2: {name} must be finite in {re.escape(str(path))}$"
+        with pytest.raises(ValueError, match=pattern):
             load_params(str(path))
 
     @pytest.mark.parametrize("key, value, message", [
@@ -414,6 +415,10 @@ class TestSerialization:
         ("lift_coeffs", [[1.0]], "lift_coeffs must hold real numbers, got [1.0]"),
         ("lift_coeffs", [1.0, None], "lift_coeffs must hold real numbers, got None"),
         ("lift_coeffs", [1.0, 0.5], "lift_coeffs cover degrees <= 1, need 2"),
+        ("u_vectors", {"a": 1}, "component vectors must be an array of numbers"),
+        ("u_vectors", "abc", "component vectors must be an array of numbers"),
+        ("attention", {"w_source": [[1.0]], "w_target": {"x": 1}},
+         "attention weights must be an array of numbers"),
     ])
     def test_mistyped_or_missing_field_names_field_and_layer(self, tmp_path, key, value, message):
         layer = make_layer(np.random.default_rng(24), 2, rank=2)
@@ -425,7 +430,8 @@ class TestSerialization:
         else:
             doc["layers"][0][key] = value
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=f"^layer 1: {re.escape(message)}"):
+        pattern = f"^layer 1: {re.escape(message)} in {re.escape(str(path))}$"
+        with pytest.raises(ValueError, match=pattern):
             load_params(str(path))
 
     @pytest.mark.parametrize("doc, message", [
@@ -446,11 +452,18 @@ class TestSerialization:
          "seed must be None or an integer, got True"),
         ({**MODEL_HEADER, "seed": 1.5, "layers": [LAYER_ENTRY]},
          "seed must be None or an integer, got 1.5"),
+        ({**MODEL_HEADER, "version": 2, "layers": [LAYER_ENTRY]}, "unsupported version 2"),
     ])
     def test_malformed_document_names_key_and_path(self, tmp_path, doc, message):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}.* {re.escape(str(path))}$"):
+            load_params(str(path))
+
+    def test_invalid_json_names_path(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"format": ')
+        with pytest.raises(ValueError, match=f"^Expecting value: .* in {re.escape(str(path))}$"):
             load_params(str(path))
 
     def test_empty_coefficient_list_rejected(self, tmp_path):

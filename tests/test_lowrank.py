@@ -49,6 +49,14 @@ class TestRankOneFunctional:
         assert case_error(g, p, cfg, fs, cfg.walk_length) == err <= 1e-10
 
 
+def test_case_error_rejects_walk_length_other_than_config():
+    # both sides read k from cfg, so a different k would mean two operators
+    g = LabelledGraph(2, [(0, 1)], np.zeros((2, 1)))
+    cfg = FeatureConfig(walk_length=3)
+    with pytest.raises(ValueError, match=r"^k=2 differs from cfg.walk_length=3$"):
+        case_error(g, transition_matrix(g), cfg, np.ones((1, 1, 1)), 2)
+
+
 def features(g, u, cfg, p=None):
     """batch_features for a single functional given by its (M, dim) vectors."""
     p = transition_matrix(g) if p is None else p
@@ -198,7 +206,7 @@ class TestZeroStartCorrect:
             u /= np.linalg.norm(u, axis=1, keepdims=True)
             ell = RankOneFunctional(u)
             got = batch_features(g, p, [ell], cfg)[:, m_max - 1]
-            exact = node_features_exact(g, p, cfg, k)
+            exact = node_features_exact(g, p, cfg)
             level = level_tensor(ell, m_max)
             want = [float(np.vdot(level, exact[i][m_max])) for i in range(g.n)]
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
@@ -321,7 +329,7 @@ class TestBatchFeatures:
         u = rng.standard_normal((2, g.attr_dim))
         ell = RankOneFunctional(u)
         got = batch_features(g, p, [ell], cfg)
-        exact = node_features_exact(g, p, cfg, 2)
+        exact = node_features_exact(g, p, cfg)
         for m in (1, 2):
             level = level_tensor(ell, m)
             want = [float(np.vdot(level, exact[i][m])) for i in range(g.n)]
@@ -363,7 +371,7 @@ class TestBatchFeatures:
             dim = cfg.lift_dim(g.attr_dim)
             fs = [RankOneFunctional(rng.standard_normal((m_max, dim))) for _ in range(2)]
             got = batch_features(g, p, fs, cfg)
-            exact = node_features_exact(g, p, cfg, k)
+            exact = node_features_exact(g, p, cfg)
             for j, f in enumerate(fs):
                 for m in range(1, m_max + 1):
                     level = level_tensor(f, m)

@@ -138,25 +138,25 @@ class TestInnerProduct:
 
 class TestLift:
     def test_tensor_exponential(self):
-        out = lift(np.array([1.0, 0.0]), 2)
+        out = lift(np.array([1.0, 0.0]), FeatureConfig(max_degree=2))
         assert out[0] == 1.0
         np.testing.assert_array_equal(out[1], [1.0, 0.0])
         np.testing.assert_array_equal(out[2], [[0.5, 0.0], [0.0, 0.0]])
 
     def test_zero_vector_gives_unit(self):
-        out = lift(np.zeros(3), 2)
+        out = lift(np.zeros(3), FeatureConfig(max_degree=2))
         one = unit(3, 2)
         for m in range(3):
             np.testing.assert_array_equal(out[m], one[m])
 
     def test_coefficient_override(self):
-        coeffs = FeatureConfig(max_degree=2, lift_coeffs=(1.0, 1.0, 1.0)).coefficients
-        out = lift(np.array([2.0]), 2, coeffs)
+        coeffs = (1.0, 1.0, 1.0)
+        out = lift(np.array([2.0]), FeatureConfig(max_degree=2, lift_coeffs=coeffs))
         assert out[0] == 1.0
         np.testing.assert_array_equal(out[1], [2.0])
         np.testing.assert_array_equal(out[2], [[4.0]])
         with pytest.raises(ValueError, match="cover degrees <= 2, need 3"):
-            lift(np.array([2.0]), 3, coeffs)
+            lift(np.array([2.0]), FeatureConfig(max_degree=3, lift_coeffs=coeffs))
 
     def test_coefficients_pin_c0(self):
         with pytest.raises(ValueError):
@@ -165,11 +165,12 @@ class TestLift:
     def test_parallel_exponential_relation(self):
         # d = 1: lift(x) * lift(lam*x) == lift((1+lam)*x) on retained degrees
         rng = np.random.default_rng(5)
+        cfg = FeatureConfig(max_degree=4)
         for _ in range(10):
             x = rng.standard_normal(1)
             lam = float(rng.standard_normal())
-            left = algebra_mul(lift(x, 4), lift(lam * x, 4))
-            right = lift((1.0 + lam) * x, 4)
+            left = algebra_mul(lift(x, cfg), lift(lam * x, cfg))
+            right = lift((1.0 + lam) * x, cfg)
             for m in range(5):
                 np.testing.assert_allclose(left[m], right[m],
                                            rtol=1e-12, atol=1e-14)
@@ -180,7 +181,7 @@ class TestSequenceFeature:
         cfg = FeatureConfig(max_degree=3, diff=True, zero_start=True)
         x0 = np.array([0.5, -1.0])
         out = sequence_feature([x0], cfg)
-        want = lift(x0, 3)
+        want = lift(x0, cfg)
         for m in range(4):
             np.testing.assert_allclose(out[m], want[m])
 
@@ -197,7 +198,7 @@ class TestSequenceFeature:
         np.testing.assert_allclose(out[1], [1.0])
         np.testing.assert_allclose(out[2], [[0.5]])
         # with x0 = 0 the product collapses to a single lift
-        want = lift(np.array([1.0]), 2)
+        want = lift(np.array([1.0]), cfg)
         for m in range(3):
             np.testing.assert_allclose(out[m], want[m])
 
@@ -209,7 +210,7 @@ class TestSequenceFeature:
         factors = [xs[0]] + [xs[i] - xs[i - 1] for i in range(1, 5)]
         want = unit(2, 3)
         for f in factors:
-            want = algebra_mul(want, lift(f, 3))
+            want = algebra_mul(want, lift(f, cfg))
         for m in range(4):
             np.testing.assert_allclose(out[m], want[m], rtol=1e-12)
 
@@ -217,7 +218,7 @@ class TestSequenceFeature:
         cfg = FeatureConfig(max_degree=2, diff=False, zero_start=False)
         xs = np.array([[1.0], [2.0]])
         out = sequence_feature(xs, cfg)
-        want = algebra_mul(lift(xs[0], 2), lift(xs[1], 2))
+        want = algebra_mul(lift(xs[0], cfg), lift(xs[1], cfg))
         for m in range(3):
             np.testing.assert_allclose(out[m], want[m])
 
@@ -233,7 +234,7 @@ class TestSequenceFeature:
         xs = np.array([[1.0], [1.0]])  # constant sequence
         out = sequence_feature(xs, cfg)
         # increment of the time-augmented sequence is (1, 0)
-        want = lift(np.array([1.0, 0.0]), 2)
+        want = lift(np.array([1.0, 0.0]), cfg)
         for m in range(3):
             np.testing.assert_allclose(out[m], want[m])
 
@@ -271,8 +272,9 @@ class TestSequenceFeature:
 class TestSequenceHelpers:
     def test_add_and_scale_are_levelwise(self):
         rng = np.random.default_rng(1)
-        a = lift(rng.standard_normal(2), 3)
-        b = lift(rng.standard_normal(2), 3)
+        cfg = FeatureConfig(max_degree=3)
+        a = lift(rng.standard_normal(2), cfg)
+        b = lift(rng.standard_normal(2), cfg)
         summed = add(a, b)
         scaled = scale(a, 2.5)
         for m in range(4):
@@ -280,16 +282,17 @@ class TestSequenceHelpers:
             np.testing.assert_allclose(scaled[m], 2.5 * a[m])
 
     def test_levels_are_read_only_float64_arrays(self):
-        out = lift([1, 2], 2)
+        out = lift([1, 2], FeatureConfig(max_degree=2))
         assert isinstance(out, tuple)
         assert [lv.shape for lv in out] == [(), (2,), (2, 2)]
         assert all(lv.dtype == np.float64 and not lv.flags.writeable for lv in out)
         with pytest.raises(ValueError, match="finite"):
-            lift([np.inf], 2)
+            lift([np.inf], FeatureConfig(max_degree=2))
 
     def test_default_coefficients_are_factorial_reciprocals(self):
         c = FeatureConfig(max_degree=4).coefficients
         assert c == tuple(1.0 / math.factorial(m) for m in range(5))
         x = np.array([0.3, -1.2])
+        default, explicit = FeatureConfig(max_degree=4), FeatureConfig(max_degree=4, lift_coeffs=c)
         for m in range(5):  # lift's default is the same sequence
-            np.testing.assert_array_equal(lift(x, 4)[m], lift(x, 4, c)[m])
+            np.testing.assert_array_equal(lift(x, default)[m], lift(x, explicit)[m])
