@@ -19,8 +19,7 @@ def _timer(g: LabelledGraph, cfg: FeatureConfig, seed: int):
     """Zero-argument callable returning the wall-clock seconds of one
     batch_features run; one warm-up run is made and discarded here."""
     rng = np.random.default_rng(seed)
-    dim = cfg.lift_dim(g.attr_dim)
-    vectors = rng.standard_normal((cfg.rank, cfg.max_degree, dim))
+    vectors = rng.standard_normal(cfg.functional_shape(g.attr_dim))
     p = transition_matrix(g)
 
     def run() -> float:

@@ -419,6 +419,9 @@ def main(argv=None) -> int:
     except (DatasetError, NonFiniteError, OSError) as exc:
         print(f"hypograph: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:
+        print(f"hypograph: out of memory: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except WorkerError as exc:
         print(f"hypograph: {exc}", file=sys.stderr)
         return EXIT_WORKER

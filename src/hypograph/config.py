@@ -67,6 +67,12 @@ class FeatureConfig:
         """Dimension seen by the algebra lift for d-dimensional attributes."""
         return d + 1 if self.time_param else d
 
+    def functional_shape(self, d: int) -> tuple[int, int, int]:
+        """Shape (R, M, dim) of the component vectors of the rank-1
+        functionals for d-dimensional attributes: ``rank`` functionals of
+        degree ``max_degree`` on the lift dimension."""
+        return self.rank, self.max_degree, self.lift_dim(d)
+
     @property
     def step_homogeneous(self) -> bool:
         """Whether one transition matrix serves every walk step.

@@ -309,6 +309,9 @@ class AttentionParams:
             object.__setattr__(self, name, weights)
         if self.w_source.shape != self.w_target.shape:
             raise ValueError("w_source and w_target must have matching shapes")
+        if self.heads < 1:
+            shape = self.w_source.shape
+            raise ValueError(f"attention weights need at least one head, got shape {shape}")
 
     @property
     def heads(self) -> int:

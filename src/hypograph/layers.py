@@ -27,7 +27,7 @@ class LayerParams:
     """Parameters of one feature layer.
 
     ``vectors`` holds the component vectors of the R rank-1 functionals as
-    one (R, M, lift_dim) array.
+    one array of shape ``config.functional_shape(attr_dim)``.
     """
 
     vectors: np.ndarray
@@ -43,25 +43,22 @@ class LayerParams:
         vectors, mixing, bias = self.vectors, self.mixing, self.bias
         if vectors.ndim != 3 or 0 in vectors.shape:
             raise ValueError(f"vectors must be (R, M, dim), got {vectors.shape}")
-        rank, deg, dim = vectors.shape
-        if rank != self.config.rank:
-            raise ValueError(f"{rank} functionals do not match config rank {self.config.rank}")
-        if deg != self.config.max_degree:
-            raise ValueError(
-                f"functional degree {deg} does not match config degree {self.config.max_degree}"
-            )
+        shape = self.config.functional_shape(self.attr_dim)
+        if vectors.shape != shape:
+            raise ValueError(f"vectors must be (R, M, dim) = {shape}, got {vectors.shape}")
+        rank, deg, _ = shape
         if mixing.shape != (rank, rank * deg):
-            raise ValueError(
-                f"mixing must be ({rank}, {rank * deg}), got {mixing.shape}"
-            )
+            raise ValueError(f"mixing must be ({rank}, {rank * deg}), got {mixing.shape}")
         if bias.shape != (rank,):
             raise ValueError(f"bias must be ({rank},), got {bias.shape}")
-        if self.attention is not None and self.config.lift_dim(self.attention.dim) != dim:
-            raise ValueError("attention dimension does not match attributes")
+        if self.attention is not None and self.attention.dim != self.attr_dim:
+            raise ValueError(
+                f"attention dim {self.attention.dim} does not match attributes {self.attr_dim}"
+            )
 
     @property
     def rank(self) -> int:
-        return int(self.vectors.shape[0])
+        return self.config.rank
 
     @property
     def attr_dim(self) -> int:
@@ -113,8 +110,7 @@ def init_params(
     substream.
     """
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rank, deg = cfg.rank, cfg.max_degree
-    dim = cfg.lift_dim(d)
+    rank, deg, dim = cfg.functional_shape(d)
     children = seq.spawn(rank + 2)
     bound_u = math.sqrt(3.0 / dim)
     vectors = np.stack([

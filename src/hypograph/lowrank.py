@@ -122,8 +122,8 @@ def batch_features(
     """Feature matrix (n, R*M): all degrees of all functionals per node.
 
     ``functionals`` is an (R, M, dim) array-like of component vectors,
-    such as a list of :class:`RankOneFunctional`; M must equal
-    ``cfg.max_degree`` and dim the lift dimension.  Column block j holds
+    such as a list of :class:`RankOneFunctional`, of the shape
+    ``cfg.functional_shape(g.attr_dim)``.  Column block j holds
     the M degree values of functional j (j outer, degree inner): the
     recursion state after ``cfg.walk_length`` walk steps and, with
     ``zero_start``, the start-node factor as one more step 0 that moves
@@ -132,17 +132,12 @@ def batch_features(
     index otherwise; 0 at the start node).
     """
     u_all = frozen(functionals, what="component vectors")
-    if u_all.ndim != 3 or 0 in u_all.shape:
-        raise ValueError(f"functionals must be an (R, M, dim) array, got shape {u_all.shape}")
-    rank, m_max, dim = u_all.shape
-    if m_max != cfg.max_degree:
+    shape = cfg.functional_shape(g.attr_dim)
+    if u_all.shape != shape or 0 in shape:
         raise ValueError(
-            f"config mismatch: functional degree {m_max}, config degree {cfg.max_degree}"
+            f"functionals must be a non-empty (R, M, dim) = {shape} array, got {u_all.shape}"
         )
-    if dim != cfg.lift_dim(g.attr_dim):
-        raise ValueError(
-            f"dimension mismatch: vectors have dim {dim}, lift needs {cfg.lift_dim(g.attr_dim)}"
-        )
+    rank, m_max, _ = shape
     if not p.pattern.same_as(g.pattern):
         raise ValueError("pattern mismatch: transition does not match the graph")
     coeffs = cfg.coefficients

@@ -156,12 +156,8 @@ def run_equivalence_suite(cases: int = 200, seed: int = 0) -> SuiteReport:
             zero_start=zero_start,
             time_param=time_param,
         )
-        dim = cfg.lift_dim(g.attr_dim)
-        functionals = []
-        for _ in range(RANK):
-            vec = rng.standard_normal((m_deg, dim))
-            vec /= np.linalg.norm(vec, axis=1, keepdims=True)
-            functionals.append(vec)
+        functionals = rng.standard_normal(cfg.functional_shape(g.attr_dim))
+        functionals /= np.linalg.norm(functionals, axis=-1, keepdims=True)
         err = case_error(g, p, cfg, functionals, cfg.walk_length)
         key = (kind, flag_label(cfg))
         bucket = buckets.setdefault(key, ConfigReport(kind, flag_label(cfg)))

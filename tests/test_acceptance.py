@@ -152,7 +152,7 @@ def test_criterion_5_invariance_suite():
     g = random_labelled_graph(rng, max_nodes=7, max_dim=2)
     shift = rng.integers(-3, 4, size=g.attr_dim).astype(float)
     shifted = g.with_attributes(g.attributes + shift)
-    cfg_inv = FeatureConfig(walk_length=3, max_degree=2, diff=True, zero_start=False)
+    cfg_inv = FeatureConfig(walk_length=3, max_degree=2, rank=2, diff=True, zero_start=False)
     fs = [RankOneFunctional(rng.standard_normal((2, g.attr_dim))) for _ in range(2)]
     a = batch_features(g, transition_matrix(g), fs, cfg_inv)
     b = batch_features(shifted, transition_matrix(shifted), fs, cfg_inv)
@@ -171,7 +171,7 @@ def test_criterion_5_invariance_suite():
     # permutation equivariance of node features, invariance of pooled features
     perm = rng.permutation(g.n)
     h = g.permuted(perm)
-    cfg_p = FeatureConfig(walk_length=3, max_degree=2, diff=True, zero_start=True)
+    cfg_p = FeatureConfig(walk_length=3, max_degree=2, rank=2, diff=True, zero_start=True)
     fa = batch_features(g, transition_matrix(g), fs, cfg_p)
     fb = batch_features(h, transition_matrix(h), fs, cfg_p)
     checks.append(("permutation equivariance", float(np.max(np.abs(fb[perm] - fa))) <= 1e-12))

@@ -522,6 +522,17 @@ class TestBench:
             "have 4, 4 edges, which do not strictly grow\n"
         )
 
+    def test_allocation_failure_is_one_line(self, capsys):
+        # 2^45 path edges need 256 TiB, more than a process can address,
+        # so the first array of the rung fails at once and allocates nothing
+        rc = main(["bench", "--min-exp", "45", "--max-exp", "45"])
+        assert rc == EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(
+            r"hypograph: out of memory: Unable to allocate 256\. TiB for an array [^\n]*\n", err
+        )
+
     def test_grid_rungs_strictly_grow(self):
         edges = bench.ladder_edges(3, 12, "grid")
         assert all(b > a for a, b in zip(edges, edges[1:]))
@@ -541,6 +552,24 @@ class TestBench:
         assert [row.ratio for row in path[1:]] == [
             b.seconds / a.seconds for a, b in zip(path, path[1:])
         ]
+
+
+# name -> (the failing call, message)
+RAISE_SITES = {
+    "ladder_unknown_topology": (lambda: bench.ladder_edges(3, 4, "ring"),
+                                r"^topology must be 'path' or 'grid', got 'ring'$"),
+    "suite_unknown_transition": (
+        lambda: verify.make_transition(grid_graph(2), "lazy", np.random.default_rng(0)),
+        r"^unknown transition kind 'lazy'$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAISE_SITES))
+def test_raise_site_names_the_fault(case):
+    call, message = RAISE_SITES[case]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestDescribe:

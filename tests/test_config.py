@@ -78,3 +78,8 @@ def test_lift_dim_and_homogeneity():
     assert FeatureConfig(diff=True, time_param=True).step_homogeneous
     assert FeatureConfig(diff=False, time_param=False).step_homogeneous
     assert not FeatureConfig(diff=False, time_param=True).step_homogeneous
+
+
+def test_functional_shape_is_rank_degree_and_lift_dim():
+    assert FeatureConfig(rank=4, max_degree=3).functional_shape(2) == (4, 3, 2)
+    assert FeatureConfig(rank=4, max_degree=3, time_param=True).functional_shape(2) == (4, 3, 3)

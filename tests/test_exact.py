@@ -11,6 +11,7 @@ from hypograph.exact import (
     enumerate_walk_expectation,
     forward_diffusion_exact,
     graph_feature_exact,
+    level_tensor,
     node_features_exact,
     tensor_transition,
 )
@@ -310,3 +311,29 @@ class TestForwardDiffusion:
             acc_b = reduce(add, back)
             acc_f = reduce(add, fwd)
             assert seq_allclose(scale(acc_b, 1.0 / g.n), acc_f, rtol=1e-10, atol=1e-12)
+
+
+def _walks_from(start, foreign=False):
+    g = LabelledGraph(3, [(0, 1), (1, 2)], [[0.0], [1.0], [2.0]])
+    p = transition_matrix(LabelledGraph(3, [(0, 1)], np.zeros((3, 1))) if foreign else g)
+    return enumerate_walk_expectation(g, p, cfg_of(), start)
+
+
+# name -> (the failing call, message)
+RAISE_SITES = {
+    "walk_start_negative": (lambda: _walks_from(-1), r"^start node -1 out of range$"),
+    "walk_start_past_last": (lambda: _walks_from(3), r"^start node 3 out of range$"),
+    "walk_foreign_pattern": (lambda: _walks_from(0, foreign=True),
+                             r"^transition pattern does not match the graph$"),
+    "level_degree_negative": (lambda: level_tensor(np.ones((2, 1)), -1),
+                              r"^degree -1 out of range 0\.\.2$"),
+    "level_degree_past_functional": (lambda: level_tensor(np.ones((2, 1)), 3),
+                                     r"^degree 3 out of range 0\.\.2$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAISE_SITES))
+def test_raise_site_names_the_fault(case):
+    call, message = RAISE_SITES[case]
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -744,3 +744,45 @@ class TestTuLoader:
             assert g0.n == g1.n
             np.testing.assert_array_equal(g0.edges, g1.edges)
             np.testing.assert_array_equal(g0.attributes, g1.attributes)
+
+
+def _load_with_edge_file_as_directory(tmp_path):
+    write_tu_files(tmp_path, "dirA", [(1, 2)], [1, 1], node_labels=[0, 1])
+    (tmp_path / "dirA_A.txt").unlink()
+    (tmp_path / "dirA_A.txt").mkdir()
+    load_tu_dataset(str(tmp_path), "dirA")
+
+
+# name -> (the failing call, given a scratch directory; error type; message)
+RAISE_SITES = {
+    "graph_without_nodes": (lambda tmp: LabelledGraph(0, [], np.zeros((0, 1))),
+                            ValueError, r"^need at least one node, got n=0$"),
+    "transition_values_misaligned": (lambda tmp: RowStochastic(path_graph(1).pattern, [1.0]),
+                                     ValueError, r"^values must align with the pattern entries$"),
+    "transition_value_above_one": (lambda tmp: RowStochastic(path_graph(1).pattern, [1.5, 1.0]),
+                                   ValueError, r"^transition values must lie in \[0, 1\]$"),
+    "transition_rows_off_one": (lambda tmp: RowStochastic(path_graph(1).pattern, [0.5, 1.0]),
+                                ValueError, r"^rows must sum to 1$"),
+    "attention_shapes_differ": (lambda tmp: AttentionParams(np.ones((2, 3)), np.ones((1, 3))),
+                                ValueError, r"^w_source and w_target must have matching shapes$"),
+    "attention_without_heads": (lambda tmp: AttentionParams(np.zeros((0, 2)), np.zeros((0, 2))),
+                                ValueError,
+                                r"^attention weights need at least one head, got shape \(0, 2\)$"),
+    "diffusion_negative_steps": (lambda tmp: classic_diffusion(path_graph(1), -1),
+                                 ValueError, r"^k must be >= 0$"),
+    "save_mixed_widths": (
+        lambda tmp: save_tu_dataset(
+            str(tmp), "mix", [(path_graph(1), 0), (path_graph(1, attr_dim=2), 1)]
+        ),
+        DatasetError, r"^graphs must share one attribute width, got \[1, 2\]$",
+    ),
+    "edge_file_is_a_directory": (_load_with_edge_file_as_directory,
+                                 DatasetError, r"^cannot read \S+dirA_A\.txt: .*Is a directory"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAISE_SITES))
+def test_raise_site_names_the_fault(case, tmp_path):
+    call, error, message = RAISE_SITES[case]
+    with pytest.raises(error, match=message):
+        call(tmp_path)

@@ -324,6 +324,32 @@ LAYER_ENTRY = {
 }
 
 
+def _layer_with(**change):
+    """A valid (R, M, dim) = (3, 2, 2) layer with some fields replaced."""
+    layer = make_layer(np.random.default_rng(29), 2, rank=3)
+    fields = {"vectors": layer.vectors, "mixing": layer.mixing, "bias": layer.bias,
+              "config": layer.config, "attention": None}
+    return LayerParams(**{**fields, **change})
+
+
+# name -> (the failing call, message)
+RAISE_SITES = {
+    "mixing_shape": (lambda: _layer_with(mixing=np.zeros((3, 5))),
+                     r"^mixing must be \(3, 6\), got \(3, 5\)$"),
+    "bias_shape": (lambda: _layer_with(bias=np.zeros(2)), r"^bias must be \(3,\), got \(2,\)$"),
+    "attention_width": (lambda: _layer_with(attention=AttentionParams(np.ones(3), np.ones(3))),
+                        r"^attention dim 3 does not match attributes 2$"),
+    "model_without_layers": (lambda: ModelConfig(()), r"^need at least one layer$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAISE_SITES))
+def test_raise_site_names_the_fault(case):
+    call, message = RAISE_SITES[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(14)
@@ -378,8 +404,8 @@ class TestSerialization:
     def test_vectors_must_match_config_rank_and_degree(self):
         layer = make_layer(np.random.default_rng(17), 2, rank=4)
         for rank, deg, msg in [
-            (8, 2, "4 functionals do not match config rank 8"),
-            (4, 3, "functional degree 2 does not match config degree 3"),
+            (8, 2, r"^vectors must be \(R, M, dim\) = \(8, 2, 2\), got \(4, 2, 2\)$"),
+            (4, 3, r"^vectors must be \(R, M, dim\) = \(4, 3, 2\), got \(4, 2, 2\)$"),
         ]:
             cfg = FeatureConfig(walk_length=2, max_degree=deg, rank=rank)
             with pytest.raises(ValueError, match=msg):

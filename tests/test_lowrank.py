@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,6 +48,36 @@ class TestRankOneFunctional:
         assert np.array_equal(batch_features(g, p, fs, cfg), feats)
         err = case_error(g, p, cfg, vectors, cfg.walk_length)
         assert case_error(g, p, cfg, fs, cfg.walk_length) == err <= 1e-10
+
+
+def _zero_width_batch():
+    g = LabelledGraph(2, [(0, 1)], np.zeros((2, 0)))
+    batch_features(g, transition_matrix(g), np.ones((1, 1, 0)), cfg_of())
+
+
+# name -> (the failing call, message)
+RAISE_SITES = {
+    "functional_1d": (lambda: RankOneFunctional(np.ones(3)),
+                      r"^vectors must be \(M, dim\), got \(3,\)$"),
+    "functional_without_rows": (lambda: RankOneFunctional(np.ones((0, 2))),
+                                r"^vectors must be \(M, dim\), got \(0, 2\)$"),
+    "functional_without_columns": (lambda: RankOneFunctional(np.ones((2, 0))),
+                                   r"^vectors must be \(M, dim\), got \(2, 0\)$"),
+    "functional_3d": (lambda: RankOneFunctional(np.ones((1, 2, 1))),
+                      r"^vectors must be \(M, dim\), got \(1, 2, 1\)$"),
+    # zero-width attributes leave no lift dimension, so no functional fits
+    "batch_zero_width_attributes": (
+        _zero_width_batch,
+        r"^functionals must be a non-empty \(R, M, dim\) = \(1, 1, 0\) array, got \(1, 1, 0\)$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAISE_SITES))
+def test_raise_site_names_the_fault(case):
+    call, message = RAISE_SITES[case]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_case_error_rejects_walk_length_other_than_config():
@@ -98,7 +129,7 @@ class TestCuMatrix:
         np.testing.assert_array_equal(without[:, 0], [3.0, 5.0])
 
     def test_dimension_mismatch(self, path2):
-        with pytest.raises(ValueError, match="dimension mismatch"):
+        with pytest.raises(ValueError, match=r"= \(1, 1, 1\) array, got \(1, 1, 2\)$"):
             features(path2, np.array([[1.0, 2.0]]), cfg_of())
 
 
@@ -219,7 +250,7 @@ class TestZeroStartCorrect:
 
     def test_config_mismatch(self, path2):
         cfg = cfg_of(walk_length=1, max_degree=1, zero_start=True)
-        with pytest.raises(ValueError, match="mismatch"):
+        with pytest.raises(ValueError, match=r"= \(1, 1, 1\) array, got \(1, 2, 1\)$"):
             features(path2, np.ones((2, 1)), cfg)
 
 
@@ -246,7 +277,7 @@ class TestBatchFeatures:
         rng = np.random.default_rng(8)
         g = random_labelled_graph(rng)
         p = transition_matrix(g)
-        cfg = cfg_of(walk_length=2, max_degree=2, zero_start=True)
+        cfg = cfg_of(walk_length=2, max_degree=2, rank=2, zero_start=True)
         ell = RankOneFunctional(rng.standard_normal((2, g.attr_dim)))
         batch = batch_features(g, p, [ell, ell], cfg)
         np.testing.assert_array_equal(batch[:, :2], batch[:, 2:])
@@ -256,15 +287,25 @@ class TestBatchFeatures:
         g = random_labelled_graph(rng)
         p = transition_matrix(g)
         m_max = 3
-        cfg = cfg_of(walk_length=2, max_degree=m_max)
+        cfg = cfg_of(walk_length=2, max_degree=m_max, rank=3)
         fs = [RankOneFunctional(rng.standard_normal((m_max, g.attr_dim))) for _ in range(3)]
         batch = batch_features(g, p, fs, cfg)
         for j, f in enumerate(fs):
-            single = batch_features(g, p, [f], cfg)
+            single = batch_features(g, p, [f], replace(cfg, rank=1))
             for m in range(1, m_max + 1):
                 np.testing.assert_array_equal(
                     batch[:, j * m_max + (m - 1)], single[:, m - 1]
                 )
+
+    def test_functionals_must_match_config_rank(self):
+        g = LabelledGraph(4, [(0, 1), (1, 2), (2, 3)], np.zeros((4, 1)))
+        cfg = FeatureConfig(walk_length=2, max_degree=2, rank=8)
+        with pytest.raises(
+            ValueError,
+            match=r"^functionals must be a non-empty \(R, M, dim\) = \(8, 2, 1\) array, "
+            r"got \(3, 2, 1\)$",
+        ):
+            batch_features(g, transition_matrix(g), np.ones((3, 2, 1)), cfg)
 
     def test_walk_length_zero(self):
         rng = np.random.default_rng(10)
@@ -285,12 +326,12 @@ class TestBatchFeatures:
         shift = np.array([1.5, -2.0])[: g.attr_dim]
         shifted = g.with_attributes(g.attributes + shift)
         fs = [RankOneFunctional(rng.standard_normal((2, g.attr_dim))) for _ in range(2)]
-        inv_cfg = cfg_of(walk_length=3, max_degree=2, zero_start=False)
+        inv_cfg = cfg_of(walk_length=3, max_degree=2, rank=2, zero_start=False)
         a = batch_features(g, transition_matrix(g), fs, inv_cfg)
         b = batch_features(shifted, transition_matrix(shifted), fs, inv_cfg)
         np.testing.assert_allclose(a, b, atol=1e-12)
         # the start factor sees absolute positions
-        wit_cfg = cfg_of(walk_length=3, max_degree=2, zero_start=True)
+        wit_cfg = cfg_of(walk_length=3, max_degree=2, rank=2, zero_start=True)
         a = batch_features(g, transition_matrix(g), fs, wit_cfg)
         b = batch_features(shifted, transition_matrix(shifted), fs, wit_cfg)
         assert np.max(np.abs(a - b)) > 1e-6
@@ -300,7 +341,7 @@ class TestBatchFeatures:
         g = random_labelled_graph(rng)
         perm = rng.permutation(g.n)
         h = g.permuted(perm)
-        cfg = cfg_of(walk_length=3, max_degree=2, zero_start=True)
+        cfg = cfg_of(walk_length=3, max_degree=2, rank=2, zero_start=True)
         fs = [RankOneFunctional(rng.standard_normal((2, g.attr_dim))) for _ in range(2)]
         a = batch_features(g, transition_matrix(g), fs, cfg)
         b = batch_features(h, transition_matrix(h), fs, cfg)
@@ -311,8 +352,8 @@ class TestBatchFeatures:
         g = random_labelled_graph(rng)
         p = transition_matrix(g)
         coeffs = tuple(1.0 / math.factorial(m) for m in range(4))
-        base = cfg_of(walk_length=3, max_degree=3, zero_start=True)
-        opt = cfg_of(walk_length=3, max_degree=3, zero_start=True, lift_coeffs=coeffs)
+        base = cfg_of(walk_length=3, max_degree=3, rank=2, zero_start=True)
+        opt = cfg_of(walk_length=3, max_degree=3, rank=2, zero_start=True, lift_coeffs=coeffs)
         fs = [RankOneFunctional(rng.standard_normal((3, g.attr_dim))) for _ in range(2)]
         a = batch_features(g, p, fs, base)
         b = batch_features(g, p, fs, opt)
@@ -366,7 +407,8 @@ class TestBatchFeatures:
             p = make_transition(g, ("uniform", "weighted", "attention")[case % 3], rng)
             k, m_max = int(rng.integers(0, 4)), int(rng.integers(1, 4))
             cfg = FeatureConfig(
-                walk_length=k, max_degree=m_max, diff=diff, zero_start=zs, time_param=tp
+                walk_length=k, max_degree=m_max, rank=2, diff=diff, zero_start=zs,
+                time_param=tp,
             )
             dim = cfg.lift_dim(g.attr_dim)
             fs = [RankOneFunctional(rng.standard_normal((m_max, dim))) for _ in range(2)]

@@ -296,3 +296,26 @@ class TestSequenceHelpers:
         default, explicit = FeatureConfig(max_degree=4), FeatureConfig(max_degree=4, lift_coeffs=c)
         for m in range(5):  # lift's default is the same sequence
             np.testing.assert_array_equal(lift(x, default)[m], lift(x, explicit)[m])
+
+
+# name -> (the failing call, message)
+RAISE_SITES = {
+    "lift_matrix": (lambda: lift(np.ones((2, 2)), FeatureConfig()),
+                    r"^expected a 1-d vector, got shape \(2, 2\)$"),
+    "lift_scalar": (lambda: lift(1.0, FeatureConfig()),
+                    r"^expected a 1-d vector, got shape \(\)$"),
+    "lift_empty": (lambda: lift([], FeatureConfig()),
+                   r"^expected a 1-d vector, got shape \(0,\)$"),
+    "sequence_empty": (lambda: sequence_feature(np.zeros((0, 2)), FeatureConfig()),
+                       r"^expected a non-empty sequence of vectors$"),
+    "product_of_different_widths": (
+        lambda: algebra_mul(unit(2, 1), unit(3, 1)),
+        r"^level shapes differ: \[\(\), \(2,\)\] vs \[\(\), \(3,\)\]$",
+    ),
+}
+
+@pytest.mark.parametrize("case", sorted(RAISE_SITES))
+def test_raise_site_names_the_fault(case):
+    call, message = RAISE_SITES[case]
+    with pytest.raises(ValueError, match=message):
+        call()
