@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import bisect
 import functools
-import io
 import itertools
 import json
 import os
@@ -174,15 +173,16 @@ def _usable_cpus() -> int:
 
 
 def _chunk_rows(graphs, model: ModelConfig) -> list[np.ndarray]:
-    """Per graph, its pooled row or (pooling None) its node rows, all
-    computed on one disjoint union of the graphs."""
+    """Per graph, its (1, width) pooled row or (pooling None) its (n, width)
+    node rows, all computed on one disjoint union of the graphs."""
     union, offsets = disjoint_union(graphs)
     x = model_forward(union, model, offsets)
-    return np.split(x, offsets[1:-1]) if model.pooling is None else list(x)
+    return np.split(x, offsets[1:-1]) if model.pooling is None else list(x[:, None])
 
 
 def _share_rows(dataset, graphs, share, model: ModelConfig):
-    """The output rows of the chunks in share, computed one chunk at a time."""
+    """(graph row, label, rows) per graph of the chunks in share, computed
+    one chunk at a time."""
     for start, stop in share:
         try:
             results = _chunk_rows(graphs[start:stop], model)
@@ -194,18 +194,8 @@ def _share_rows(dataset, graphs, share, model: ModelConfig):
                     results.extend(_chunk_rows(graphs[row : row + 1], model))
                 except NonFiniteError as exc:
                     raise NonFiniteError(f"graph row {row}, {exc}") from exc
-        yield from _rows(dataset[start:stop], results, model.pooling is None, start)
-
-
-def _rows(dataset, results, per_node: bool, first: int = 0):
-    """Yield (ids, label, values) per output row: ids is (graph,) or
-    (graph, node), values a list of floats; graphs count from first."""
-    for gi, ((_, label), res) in enumerate(zip(dataset, results), first):
-        if per_node:
-            for node, values in enumerate(res.tolist()):
-                yield (gi, node), label, values
-        else:
-            yield (gi,), label, res.tolist()
+        labels = (label for _, label in dataset[start:stop])
+        yield from zip(range(start, stop), labels, results)
 
 
 def _csv_header(width: int, per_node: bool) -> str:
@@ -213,23 +203,40 @@ def _csv_header(width: int, per_node: bool) -> str:
     return ",".join(names + ["label"] + [f"f{idx}" for idx in range(width)]) + "\n"
 
 
-def _write_csv(fh, rows, width: int, per_node: bool) -> None:
-    """One line per row with 17 significant digits per value; a missing
-    label is an empty field."""
-    line = ",".join(["%d"] * (2 if per_node else 1) + ["%s"] + ["%.17g"] * width) + "\n"
-    fh.writelines(
-        line % (*ids, "" if label is None else label, *values) for ids, label, values in rows
-    )
+# stand-ins for the graph id, node id and label in a row template
+_GRAPH, _NODE, _LABEL = "\0", "\1", "\2"
 
 
-def _write_jsonl(fh, rows, per_node: bool) -> None:
-    """One JSON object per row, byte for byte what ``json.dumps`` gives for
-    finite values: ``str`` of a float list uses the same ``float.__repr__``
-    and ``", "`` separators."""
-    node = ' "node": %d,' if per_node else ""
-    line = '{"graph": %d,' + node + ' "label": %s, "features": %s}\n'
-    label_text = functools.cache(json.dumps)  # one call per distinct label
-    fh.writelines(line % (*ids, label_text(label), values) for ids, label, values in rows)
+def _row_template(fmt: str, per_node: bool, width: int) -> str:
+    """One output row as a ``%`` template of its values.  CSV gives each
+    value 17 significant digits and a missing label an empty field; JSONL
+    is byte for byte what ``json.dumps`` gives for finite values, whose
+    ``float.__repr__`` is ``%r`` and whose separators are ``", "``."""
+    if fmt == "csv":
+        ids = [_GRAPH, _NODE] if per_node else [_GRAPH]
+        return ",".join(ids + [_LABEL] + ["%.17g"] * width) + "\n"
+    node = f' "node": {_NODE},' if per_node else ""
+    features = ", ".join(["%r"] * width)
+    return f'{{"graph": {_GRAPH},{node} "label": {_LABEL}, "features": [{features}]}}\n'
+
+
+def _write_rows(fh, rows, fmt: str, per_node: bool, width: int) -> None:
+    """Write (graph row, label, rows) triples to the binary file fh, each
+    graph's rows formatted by one ``%`` on the template of its row count."""
+    row = _row_template(fmt, per_node, width)
+
+    @functools.cache
+    def block(count: int) -> str:
+        return "".join(row.replace(_NODE, str(node)) for node in range(count))
+
+    @functools.cache
+    def label_text(label) -> str:
+        text = json.dumps(label) if fmt == "jsonl" else "" if label is None else str(label)
+        return text.replace("%", "%%")
+
+    for gi, label, values in rows:
+        template = block(len(values)).replace(_GRAPH, str(gi)).replace(_LABEL, label_text(label))
+        fh.write((template % tuple(values.ravel().tolist())).encode())
 
 
 def _child(write_share, share, fh, report_fd: int):
@@ -308,13 +315,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
     shares = _shares(graphs, chunks, min(_usable_cpus(), len(chunks)))
 
     def write_share(share, fh):
-        text = io.TextIOWrapper(fh, encoding="utf-8")
         rows = _share_rows(dataset, graphs, share, model)
-        if args.fmt == "csv":
-            _write_csv(text, rows, args.rank, args.per_node)
-        else:
-            _write_jsonl(text, rows, args.per_node)
-        text.detach().flush()  # a child leaves by os._exit, which flushes nothing
+        _write_rows(fh, rows, args.fmt, args.per_node, args.rank)
+        fh.flush()  # a child leaves by os._exit, which flushes nothing
 
     files = [tempfile.TemporaryFile() for _ in shares]
     try:

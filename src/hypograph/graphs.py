@@ -198,6 +198,37 @@ class LabelledGraph:
         edges = perm[self.edges] if self.edges.size else self.edges
         return LabelledGraph(self.n, edges, self.attributes[inv])
 
+    def split(self, offsets) -> list["LabelledGraph"]:
+        """The inverse of :func:`disjoint_union`: graph i holds nodes
+        ``offsets[i]:offsets[i + 1]``, its edges shifted to local ids and
+        its attributes as a read-only view of this graph's rows.  Offsets
+        must rise strictly from 0 to n, and no edge may cross a cut."""
+        offsets = _node_ids(offsets)
+        if (
+            offsets.ndim != 1 or offsets.size < 2 or offsets[0] != 0
+            or offsets[-1] != self.n or np.any(np.diff(offsets) <= 0)
+        ):
+            raise ValueError(f"offsets must rise strictly from 0 to n={self.n}")
+        # edges are sorted by their lower endpoint i < j, so each block's
+        # edges are one run; an edge crosses a cut when j leaves i's block
+        cuts = np.searchsorted(self.edges[:, 0], offsets)
+        counts = np.diff(cuts)
+        crossing = np.flatnonzero(self.edges[:, 1] >= np.repeat(offsets[1:], counts))
+        if crossing.size:
+            a, b = self.edges[crossing[0]]
+            raise ValueError(f"edge ({a}, {b}) crosses a cut")
+        local = self.edges - np.repeat(offsets[:-1], counts)[:, None]
+        local.flags.writeable = False
+        graphs = []
+        bounds = zip(offsets.tolist(), offsets[1:].tolist(), cuts.tolist(), cuts[1:].tolist())
+        for lo, hi, first, stop in bounds:
+            g = LabelledGraph.__new__(LabelledGraph)
+            g.n = hi - lo
+            g.edges = local[first:stop]
+            g.attributes = self.attributes[lo:hi]
+            graphs.append(g)
+        return graphs
+
     def __repr__(self):
         return f"LabelledGraph(n={self.n}, edges={self.num_edges}, d={self.attr_dim})"
 
@@ -432,44 +463,11 @@ def _file_line(path: str, row: int) -> int:
     return numbers[row]
 
 
-def load_tu_dataset(path: str, name: str):
-    """Load a TU-format dataset directory.
-
-    Expects ``name_A.txt`` (comma-separated 1-based edge pairs),
-    ``name_graph_indicator.txt`` (graph id per node line) and at least one
-    of ``name_node_labels.txt`` (integers, one-hot encoded with width
-    max-min+1 over the whole dataset) or ``name_node_attributes.txt``
-    (comma-separated reals); ``name_graph_labels.txt`` is optional.  When
-    both labels and attributes are present the one-hot block comes first.
-    Graphs come in increasing graph id; each keeps its nodes in file order.
-
-    Returns a list of (LabelledGraph, label) pairs where label is None if
-    the dataset has no graph labels.
-    """
-    prefix = os.path.join(path, name, name)
-    if not os.path.exists(prefix + "_A.txt"):
-        prefix = os.path.join(path, name)
-    a_path = prefix + "_A.txt"
-    ind_path = prefix + "_graph_indicator.txt"
-    for req in (a_path, ind_path):
-        if not os.path.exists(req):
-            raise DatasetError(f"missing required file {req}")
-
-    indicator = _read_table(ind_path, np.int64, 1)[:, 0]
-    if indicator.size == 0:
-        raise DatasetError(f"{ind_path} is empty")
-    num_nodes = indicator.size
-    graph_ids, node_graph = np.unique(indicator, return_inverse=True)
-    num_graphs = graph_ids.size
-    # group the nodes by graph, keeping file order inside each graph
-    order = np.argsort(node_graph, kind="stable")
-    offsets = np.zeros(num_graphs + 1, dtype=np.int64)
-    np.cumsum(np.bincount(node_graph, minlength=num_graphs), out=offsets[1:])
-    local_id = np.empty(num_nodes, dtype=np.int64)
-    local_id[order] = np.arange(num_nodes) - np.repeat(offsets[:-1], np.diff(offsets))
-
-    # every attribute block is built in graph order, so the stacked matrix
-    # splits straight into per-graph views
+def _node_attributes(prefix: str, order: np.ndarray) -> np.ndarray:
+    """The read-only (n, d) attribute matrix of a TU dataset, its rows in
+    ``order`` (file rows grouped by graph): the one-hot node labels, then
+    the node attributes."""
+    num_nodes = order.size
     labels_path = prefix + "_node_labels.txt"
     attrs_path = prefix + "_node_attributes.txt"
     blocks = []
@@ -504,8 +502,49 @@ def load_tu_dataset(path: str, name: str):
     if not blocks:
         raise DatasetError(f"need {labels_path} or {attrs_path}")
     attributes = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
-    # frozen in place, so the graphs share its per-graph views, not copies
+    # frozen in place, so the graphs share views of it, not copies
     attributes.flags.writeable = False
+    return attributes
+
+
+def load_tu_dataset(path: str, name: str):
+    """Load a TU-format dataset directory.
+
+    Expects ``name_A.txt`` (comma-separated 1-based edge pairs),
+    ``name_graph_indicator.txt`` (graph id per node line) and at least one
+    of ``name_node_labels.txt`` (integers, one-hot encoded with width
+    max-min+1 over the whole dataset) or ``name_node_attributes.txt``
+    (comma-separated reals); ``name_graph_labels.txt`` is optional.  When
+    both labels and attributes are present the one-hot block comes first.
+    Graphs come in increasing graph id; each keeps its nodes in file order.
+
+    Returns a list of (LabelledGraph, label) pairs where label is None if
+    the dataset has no graph labels.
+    """
+    prefix = os.path.join(path, name, name)
+    if not os.path.exists(prefix + "_A.txt"):
+        prefix = os.path.join(path, name)
+    a_path = prefix + "_A.txt"
+    ind_path = prefix + "_graph_indicator.txt"
+    for req in (a_path, ind_path):
+        if not os.path.exists(req):
+            raise DatasetError(f"missing required file {req}")
+
+    indicator = _read_table(ind_path, np.int64, 1)[:, 0]
+    if indicator.size == 0:
+        raise DatasetError(f"{ind_path} is empty")
+    num_nodes = indicator.size
+    graph_ids, node_graph = np.unique(indicator, return_inverse=True)
+    num_graphs = graph_ids.size
+    # group the nodes by graph, keeping file order inside each graph
+    order = np.argsort(node_graph, kind="stable")
+    offsets = np.zeros(num_graphs + 1, dtype=np.int64)
+    np.cumsum(np.bincount(node_graph, minlength=num_graphs), out=offsets[1:])
+    new_id = np.empty(num_nodes, dtype=np.int64)
+    new_id[order] = np.arange(num_nodes)
+
+    attributes = _node_attributes(prefix, order)
+    del order
 
     edges = _read_table(a_path, np.int64, 2)
     if edges.size and (edges.min() < 1 or edges.max() > num_nodes):
@@ -514,19 +553,17 @@ def load_tu_dataset(path: str, name: str):
     if loops.size:
         line = _file_line(a_path, loops[0])
         raise DatasetError(f"{a_path}: line {line}: self-loops are not allowed")
-    u, v = edges[:, 0] - 1, edges[:, 1] - 1
-    edge_graph = node_graph[u]
-    crossing = np.flatnonzero(edge_graph != node_graph[v])
+    edges -= 1
+    crossing = np.flatnonzero(node_graph[edges[:, 0]] != node_graph[edges[:, 1]])
     if crossing.size:
         a, b = edges[crossing[0]]
         raise DatasetError(
-            f"{a_path}: edge ({a}, {b}) crosses graphs "
-            f"{graph_ids[node_graph[a - 1]]} and {graph_ids[node_graph[b - 1]]}"
+            f"{a_path}: line {_file_line(a_path, crossing[0])}: edge ({a + 1}, {b + 1}) "
+            f"crosses graphs {graph_ids[node_graph[a]]} and {graph_ids[node_graph[b]]}"
         )
-    edge_order = np.argsort(edge_graph, kind="stable")
-    edge_offsets = np.zeros(num_graphs + 1, dtype=np.int64)
-    np.cumsum(np.bincount(edge_graph, minlength=num_graphs), out=edge_offsets[1:])
-    local_edges = np.column_stack([local_id[u], local_id[v]])[edge_order]
+    # node ids in graph order, so each graph is one block of the whole
+    edges = new_id[edges]
+    del node_graph, new_id  # freed before the whole-file graph peaks in memory
 
     glabels_path = prefix + "_graph_labels.txt"
     graph_labels = [None] * num_graphs
@@ -537,18 +574,9 @@ def load_tu_dataset(path: str, name: str):
                 f"{glabels_path}: {len(graph_labels)} labels for {num_graphs} graphs"
             )
 
-    dataset = []
-    graph_edges = np.split(local_edges, edge_offsets[1:-1])
-    graph_attributes = np.split(attributes, offsets[1:-1])
-    for gi in range(num_graphs):
-        try:
-            graph = LabelledGraph(
-                int(offsets[gi + 1] - offsets[gi]), graph_edges[gi], graph_attributes[gi]
-            )
-        except ValueError as exc:
-            raise DatasetError(f"graph {graph_ids[gi]}: {exc}") from exc
-        dataset.append((graph, graph_labels[gi]))
-    return dataset
+    # one check and canonical sort of every edge, then one view per graph
+    graphs = LabelledGraph(num_nodes, edges, attributes).split(offsets)
+    return list(zip(graphs, graph_labels))
 
 
 def save_tu_dataset(path: str, name: str, dataset) -> None:

@@ -130,22 +130,31 @@ class TestExtract:
 
     def test_writers_format_awkward_floats(self):
         values = np.array([[3.0, -0.0, 0.1, 1e16, 5e-324, 1.7976931348623157e308, -2.5e-7]])
-        dataset = [(None, 7), (None, None)]
-        results = [values[0], values[0][::-1]]
-        csv, jsonl = io.StringIO(), io.StringIO()
-        csv.write(cli._csv_header(7, False))
-        cli._write_csv(csv, cli._rows(dataset, results, False), 7, False)
-        cli._write_jsonl(jsonl, cli._rows(dataset, results, False), False)
-        want_csv = ["graph,label," + ",".join(f"f{i}" for i in range(7))]
-        want_jsonl = []
-        for gi, ((_, label), res) in enumerate(zip(dataset, results)):
-            want_csv.append(",".join([str(gi), "" if label is None else str(label)]
-                                     + [f"{v:.17g}" for v in res]))
-            want_jsonl.append(json.dumps({"graph": gi, "label": label,
-                                          "features": list(map(float, res))}))
-        assert csv.getvalue() == "\n".join(want_csv) + "\n"
-        assert jsonl.getvalue() == "\n".join(want_jsonl) + "\n"
-        assert '"features": [3.0, -0.0, 0.1, 1e+16, 5e-324, ' in jsonl.getvalue()
+        # a label holding "%" must pass through the row template untouched
+        labels = [7, None, "50%"]
+        for per_node in (False, True):
+            # per node: graph 0 has two rows, graphs 1 and 2 one each
+            results = [np.vstack([values, values[:, ::-1]]) if per_node else values,
+                       values[:, ::-1], values]
+            rows = list(zip(range(3), labels, results))
+            csv, jsonl = io.BytesIO(), io.BytesIO()
+            csv.write(cli._csv_header(7, per_node).encode())
+            cli._write_rows(csv, iter(rows), "csv", per_node, 7)
+            cli._write_rows(jsonl, iter(rows), "jsonl", per_node, 7)
+            names = ["graph", "node"] if per_node else ["graph"]
+            want_csv = [",".join(names + ["label"] + [f"f{i}" for i in range(7)])]
+            want_jsonl = []
+            for gi, label, res in rows:
+                for node, row in enumerate(res):
+                    ids = [gi, node] if per_node else [gi]
+                    want_csv.append(",".join([str(i) for i in ids]
+                                             + ["" if label is None else str(label)]
+                                             + [f"{v:.17g}" for v in row]))
+                    want_jsonl.append(json.dumps({**dict(zip(names, ids)), "label": label,
+                                                  "features": list(map(float, row))}))
+            assert csv.getvalue().decode() == "\n".join(want_csv) + "\n"
+            assert jsonl.getvalue().decode() == "\n".join(want_jsonl) + "\n"
+            assert '"features": [3.0, -0.0, 0.1, 1e+16, 5e-324, ' in jsonl.getvalue().decode()
 
     def test_batched_matches_one_graph_per_chunk(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(4)
@@ -346,6 +355,52 @@ class TestProcesses:
         assert outputs[0] == outputs[1] == outputs[2]
         rows = sum(g.n for g in graphs) if per_node else len(graphs)
         assert outputs[0].count(b"\n") == rows + (fmt == "csv")
+
+    AWKWARD = [3.0, -0.0, 0.1, 1e16, 5e-324, 1.7976931348623157e308, -2.5e-7]
+
+    @pytest.mark.parametrize("labels", [None, [2, -1, 0, -3]])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("per_node", [False, True])
+    def test_extract_bytes_match_reference_formatters(
+        self, monkeypatch, tmp_path, fmt, per_node, labels
+    ):
+        """The rows extract writes, with awkward floats in every shape: a
+        one-node graph, node ids above 9, a negative or missing label, one
+        process or three."""
+        sizes = [12, 1, 3, 2]
+        starts = np.cumsum([0] + sizes)
+        edges = [(a + 1, a + 2) for s, n in zip(starts, sizes) for a in range(s, s + n - 1)]
+        indicator = np.repeat(np.arange(1, len(sizes) + 1), sizes).tolist()
+        # each node's only attribute is its row in the file, and the model
+        # below turns row k into AWKWARD rotated by k
+        write_tu_files(tmp_path, "many", edges, indicator,
+                       node_attributes=[[k] for k in range(sum(sizes))], graph_labels=labels)
+
+        def awkward(union, model, offsets):
+            k = union.attributes[:, 0].astype(int)
+            x = np.array(self.AWKWARD)[(k[:, None] + np.arange(self.RANK)) % len(self.AWKWARD)]
+            return x if model.pooling is None else x[offsets[:-1]]
+
+        monkeypatch.setattr(cli, "model_forward", awkward)
+        monkeypatch.setattr(cli, "CHUNK_ELEMENTS", 0)  # one chunk per graph
+        names = ["graph", "node"] if per_node else ["graph"]
+        want = ["graph,node,label,f0,f1,f2,f3" if per_node else "graph,label,f0,f1,f2,f3"]
+        want = want if fmt == "csv" else []
+        for gi, (start, n) in enumerate(zip(starts, sizes)):
+            label = None if labels is None else labels[gi]
+            for node in range(n if per_node else 1):
+                values = [self.AWKWARD[(start + node + c) % 7] for c in range(self.RANK)]
+                ids = [gi, node] if per_node else [gi]
+                want.append(
+                    ",".join([str(i) for i in ids] + ["" if label is None else str(label)]
+                             + [f"{v:.17g}" for v in values]) if fmt == "csv"
+                    else json.dumps({**dict(zip(names, ids)), "label": label, "features": values})
+                )
+        for procs in (1, 3):
+            out = tmp_path / f"p{procs}.{fmt}"
+            extra = {"format": fmt, "per_node": True} if per_node else {"format": fmt}
+            assert self.run(monkeypatch, tmp_path, out, procs, **extra) == (EXIT_OK, procs - 1)
+            assert out.read_text() == "\n".join(want) + "\n"
 
     def test_one_chunk_never_forks(self, tiny_dataset, tmp_path, monkeypatch):
         def no_fork():

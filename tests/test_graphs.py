@@ -185,6 +185,17 @@ class TestFrozen:
         frozen([np.nan])  # no check without a name
 
 
+def assert_same_graph(got, want):
+    """got equals a constructor-built want in every stored array."""
+    assert got.n == want.n
+    assert got.edges.dtype == want.edges.dtype and got.edges.shape == want.edges.shape
+    assert got.edges.tobytes() == want.edges.tobytes()
+    np.testing.assert_array_equal(got.attributes, want.attributes)
+    assert got.attributes.dtype == want.attributes.dtype
+    assert not got.edges.flags.writeable and not got.attributes.flags.writeable
+    assert got.pattern.same_as(want.pattern)
+
+
 class TestDisjointUnion:
     def test_blocks_and_offsets(self):
         a = LabelledGraph(2, [(0, 1)], [[0.0], [1.0]])
@@ -194,6 +205,35 @@ class TestDisjointUnion:
         np.testing.assert_array_equal(union.edges, [[0, 1], [2, 4]])
         np.testing.assert_array_equal(union.attributes[:, 0], [0, 1, 2, 3, 4])
         np.testing.assert_array_equal(union.degrees, [1, 1, 1, 0, 1])
+
+    def test_split_inverts_disjoint_union(self):
+        rng = np.random.default_rng(33)
+        members = [random_labelled_graph(rng, max_nodes=6, max_dim=1) for _ in range(4)]
+        members.append(LabelledGraph(1, [], [[0.5]]))  # one node, no edges
+        members.append(LabelledGraph(4, [(2, 0)], rng.standard_normal((4, 1))))  # isolated nodes
+        union, offsets = disjoint_union(members)
+        parts = union.split(offsets)
+        assert len(parts) == len(members)
+        for got, want in zip(parts, members):
+            assert_same_graph(got, want)
+            assert got.attributes.base is union.attributes
+        again, again_offsets = disjoint_union(parts)
+        np.testing.assert_array_equal(again_offsets, offsets)
+        assert_same_graph(again, union)
+
+    @pytest.mark.parametrize("offsets", [
+        [0], [1, 5], [0, 4], [0, 6], [0, 2, 2, 5], [0, 3, 2, 5], [[0, 5]],
+    ])
+    def test_split_rejects_offsets_not_rising_from_zero_to_n(self, offsets):
+        g = path_graph(4)
+        with pytest.raises(ValueError, match=r"^offsets must rise strictly from 0 to n=5$"):
+            g.split(offsets)
+
+    def test_split_rejects_an_edge_across_a_cut(self):
+        g = LabelledGraph(4, [(0, 1), (1, 2)], np.zeros((4, 1)))
+        with pytest.raises(ValueError, match=r"^edge \(1, 2\) crosses a cut$"):
+            g.split([0, 2, 4])
+        assert [h.n for h in g.split([0, 3, 4])] == [3, 1]
 
     def test_rejects_empty_and_mixed_widths(self):
         with pytest.raises(ValueError):
@@ -479,6 +519,28 @@ class TestTuLoader:
         assert g.n == 2 and g.num_edges == 1
         np.testing.assert_array_equal(g.attributes, [[1.0, 0.0], [0.0, 1.0]])
 
+    def test_one_pass_matches_the_constructor_per_graph(self, tmp_path):
+        """Edges listed once in (j, i) order, a repeated edge, isolated
+        nodes and graph ids out of file order: each loaded graph equals the
+        constructor's graph of its nodes in file order."""
+        indicator = [4, 2, 4, 9, 2, 4, 9, 2, 4, 2]
+        edges = [(3, 1), (6, 3), (6, 3), (1, 6), (5, 2), (8, 5), (2, 8), (7, 4), (5, 8)]
+        attrs = np.arange(20.0).reshape(10, 2)
+        write_tu_files(tmp_path, "mix", edges, indicator,
+                       node_attributes=attrs.tolist(), graph_labels=[5, -1, 0])
+        got = load_tu_dataset(str(tmp_path), "mix")
+        want = []
+        for gid in sorted(set(indicator)):  # 2, 4, 9
+            rows = [v for v, g in enumerate(indicator) if g == gid]
+            local = {v + 1: i for i, v in enumerate(rows)}
+            pairs = [(local[a], local[b]) for a, b in edges if a in local]
+            want.append(LabelledGraph(len(rows), pairs, attrs[rows]))
+        assert [label for _, label in got] == [5, -1, 0]
+        assert [g.n for g, _ in got] == [4, 4, 2]
+        assert [g.degrees.tolist() for g, _ in got] == [[2, 2, 2, 0], [2, 2, 2, 0], [1, 1]]
+        for (g, _), h in zip(got, want):
+            assert_same_graph(g, h)
+
     def test_cross_graph_edge_rejected(self, tmp_path):
         write_tu_files(tmp_path, "bad", [(1, 3)], [1, 1, 2], node_labels=[0, 0, 0])
         with pytest.raises(DatasetError, match="crosses graphs"):
@@ -536,6 +598,7 @@ class TestTuLoader:
         ("1, 2\n2, 4\n", r"node id out of range 1\.\.3"),
         ("1, 2\n0, 1\n", r"node id out of range 1\.\.3"),
         ("1, 2\n2, 3\n", r"edge \(2, 3\) crosses graphs 5 and 9"),
+        ("1, 2\n\n2, 3\n", r"bad_A\.txt: line 3: edge \(2, 3\) crosses graphs 5 and 9"),
         ("1, 2\n\n1, 1\n", r"bad_A\.txt: line 3: self-loops are not allowed"),
     ])
     def test_bad_edge_file(self, tmp_path, a_text, pattern):
