@@ -142,13 +142,24 @@ class LabelledGraph:
                 raise ValueError("edge endpoint out of range")
             if np.any(edges[:, 0] == edges[:, 1]):
                 raise ValueError("self-loops are not allowed")
-            # sorted unique (i, j) pairs with i < j, through one code per pair
+            # sorted unique (i, j) pairs with i < j, through one code per pair;
+            # a sort and a neighbour mask, as numpy's hash-based unique is slower
             lo, hi = np.minimum(edges[:, 0], edges[:, 1]), np.maximum(edges[:, 0], edges[:, 1])
-            codes = np.unique(lo * n + hi)
+            codes = np.sort(lo * n + hi)
+            codes = codes[np.append(True, codes[1:] != codes[:-1])]
             edges = np.column_stack(np.divmod(codes, n))
         self.n = n
         self.edges = frozen(edges, np.int64)
         self.attributes = _checked_attributes(n, attributes)
+
+    @classmethod
+    def _from_checked(cls, n: int, edges: np.ndarray, attributes: np.ndarray) -> "LabelledGraph":
+        """A graph over arrays that already hold the class's invariants, as
+        read-only int64 (m, 2) edges and finite float64 (n, d) attributes;
+        nothing is checked or copied."""
+        g = cls.__new__(cls)
+        g.n, g.edges, g.attributes = n, edges, attributes
+        return g
 
     @property
     def num_edges(self) -> int:
@@ -179,13 +190,10 @@ class LabelledGraph:
         The pattern is built here once, so every layer over one graph
         shares it.
         """
-        out = LabelledGraph.__new__(LabelledGraph)
-        out.n = self.n
-        out.edges = self.edges
-        out.attributes = _checked_attributes(self.n, attributes)
-        # topology caches stay valid for the relabelled graph
-        out.__dict__["degrees"] = self.degrees
-        out.__dict__["pattern"] = self.pattern
+        attributes = _checked_attributes(self.n, attributes)
+        out = LabelledGraph._from_checked(self.n, self.edges, attributes)
+        # topology caches stay valid for the new attributes
+        out.__dict__.update(degrees=self.degrees, pattern=self.pattern)
         return out
 
     def permuted(self, perm) -> "LabelledGraph":
@@ -202,13 +210,8 @@ class LabelledGraph:
         """The inverse of :func:`disjoint_union`: graph i holds nodes
         ``offsets[i]:offsets[i + 1]``, its edges shifted to local ids and
         its attributes as a read-only view of this graph's rows.  Offsets
-        must rise strictly from 0 to n, and no edge may cross a cut."""
-        offsets = _node_ids(offsets)
-        if (
-            offsets.ndim != 1 or offsets.size < 2 or offsets[0] != 0
-            or offsets[-1] != self.n or np.any(np.diff(offsets) <= 0)
-        ):
-            raise ValueError(f"offsets must rise strictly from 0 to n={self.n}")
+        are as :func:`block_offsets` takes them, and no edge may cross a cut."""
+        offsets = block_offsets(offsets, self.n)
         # edges are sorted by their lower endpoint i < j, so each block's
         # edges are one run; an edge crosses a cut when j leaves i's block
         cuts = np.searchsorted(self.edges[:, 0], offsets)
@@ -219,15 +222,11 @@ class LabelledGraph:
             raise ValueError(f"edge ({a}, {b}) crosses a cut")
         local = self.edges - np.repeat(offsets[:-1], counts)[:, None]
         local.flags.writeable = False
-        graphs = []
         bounds = zip(offsets.tolist(), offsets[1:].tolist(), cuts.tolist(), cuts[1:].tolist())
-        for lo, hi, first, stop in bounds:
-            g = LabelledGraph.__new__(LabelledGraph)
-            g.n = hi - lo
-            g.edges = local[first:stop]
-            g.attributes = self.attributes[lo:hi]
-            graphs.append(g)
-        return graphs
+        return [
+            LabelledGraph._from_checked(hi - lo, local[first:stop], self.attributes[lo:hi])
+            for lo, hi, first, stop in bounds
+        ]
 
     def __repr__(self):
         return f"LabelledGraph(n={self.n}, edges={self.num_edges}, d={self.attr_dim})"
@@ -239,15 +238,31 @@ def disjoint_union(graphs) -> tuple[LabelledGraph, np.ndarray]:
     Graph i's nodes become rows ``offsets[i]:offsets[i + 1]`` of the union,
     in their own order.  No edge joins two blocks, so every walk stays in
     its graph and row-wise results on the union are those of each graph.
+    Members' checked arrays are trusted: edges shifted by rising offsets
+    stay sorted, unique, in range and without loops.
     """
     graphs = list(graphs)
     if not graphs:
         raise ValueError("need at least one graph")
+    widths = {g.attr_dim for g in graphs}
+    if len(widths) > 1:
+        raise ValueError(f"graphs must share one attribute width, got {sorted(widths)}")
     offsets = np.zeros(len(graphs) + 1, dtype=np.int64)
     np.cumsum([g.n for g in graphs], out=offsets[1:])
     edges = np.concatenate([g.edges + off for g, off in zip(graphs, offsets)])
     attributes = np.concatenate([g.attributes for g in graphs])
-    return LabelledGraph(int(offsets[-1]), edges, attributes), offsets
+    edges.flags.writeable = attributes.flags.writeable = False
+    return LabelledGraph._from_checked(int(offsets[-1]), edges, attributes), offsets
+
+
+def block_offsets(offsets, n: int) -> np.ndarray:
+    """``offsets`` read as node ids that rise strictly from 0 to ``n``:
+    block i holds nodes ``offsets[i]:offsets[i + 1]``, as in a union."""
+    offsets = _node_ids(offsets)
+    rising = offsets.ndim == 1 and offsets.size > 1 and np.all(np.diff(offsets) > 0)
+    if not (rising and offsets[0] == 0 and offsets[-1] == n):
+        raise ValueError(f"offsets must rise strictly from 0 to n={n}")
+    return offsets
 
 
 @dataclass(frozen=True)
@@ -431,25 +446,36 @@ def _read_table(path: str, dtype, columns: int | None = None) -> np.ndarray:
     return table
 
 
+def _lines(path: str):
+    """(file line number, text) of every line of ``path`` that is not all
+    blanks.  A line that is not UTF-8 raises DatasetError naming it."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    for number, raw in enumerate(data.splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"{path}: line {number}: {exc}") from None
+        if line.strip():
+            yield number, line
+
+
 def _parse_table(path: str, dtype, columns: int | None) -> np.ndarray:
     """Line-by-line :func:`_read_table`: also skips lines of blanks, and
     names the first bad line by its line number in the file."""
     convert = int if np.issubdtype(dtype, np.integer) else float
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split(",")
-            width = columns or (rows[0].size if rows else len(parts))
-            if len(parts) != width:
-                raise DatasetError(
-                    f"{path}: line {number}: ragged row of {len(parts)} values, expected {width}"
-                )
-            try:
-                rows.append(np.array([convert(x) for x in parts], dtype=dtype))
-            except (ValueError, OverflowError) as exc:
-                raise DatasetError(f"{path}: line {number}: {exc}") from exc
+    for number, line in _lines(path):
+        parts = line.split(",")
+        width = columns or (rows[0].size if rows else len(parts))
+        if len(parts) != width:
+            raise DatasetError(
+                f"{path}: line {number}: ragged row of {len(parts)} values, expected {width}"
+            )
+        try:
+            rows.append(np.array([convert(x) for x in parts], dtype=dtype))
+        except (ValueError, OverflowError) as exc:
+            raise DatasetError(f"{path}: line {number}: {exc}") from exc
     if not rows:
         return np.empty((0, columns or 0), dtype=dtype)
     return np.stack(rows)
@@ -458,9 +484,7 @@ def _parse_table(path: str, dtype, columns: int | None) -> np.ndarray:
 def _file_line(path: str, row: int) -> int:
     """File line number of table row ``row``, counting the skipped blank
     lines as :func:`_parse_table` does."""
-    with open(path, "r", encoding="utf-8") as fh:
-        numbers = [number for number, line in enumerate(fh, start=1) if line.strip()]
-    return numbers[row]
+    return [number for number, _ in _lines(path)][row]
 
 
 def _node_attributes(prefix: str, order: np.ndarray) -> np.ndarray:

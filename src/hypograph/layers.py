@@ -18,7 +18,9 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .config import FeatureConfig
-from .graphs import AttentionParams, LabelledGraph, attention_transition, frozen, transition_matrix
+from .graphs import (
+    AttentionParams, LabelledGraph, attention_transition, block_offsets, frozen, transition_matrix,
+)
 from .lowrank import NonFiniteError, batch_features
 
 
@@ -167,9 +169,7 @@ def model_forward(g: LabelledGraph, model: ModelConfig, offsets=None) -> np.ndar
     or the pooling, where a value overflows.
     """
     single = offsets is None
-    offsets = np.array([0, g.n] if single else offsets, dtype=np.int64)
-    if offsets.ndim != 1 or offsets[0] != 0 or offsets[-1] != g.n or np.any(np.diff(offsets) < 1):
-        raise ValueError(f"offsets must rise strictly from 0 to n={g.n}")
+    offsets = block_offsets([0, g.n] if single else offsets, g.n)
     x = g.attributes
     for idx, layer in enumerate(model.layers):
         try:

@@ -680,6 +680,20 @@ def test_wide_node_label_range_is_data_error_naming_file(tmp_path, capsys, comma
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["extract", "describe"])
+def test_non_utf8_byte_is_data_error_naming_file_and_line(tmp_path, capsys, command):
+    write_tu_files(tmp_path, "bytes", [(1, 2), (2, 1)], [1, 1], node_labels=[0, 1])
+    labels = tmp_path / "bytes_node_labels.txt"
+    labels.write_bytes(b"0\n\xe9\n")
+    args = [command, "--dataset", str(tmp_path), "--name", "bytes"]
+    if command == "extract":
+        args += ["--out", str(tmp_path / "o.csv")]
+    assert main(args) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"hypograph: data error: {labels}: line 2: ") and err.count("\n") == 1
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_benchmark_trace_targets_resolve(monkeypatch):
     # perfbench's tracer replaces each (module, attribute) in SPANS, some of
     # which nothing in the package calls; a missing one breaks --trace 1

@@ -34,6 +34,14 @@ class TestLabelledGraph:
     def test_dedupes_and_canonicalizes_edges(self):
         g = LabelledGraph(3, [(1, 0), (0, 1), (2, 1)], np.zeros((3, 1)))
         np.testing.assert_array_equal(g.edges, [[0, 1], [1, 2]])
+        # random pairs, repeated and in both orientations, against np.unique's codes
+        n, rng = 40, np.random.default_rng(7)
+        pairs = rng.integers(0, n, size=(500, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        pairs = np.concatenate([pairs, pairs[::-1, ::-1], pairs[:100]])
+        codes = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1))
+        got = LabelledGraph(n, pairs, np.zeros((n, 1))).edges
+        assert got.tobytes() == np.column_stack(np.divmod(codes, n)).tobytes()
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
@@ -235,11 +243,23 @@ class TestDisjointUnion:
             g.split([0, 2, 4])
         assert [h.n for h in g.split([0, 3, 4])] == [3, 1]
 
+    def test_union_arrays_equal_the_public_constructors(self):
+        # the union trusts its members' arrays; the constructor checks them
+        rng = np.random.default_rng(34)
+        members = [random_labelled_graph(rng, max_nodes=6, max_dim=1) for _ in range(5)]
+        members.append(LabelledGraph(2, [], [[0.0], [1.0]]))
+        union, offsets = disjoint_union(members)
+        edges = np.concatenate([g.edges + off for g, off in zip(members, offsets)])
+        attributes = np.concatenate([g.attributes for g in members])
+        assert_same_graph(union, LabelledGraph(int(offsets[-1]), edges, attributes))
+
     def test_rejects_empty_and_mixed_widths(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need at least one graph$"):
             disjoint_union([])
-        with pytest.raises(ValueError):
-            disjoint_union([LabelledGraph(1, [], [[0.0]]), LabelledGraph(1, [], [[0.0, 1.0]])])
+        one, two = LabelledGraph(1, [], [[0.0]]), LabelledGraph(1, [], [[0.0, 1.0]])
+        message = r"^graphs must share one attribute width, got \[1, 2\]$"
+        with pytest.raises(ValueError, match=message):
+            disjoint_union([two, one, two])
 
     @pytest.mark.parametrize("attention", [False, True])
     def test_matches_oracle(self, attention):

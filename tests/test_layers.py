@@ -167,12 +167,17 @@ class TestModelForward:
         for row, g in zip(pooled, graphs):
             np.testing.assert_allclose(row, model_forward(g, model), rtol=1e-12, atol=1e-14)
 
-    @pytest.mark.parametrize("offsets", [[0, 3], [1, 4], [0, 2, 2, 4], [0, 3, 2, 4]])
+    @pytest.mark.parametrize("offsets", [
+        [0, 3], [1, 4], [0, 2, 2, 4], [0, 3, 2, 4], [0], [[0, 4]], [0, 1.5, 4],
+    ])
     def test_bad_offsets_rejected(self, offsets):
+        # model_forward rejects what split rejects, with split's message
         rng = np.random.default_rng(10)
         g = LabelledGraph(4, [(0, 1), (2, 3)], rng.standard_normal((4, 2)))
         model = ModelConfig((make_layer(rng, 2),))
-        with pytest.raises(ValueError, match="offsets"):
+        with pytest.raises(ValueError) as split_error:
+            g.split(offsets)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(split_error.value))}$"):
             model_forward(g, model, offsets)
 
     def test_node_rows_match_each_graph(self):
