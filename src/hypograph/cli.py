@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import bisect
+import collections
 import functools
 import itertools
 import json
@@ -17,7 +18,7 @@ import threading
 import numpy as np
 
 from .config import FeatureConfig
-from .graphs import DatasetError, dataset_summary, disjoint_union, load_tu_dataset
+from .graphs import DatasetError, disjoint_union, load_tu_dataset
 from .layers import LayerParams, ModelConfig, init_params, model_forward
 from .layers import layer_forward  # not called here: perfbench traces cli.layer_forward
 from .lowrank import NonFiniteError
@@ -389,17 +390,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_describe(args: argparse.Namespace) -> int:
     dataset = load_tu_dataset(args.dataset, args.name)
-    info = dataset_summary(dataset)
-    print(f"graphs:         {info['graphs']}")
-    print(f"attribute dim:  {info['attr_dim']}")
+    nodes = np.array([g.n for g, _ in dataset])
+    edges = np.array([g.num_edges for g, _ in dataset])
+    labels = collections.Counter(label for _, label in dataset if label is not None)
+    print(f"graphs:         {len(dataset)}")
+    print(f"attribute dim:  {dataset[0][0].attr_dim}")
     print(
-        f"nodes:          total {info['nodes_total']}, mean {info['nodes_mean']:.2f}, "
-        f"min {info['nodes_min']}, max {info['nodes_max']}"
+        f"nodes:          total {nodes.sum()}, mean {nodes.mean():.2f}, "
+        f"min {nodes.min()}, max {nodes.max()}"
     )
-    print(f"edges:          total {info['edges_total']}, mean {info['edges_mean']:.2f}")
-    if info["label_histogram"]:
-        print(f"classes:        {len(info['label_histogram'])}")
-        for label, count in info["label_histogram"].items():
+    print(f"edges:          total {edges.sum()}, mean {edges.mean():.2f}")
+    if labels:
+        print(f"classes:        {len(labels)}")
+        for label, count in sorted(labels.items()):
             print(f"  label {label}: {count}")
     else:
         print("classes:        none (no graph labels)")

@@ -55,17 +55,19 @@ def frozen(values, dtype=np.float64, what: str | None = None) -> np.ndarray:
     return arr
 
 
-def _node_ids(values) -> np.ndarray:
-    """``values`` as an int64 array of node ids.  A float that is not a
-    whole number raises ValueError instead of being truncated."""
-    ids = np.asarray(values)
-    if ids.dtype.kind == "f":
-        with np.errstate(invalid="ignore"):  # nan and inf are caught below
-            whole = ids.astype(np.int64)
-        if not np.array_equal(whole, ids):
-            raise ValueError("node ids must be integers")
-        return whole
-    return ids.astype(np.int64, copy=False)
+def _node_ids(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array of node ids.  A value that is not a
+    whole number in int64 range (a bool, a fraction, a string, None)
+    raises ValueError naming ``what`` and the first such value."""
+    # a list is read value by value, so a bool among ints is not cast to 0 or 1
+    ids = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    if ids.dtype.kind in "iu":
+        return ids.astype(np.int64, copy=False)
+    for value in ids.astype(object).flat:
+        real = not isinstance(value, (bool, np.bool_)) and isinstance(value, numbers.Real)
+        if not (real and -(2**63) <= value < 2**63 and value == int(value)):
+            raise ValueError(f"{what}: node ids must be integers, got {value!r}")
+    return ids.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,7 @@ class LabelledGraph:
         n = int(n)
         if n < 1:
             raise ValueError(f"need at least one node, got n={n}")
-        edges = _node_ids(edges)
+        edges = _node_ids(edges, "edges")
         if edges.size and (edges.ndim != 2 or edges.shape[1] != 2):
             raise ValueError(f"edges must be (m, 2) pairs, got shape {edges.shape}")
         edges = edges.reshape(-1, 2)
@@ -198,7 +200,7 @@ class LabelledGraph:
 
     def permuted(self, perm) -> "LabelledGraph":
         """Relabel nodes: new index perm[i] plays the role of old index i."""
-        perm = _node_ids(perm)
+        perm = _node_ids(perm, "perm")
         if not np.array_equal(np.sort(perm), np.arange(self.n)):
             raise ValueError("perm must be a permutation of 0..n-1")
         inv = np.empty(self.n, dtype=np.int64)
@@ -258,7 +260,7 @@ def disjoint_union(graphs) -> tuple[LabelledGraph, np.ndarray]:
 def block_offsets(offsets, n: int) -> np.ndarray:
     """``offsets`` read as node ids that rise strictly from 0 to ``n``:
     block i holds nodes ``offsets[i]:offsets[i + 1]``, as in a union."""
-    offsets = _node_ids(offsets)
+    offsets = _node_ids(offsets, "offsets")
     rising = offsets.ndim == 1 and offsets.size > 1 and np.all(np.diff(offsets) > 0)
     if not (rising and offsets[0] == 0 and offsets[-1] == n):
         raise ValueError(f"offsets must rise strictly from 0 to n={n}")
@@ -296,9 +298,9 @@ class RowStochastic:
 
 
 def _row_normalized(pattern: AdjacencyPattern, weights: np.ndarray) -> np.ndarray:
-    """``weights`` on the pattern entries, each divided by its row's sum."""
-    row_sums = np.add.reduceat(weights, pattern.indptr[:-1])
-    return weights / np.repeat(row_sums, np.diff(pattern.indptr))
+    """``weights`` on the pattern entries, (nnz,) or one column per head
+    (nnz, heads), each divided by its row's sum in its column."""
+    return weights / np.add.reduceat(weights, pattern.indptr[:-1])[pattern.rows]
 
 
 def transition_matrix(g: LabelledGraph) -> RowStochastic:
@@ -310,28 +312,27 @@ def transition_matrix(g: LabelledGraph) -> RowStochastic:
 def weighted_transition(g: LabelledGraph, weights) -> RowStochastic:
     """Walk with positive edge weights, rows normalized to 1.
 
-    ``weights`` maps undirected edges to positive finite reals; keys may
-    use either endpoint order.  Both directions of an edge share its
-    weight, and isolated nodes keep their unit self-loop.
+    ``weights`` holds one positive finite weight per edge of ``g.edges``,
+    in that order.  Both directions of an edge share its weight, and
+    isolated nodes keep their unit self-loop.
     """
-    lookup = {}
-    for (a, b), w in dict(weights).items():
-        w = float(w)
-        if not 0.0 < w < np.inf:
-            raise ValueError(f"weight for edge ({a}, {b}) must be positive and finite, got {w}")
-        lookup[(min(a, b), max(a, b))] = w
-    edge_weight = []
-    for key in map(tuple, g.edges.tolist()):
-        if key not in lookup:
-            raise ValueError(f"missing weight for edge {key}")
-        edge_weight.append(lookup[key])
+    try:
+        weights = np.asarray(weights, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError("edge weights must be an array of numbers") from None
+    if weights.shape != (g.num_edges,):
+        raise ValueError(f"need one weight per edge, shape ({g.num_edges},), got {weights.shape}")
+    bad = np.flatnonzero(~((weights > 0.0) & (weights < np.inf)))
+    if bad.size:
+        (a, b), w = g.edges[bad[0]], weights[bad[0]]
+        raise ValueError(f"weight for edge ({a}, {b}) must be positive and finite, got {w}")
     # g.edges is sorted by (i, j), so each entry finds its edge by bisection
     pattern, n = g.pattern, g.n
     lo = np.minimum(pattern.rows, pattern.indices).astype(np.int64)
     hi = np.maximum(pattern.rows, pattern.indices).astype(np.int64)
     slot = np.searchsorted(g.edges[:, 0] * n + g.edges[:, 1], lo * n + hi)
     # isolated nodes keep their unit self-loop
-    raw = np.where(lo == hi, 1.0, np.append(edge_weight, 1.0)[slot])
+    raw = np.where(lo == hi, 1.0, np.append(weights, 1.0)[slot])
     return RowStochastic(pattern, _row_normalized(pattern, raw))
 
 
@@ -387,20 +388,17 @@ def attention_transition(g: LabelledGraph, params: AttentionParams) -> RowStocha
             f"attention dim {params.dim} does not match attributes {g.attr_dim}"
         )
     pattern = g.pattern
-    rows, cols = pattern.rows, pattern.indices
-    counts = np.diff(pattern.indptr)
-    accum = np.zeros(pattern.nnz, dtype=np.float64)
     # overflow surfaces as NonFiniteError; finite scores give softmax terms in [0, 1]
     with np.errstate(over="ignore", invalid="ignore"):
         src = g.attributes @ params.w_source.T  # (n, heads)
         tgt = g.attributes @ params.w_target.T
-        for h in range(params.heads):
-            scores = _leaky_relu(src[rows, h] + tgt[cols, h])
-            if not np.isfinite(scores).all():
-                raise NonFiniteError("non-finite value in the attention transition")
-            row_max = np.maximum.reduceat(scores, pattern.indptr[:-1])
-            accum += _row_normalized(pattern, np.exp(scores - np.repeat(row_max, counts)))
-    return RowStochastic(pattern, accum / params.heads)
+        scores = _leaky_relu(src[pattern.rows] + tgt[pattern.indices])  # (nnz, heads)
+        if not np.isfinite(scores).all():
+            raise NonFiniteError("non-finite value in the attention transition")
+        row_max = np.maximum.reduceat(scores, pattern.indptr[:-1])
+        probs = _row_normalized(pattern, np.exp(scores - row_max[pattern.rows]))
+    # the running sum over heads, in head order, as a per-head loop adds them
+    return RowStochastic(pattern, np.cumsum(probs, axis=1)[:, -1] / params.heads)
 
 
 def normalized_laplacian(g: LabelledGraph) -> sparse.csr_matrix:
@@ -410,8 +408,8 @@ def normalized_laplacian(g: LabelledGraph) -> sparse.csr_matrix:
 
 def classic_diffusion(g: LabelledGraph, k: int) -> np.ndarray:
     """k steps of plain attribute diffusion: P^k applied to the attributes."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
+        raise ValueError(f"k must be an integer >= 0, got {k!r}")
     p = transition_matrix(g).matrix
     out = g.attributes
     for _ in range(k):
@@ -632,28 +630,6 @@ def save_tu_dataset(path: str, name: str, dataset) -> None:
     if has_labels:
         with open(prefix + "_graph_labels.txt", "w", encoding="utf-8") as fh:
             fh.write("\n".join(label_lines) + "\n")
-
-
-def dataset_summary(dataset) -> dict:
-    """Aggregate statistics of a non-empty dataset, used by the describe
-    command."""
-    nodes = np.array([g.n for g, _ in dataset])
-    edges = np.array([g.num_edges for g, _ in dataset])
-    labels = [label for _, label in dataset if label is not None]
-    hist = {}
-    for label in labels:
-        hist[label] = hist.get(label, 0) + 1
-    return {
-        "graphs": len(dataset),
-        "attr_dim": dataset[0][0].attr_dim,
-        "nodes_total": int(nodes.sum()),
-        "nodes_mean": float(nodes.mean()),
-        "nodes_min": int(nodes.min()),
-        "nodes_max": int(nodes.max()),
-        "edges_total": int(edges.sum()),
-        "edges_mean": float(edges.mean()),
-        "label_histogram": dict(sorted(hist.items())),
-    }
 
 
 def path_graph(num_edges: int, attr_dim: int = 1, seed: int | None = None) -> LabelledGraph:

@@ -111,6 +111,8 @@ def init_params(
     or a numpy SeedSequence; each functional draws from its own spawned
     substream.
     """
+    if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
+        raise ValueError(f"d must be an integer >= 1, got {d!r}")
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rank, deg, dim = cfg.functional_shape(d)
     children = seq.spawn(rank + 2)

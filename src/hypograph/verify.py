@@ -58,8 +58,7 @@ def make_transition(g: LabelledGraph, kind: str, rng: np.random.Generator):
     if kind == "uniform":
         return transition_matrix(g)
     if kind == "weighted":
-        weights = {tuple(e): float(rng.uniform(0.1, 3.0)) for e in g.edges}
-        return weighted_transition(g, weights)
+        return weighted_transition(g, rng.uniform(0.1, 3.0, size=g.num_edges))
     if kind == "attention":
         params = AttentionParams(
             rng.standard_normal(g.attr_dim), rng.standard_normal(g.attr_dim)

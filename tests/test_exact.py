@@ -63,7 +63,7 @@ class TestTensorTransition:
         g = random_labelled_graph(rng, edge_prob=0.7)
         if g.num_edges == 0:
             pytest.skip("no edges drawn")
-        p = weighted_transition(g, {tuple(e): float(rng.uniform(0.2, 2.0)) for e in g.edges})
+        p = weighted_transition(g, rng.uniform(0.2, 2.0, size=g.num_edges))
         mat = tensor_transition(g, p, cfg_of())
         np.testing.assert_array_equal(degree0(mat), p.toarray())
 

@@ -338,49 +338,50 @@ class TestWeightedTransition:
     def test_uniform_weights_match_plain(self):
         rng = np.random.default_rng(2)
         g = random_labelled_graph(rng)
-        w = {tuple(e): 1.0 for e in g.edges}
         np.testing.assert_array_equal(
-            weighted_transition(g, w).values, transition_matrix(g).values
+            weighted_transition(g, np.ones(g.num_edges)).values, transition_matrix(g).values
         )
 
     def test_star_normalization(self):
         g = LabelledGraph(3, [(0, 1), (0, 2)], np.zeros((3, 1)))
-        p = weighted_transition(g, {(0, 1): 1.0, (0, 2): 3.0}).toarray()
+        p = weighted_transition(g, [1.0, 3.0]).toarray()
         np.testing.assert_allclose(p[0], [0.0, 0.25, 0.75])
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
         g = random_labelled_graph(rng, edge_prob=0.6)
-        w = {tuple(e): float(rng.uniform(0.5, 2.0)) for e in g.edges}
+        w = rng.uniform(0.5, 2.0, size=g.num_edges)
         a = weighted_transition(g, w).values
-        b = weighted_transition(g, {k: 7.5 * v for k, v in w.items()}).values
+        b = weighted_transition(g, 7.5 * w).values
         np.testing.assert_allclose(a, b, rtol=1e-14)
 
     def test_rejects_non_positive(self):
         g = LabelledGraph(2, [(0, 1)], np.zeros((2, 1)))
         with pytest.raises(ValueError, match=r"weight for edge \(0, 1\) must be positive"):
-            weighted_transition(g, {(0, 1): 0.0})
+            weighted_transition(g, [0.0])
         with pytest.raises(ValueError, match="must be positive and finite, got -1.0"):
-            weighted_transition(g, {(0, 1): -1.0})
+            weighted_transition(g, [-1.0])
 
     @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
     def test_rejects_non_finite(self, weight):
         g = LabelledGraph(3, [(0, 1), (1, 2)], np.zeros((3, 1)))
-        with pytest.raises(ValueError, match=rf"\(2, 1\) must be positive and finite, got {weight}"):
-            weighted_transition(g, {(0, 1): 1.0, (2, 1): weight})
+        with pytest.raises(ValueError, match=rf"\(1, 2\) must be positive and finite, got {weight}"):
+            weighted_transition(g, [1.0, weight])
 
     def test_rejects_missing_weight(self):
+        # one weight per edge of g.edges: too few, too many, or not one row
         g = LabelledGraph(4, [(0, 1), (1, 3)], np.zeros((4, 1)))
-        with pytest.raises(ValueError, match=r"missing weight for edge \(1, 3\)"):
-            weighted_transition(g, {(1, 0): 2.0, (0, 3): 1.0})
-        with pytest.raises(ValueError, match=r"missing weight for edge \(0, 1\)"):
-            weighted_transition(g, {})
+        for weights, shape in (([2.0], "(1,)"), ([], "(0,)"), ([1.0, 2.0, 3.0], "(3,)"),
+                               ([[1.0, 2.0]], "(1, 2)"), (2.0, "()")):
+            message = rf"^need one weight per edge, shape \(2,\), got {re.escape(shape)}$"
+            with pytest.raises(ValueError, match=message):
+                weighted_transition(g, weights)
+        with pytest.raises(ValueError, match=r"^edge weights must be an array of numbers$"):
+            weighted_transition(g, {(0, 1): 1.0, (1, 3): 1.0})
 
     def test_matches_loop_reference(self):
         def loop_values(g, weights):
-            lookup = {}
-            for (a, b), w in dict(weights).items():
-                lookup[(min(a, b), max(a, b))] = float(w)
+            lookup = dict(zip(map(tuple, g.edges.tolist()), weights.tolist()))
             pattern = g.pattern
             raw = np.empty(pattern.nnz)
             for e in range(pattern.nnz):
@@ -392,13 +393,7 @@ class TestWeightedTransition:
         rng = np.random.default_rng(21)
         for _ in range(30):
             g = random_labelled_graph(rng, max_nodes=12, edge_prob=float(rng.uniform(0.1, 0.6)))
-            weights = {}
-            for i, j in g.edges.tolist():
-                key = (i, j) if rng.random() < 0.5 else (j, i)
-                weights[key] = float(rng.uniform(0.1, 3.0))
-                if rng.random() < 0.2:  # the same edge again, in the other order
-                    weights[key[::-1]] = float(rng.uniform(0.1, 3.0))
-            weights[(g.n, g.n + 5)] = 2.0  # off the graph: ignored
+            weights = rng.uniform(0.1, 3.0, size=g.num_edges)
             np.testing.assert_array_equal(
                 weighted_transition(g, weights).values, loop_values(g, weights)
             )
@@ -461,6 +456,33 @@ class TestAttentionTransition:
             for h in range(3)
         ]
         np.testing.assert_allclose(combined, np.mean(singles, axis=0), atol=1e-14)
+
+    @pytest.mark.parametrize("heads", [1, 2, 8, 13])
+    def test_one_pass_heads_match_a_per_head_loop_bit_for_bit(self, heads):
+        def loop_values(g, params):
+            pattern = g.pattern
+            rows, cols, counts = pattern.rows, pattern.indices, np.diff(pattern.indptr)
+            src = g.attributes @ params.w_source.T
+            tgt = g.attributes @ params.w_target.T
+            accum = np.zeros(pattern.nnz)
+            for h in range(params.heads):
+                x = src[rows, h] + tgt[cols, h]
+                scores = np.where(x >= 0.0, x, 0.2 * x)
+                row_max = np.maximum.reduceat(scores, pattern.indptr[:-1])
+                terms = np.exp(scores - np.repeat(row_max, counts))
+                accum += terms / np.repeat(np.add.reduceat(terms, pattern.indptr[:-1]), counts)
+            return accum / params.heads
+
+        # node 0 is a hub of 59 neighbours; the last 3 nodes are isolated
+        rng = np.random.default_rng(heads)
+        n = 303
+        pairs = rng.integers(0, n - 3, size=(600, 2))
+        edges = [(0, j) for j in range(1, 60)] + [(a, b) for a, b in pairs.tolist() if a != b]
+        g = LabelledGraph(n, edges, 2.0 * rng.standard_normal((n, 4)))
+        assert g.degrees[0] > 8 and g.degrees[-3:].tolist() == [0, 0, 0]
+        params = AttentionParams(rng.standard_normal((heads, 4)), rng.standard_normal((heads, 4)))
+        got = attention_transition(g, params).values
+        assert got.tobytes() == loop_values(g, params).tobytes()
 
     def test_slope_is_pinned(self):
         # the slope is the module constant LEAKY_SLOPE, not a field
@@ -852,7 +874,25 @@ RAISE_SITES = {
                                 ValueError,
                                 r"^attention weights need at least one head, got shape \(0, 2\)$"),
     "diffusion_negative_steps": (lambda tmp: classic_diffusion(path_graph(1), -1),
-                                 ValueError, r"^k must be >= 0$"),
+                                 ValueError, r"^k must be an integer >= 0, got -1$"),
+    "diffusion_fractional_steps": (lambda tmp: classic_diffusion(path_graph(1), 1.5),
+                                   ValueError, r"^k must be an integer >= 0, got 1\.5$"),
+    "diffusion_bool_steps": (lambda tmp: classic_diffusion(path_graph(1), True),
+                             ValueError, r"^k must be an integer >= 0, got True$"),
+    "offsets_fractional": (lambda tmp: path_graph(3).split([0, 1.5, 4]),
+                           ValueError, r"^offsets: node ids must be integers, got 1\.5$"),
+    "perm_strings": (lambda tmp: path_graph(1).permuted(["a", "b"]),
+                     ValueError, r"^perm: node ids must be integers, got 'a'$"),
+    "perm_bool_array": (lambda tmp: path_graph(1).permuted(np.array([True, False])),
+                        ValueError, r"^perm: node ids must be integers, got True$"),
+    "edges_none": (lambda tmp: LabelledGraph(3, [[0, None]], np.zeros((3, 1))),
+                   ValueError, r"^edges: node ids must be integers, got None$"),
+    "edges_beyond_int64": (lambda tmp: LabelledGraph(3, [[0, 2**70]], np.zeros((3, 1))),
+                           ValueError, rf"^edges: node ids must be integers, got {2**70}$"),
+    "edges_bool_among_ints": (lambda tmp: LabelledGraph(3, [[0, True]], np.zeros((3, 1))),
+                              ValueError, r"^edges: node ids must be integers, got True$"),
+    "edges_nan": (lambda tmp: LabelledGraph(3, np.array([[0.0, np.nan]]), np.zeros((3, 1))),
+                  ValueError, r"^edges: node ids must be integers, got nan$"),
     "save_mixed_widths": (
         lambda tmp: save_tu_dataset(
             str(tmp), "mix", [(path_graph(1), 0), (path_graph(1, attr_dim=2), 1)]

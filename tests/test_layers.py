@@ -345,6 +345,12 @@ RAISE_SITES = {
     "attention_width": (lambda: _layer_with(attention=AttentionParams(np.ones(3), np.ones(3))),
                         r"^attention dim 3 does not match attributes 2$"),
     "model_without_layers": (lambda: ModelConfig(()), r"^need at least one layer$"),
+    "init_without_attributes": (lambda: init_params(0, FeatureConfig(), 0),
+                                r"^d must be an integer >= 1, got 0$"),
+    "init_fractional_width": (lambda: init_params(2.0, FeatureConfig(), 0),
+                              r"^d must be an integer >= 1, got 2\.0$"),
+    "init_bool_width": (lambda: init_params(True, FeatureConfig(), 0),
+                        r"^d must be an integer >= 1, got True$"),
 }
 
 
