@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import math
-import numbers
-from collections.abc import Iterable
 from dataclasses import dataclass
+
+from .graphs import frozen, integer
 
 
 @dataclass(frozen=True)
@@ -30,33 +30,22 @@ class FeatureConfig:
     lift_coeffs: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        for name in ("walk_length", "max_degree", "rank"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        for name, lo in (("walk_length", 0), ("max_degree", 1), ("rank", 1)):
+            object.__setattr__(self, name, integer(getattr(self, name), name, lo))
         for name in ("diff", "zero_start", "time_param"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
-        if self.walk_length < 0:
-            raise ValueError(f"walk_length must be >= 0, got {self.walk_length}")
-        if self.max_degree < 1:
-            raise ValueError(f"max_degree must be >= 1, got {self.max_degree}")
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
         if self.lift_coeffs is not None:
-            raw = self.lift_coeffs
-            if isinstance(raw, (str, bytes)) or not isinstance(raw, Iterable):
-                raise ValueError(f"lift_coeffs must be a sequence of numbers, got {raw!r}")
-            raw = tuple(raw)
-            for c in raw:
-                if isinstance(c, bool) or not isinstance(c, numbers.Real):
-                    raise ValueError(f"lift_coeffs must hold real numbers, got {c!r}")
-            coeffs = tuple(float(c) for c in raw)
+            coeffs = frozen(self.lift_coeffs, what="lift_coeffs")
+            if coeffs.ndim == 0:
+                raise ValueError(
+                    f"lift_coeffs must be a sequence of numbers, got {self.lift_coeffs!r}"
+                )
+            if coeffs.ndim > 1:  # one flat sequence, whose entries are not rows
+                raise ValueError(f"lift_coeffs must hold real numbers, got {coeffs[0].tolist()}")
+            coeffs = tuple(coeffs.tolist())
             if not coeffs or coeffs[0] != 1.0:
                 raise ValueError("lift_coeffs must start with c_0 == 1")
-            if not all(math.isfinite(c) for c in coeffs):
-                raise ValueError("lift_coeffs must be finite")
             if len(coeffs) <= self.max_degree:
                 raise ValueError(
                     f"lift_coeffs cover degrees <= {len(coeffs) - 1}, need {self.max_degree}"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numbers
 import os
+import reprlib
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,19 +31,46 @@ class NonFiniteError(ArithmeticError):
     """A walk transition or feature computation produced a non-finite value."""
 
 
+def integer(value, name: str, lo: int) -> int:
+    """``value`` as an int: a bool, a fraction, a string or a count below
+    ``lo`` raises ``ValueError("{name} must be an integer >= {lo}, got
+    {value!r}")``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lo:
+        raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
+    return int(value)
+
+
+def number_array(values, what: str) -> np.ndarray:
+    """``values`` as an int or float array.  An int or float ndarray passes
+    unchanged; anything else is read value by value as an object array and
+    returned as float64.  A value that is not a real number (a bool, a
+    string, bytes, None) raises ValueError naming ``what`` and the value,
+    or the first two rows of unequal length where rows are ragged."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return values
+    objects = np.array(values, dtype=object)
+    flat = objects.reshape(-1)  # not .flat, which takes at most 32 dimensions
+    for value in flat:
+        if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+            sizes = [len(v) if isinstance(v, (list, tuple)) or np.ndim(v) else -1 for v in flat]
+            other = next((i for i, size in enumerate(sizes) if size != sizes[0]), None)
+            if other is not None:
+                rows = f"{reprlib.repr(flat[0])} and {reprlib.repr(flat[other])}"
+                raise ValueError(f"{what} has ragged rows {rows}")
+            raise ValueError(f"{what} must hold real numbers, got {reprlib.repr(value)}")
+    try:
+        return objects.astype(np.float64)
+    except OverflowError as exc:
+        raise ValueError(f"{what}: {exc}") from None
+
+
 def frozen(values, dtype=np.float64, what: str | None = None) -> np.ndarray:
     """Read-only C-contiguous ``dtype`` array of ``values`` that no caller
     can write through: a writeable array, or a view of one, is copied, and
     a read-only array with no writeable base is shared.  With ``what``,
-    values that are not an array of numbers raise ``ValueError("{what} must
-    be an array of numbers")`` and a non-finite entry ``ValueError("{what}
-    must be finite")``."""
-    try:
-        arr = np.asarray(values, dtype=dtype, order="C")
-    except (TypeError, ValueError):
-        if what is None:
-            raise
-        raise ValueError(f"{what} must be an array of numbers") from None
+    ``values`` are read by :func:`number_array`, and a non-finite entry
+    raises ``ValueError("{what} must be finite")``."""
+    arr = np.asarray(values if what is None else number_array(values, what), dtype, order="C")
     if arr is values or arr.base is not None:
         owner = arr
         while isinstance(owner, np.ndarray) and not owner.flags.writeable:
@@ -56,18 +84,16 @@ def frozen(values, dtype=np.float64, what: str | None = None) -> np.ndarray:
 
 
 def _node_ids(values, what: str) -> np.ndarray:
-    """``values`` as an int64 array of node ids.  A value that is not a
-    whole number in int64 range (a bool, a fraction, a string, None)
-    raises ValueError naming ``what`` and the first such value."""
-    # a list is read value by value, so a bool among ints is not cast to 0 or 1
-    ids = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
-    if ids.dtype.kind in "iu":
-        return ids.astype(np.int64, copy=False)
-    for value in ids.astype(object).flat:
-        real = not isinstance(value, (bool, np.bool_)) and isinstance(value, numbers.Real)
-        if not (real and -(2**63) <= value < 2**63 and value == int(value)):
+    """``values`` read by :func:`number_array` as an int64 array of node
+    ids.  A value that is not a whole number in int64 range raises
+    ValueError naming ``what`` and the first such value."""
+    ids = number_array(values, what)
+    if ids.dtype.kind == "f":
+        whole = (np.trunc(ids) == ids) & (-(2**63) <= ids) & (ids < 2**63)
+        if not whole.all():
+            value = ids.reshape(-1)[np.argmin(whole)].item()
             raise ValueError(f"{what}: node ids must be integers, got {value!r}")
-    return ids.astype(np.int64)
+    return ids.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -130,11 +156,7 @@ class LabelledGraph:
     """
 
     def __init__(self, n: int, edges, attributes):
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-            raise ValueError(f"n must be an integer, got {n!r}")
-        n = int(n)
-        if n < 1:
-            raise ValueError(f"need at least one node, got n={n}")
+        n = integer(n, "n", 1)
         edges = _node_ids(edges, "edges")
         if edges.size and (edges.ndim != 2 or edges.shape[1] != 2):
             raise ValueError(f"edges must be (m, 2) pairs, got shape {edges.shape}")
@@ -316,10 +338,7 @@ def weighted_transition(g: LabelledGraph, weights) -> RowStochastic:
     in that order.  Both directions of an edge share its weight, and
     isolated nodes keep their unit self-loop.
     """
-    try:
-        weights = np.asarray(weights, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValueError("edge weights must be an array of numbers") from None
+    weights = number_array(weights, "edge weights")
     if weights.shape != (g.num_edges,):
         raise ValueError(f"need one weight per edge, shape ({g.num_edges},), got {weights.shape}")
     bad = np.flatnonzero(~((weights > 0.0) & (weights < np.inf)))
@@ -350,7 +369,7 @@ class AttentionParams:
 
     def __post_init__(self):
         for name in ("w_source", "w_target"):
-            weights = frozen(np.atleast_2d(getattr(self, name)), what="attention weights")
+            weights = np.atleast_2d(frozen(getattr(self, name), what="attention weights"))
             if weights.ndim != 2:
                 raise ValueError(f"{name} must be (heads, d), got shape {weights.shape}")
             object.__setattr__(self, name, weights)
@@ -408,8 +427,7 @@ def normalized_laplacian(g: LabelledGraph) -> sparse.csr_matrix:
 
 def classic_diffusion(g: LabelledGraph, k: int) -> np.ndarray:
     """k steps of plain attribute diffusion: P^k applied to the attributes."""
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
-        raise ValueError(f"k must be an integer >= 0, got {k!r}")
+    k = integer(k, "k", 0)
     p = transition_matrix(g).matrix
     out = g.attributes
     for _ in range(k):
@@ -569,8 +587,13 @@ def load_tu_dataset(path: str, name: str):
     del order
 
     edges = _read_table(a_path, np.int64, 2)
-    if edges.size and (edges.min() < 1 or edges.max() > num_nodes):
-        raise DatasetError(f"{a_path}: node id out of range 1..{num_nodes}")
+    outside = np.argwhere((edges < 1) | (edges > num_nodes))
+    if outside.size:
+        row, col = outside[0]
+        raise DatasetError(
+            f"{a_path}: line {_file_line(a_path, row)}: node id out of range "
+            f"1..{num_nodes}, got {edges[row, col]}"
+        )
     loops = np.flatnonzero(edges[:, 0] == edges[:, 1])
     if loops.size:
         line = _file_line(a_path, loops[0])

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .config import FeatureConfig
 from .graphs import (
-    AttentionParams, LabelledGraph, attention_transition, block_offsets, frozen, transition_matrix,
+    AttentionParams, LabelledGraph, attention_transition, block_offsets, frozen, integer,
+    transition_matrix,
 )
 from .lowrank import NonFiniteError, batch_features
 
@@ -84,9 +84,7 @@ class ModelConfig:
         if self.pooling not in ("mean", "sum", None):
             raise ValueError(f"pooling must be 'mean', 'sum' or None, got {self.pooling!r}")
         if self.seed is not None:
-            if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
-                raise ValueError(f"seed must be None or an integer, got {self.seed!r}")
-            object.__setattr__(self, "seed", int(self.seed))
+            object.__setattr__(self, "seed", integer(self.seed, "seed", 0))
         for prev, nxt in zip(layers, layers[1:]):
             if prev.rank != nxt.attr_dim:
                 raise ValueError(
@@ -111,8 +109,7 @@ def init_params(
     or a numpy SeedSequence; each functional draws from its own spawned
     substream.
     """
-    if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
-        raise ValueError(f"d must be an integer >= 1, got {d!r}")
+    d = integer(d, "d", 1)
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rank, deg, dim = cfg.functional_shape(d)
     children = seq.spawn(rank + 2)
@@ -127,6 +124,7 @@ def init_params(
     )
     attn = None
     if attention:
+        heads = integer(heads, "heads", 1)
         rng = np.random.default_rng(children[rank + 1])
         bound_a = math.sqrt(3.0 / d)
         attn = AttentionParams(
@@ -142,12 +140,11 @@ def layer_forward(g: LabelledGraph, attributes, params: LayerParams) -> np.ndarr
     Raises :class:`~hypograph.lowrank.NonFiniteError` if the features or
     the mixed rows overflow.
     """
-    attributes = np.asarray(attributes, dtype=np.float64)
-    if attributes.shape != (g.n, params.attr_dim):
-        raise ValueError(
-            f"expected attributes ({g.n}, {params.attr_dim}), got {attributes.shape}"
-        )
     graph = g.with_attributes(attributes)
+    if graph.attr_dim != params.attr_dim:
+        raise ValueError(
+            f"expected attributes ({g.n}, {params.attr_dim}), got {graph.attributes.shape}"
+        )
     if params.attention is not None:
         p = attention_transition(graph, params.attention)
     else:
@@ -242,39 +239,46 @@ def save_params(path: str, model: ModelConfig) -> None:
 
 def load_params(path: str) -> ModelConfig:
     """Load a model saved by :func:`save_params`; every ``ValueError`` it
-    raises names ``path``."""
-    with open(path, "r", encoding="utf-8") as fh:
+    raises names ``path``, also for a document nested too deeply to read."""
+    # json.load overflows the stack past about sys.getrecursionlimit()
+    # levels, and a value nested just short of that overflows it in the
+    # repr of any message that names the value
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:
+                raise ValueError(f"{exc} in {path}") from exc
+        if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
+            raise ValueError(f"not a {MODEL_FORMAT} file: {path}")
+        version = doc.get("version")
+        if isinstance(version, bool) or version != MODEL_VERSION:  # True == 1
+            raise ValueError(f"unsupported version {version} in {path}")
+        for key in ("layers", "pooling"):
+            if key not in doc:
+                raise ValueError(f"missing field {key!r} in {path}")
+        if not isinstance(doc["layers"], list):
+            raise ValueError(f"field 'layers' must be a list in {path}")
+        layers = []
+        for idx, entry in enumerate(doc["layers"], start=1):
+            if not isinstance(entry, dict):
+                raise ValueError(f"layer {idx}: not an object in {path}")
+            try:
+                attn = entry.get("attention")
+                if attn is not None:
+                    if not isinstance(attn, dict):
+                        raise ValueError("field 'attention' must be null or an object")
+                    attn = AttentionParams(attn["w_source"], attn["w_target"])
+                cfg = FeatureConfig(**{f.name: entry[f.name] for f in fields(FeatureConfig)})
+                arrays = (entry["u_vectors"], entry["mixing"], entry["bias"])
+                layers.append(LayerParams(*arrays, cfg, attn))
+            except KeyError as exc:
+                raise ValueError(f"layer {idx}: missing field {exc.args[0]!r} in {path}") from None
+            except ValueError as exc:
+                raise ValueError(f"layer {idx}: {exc} in {path}") from exc
         try:
-            doc = json.load(fh)
+            return ModelConfig(tuple(layers), doc["pooling"], doc.get("seed"))
         except ValueError as exc:
             raise ValueError(f"{exc} in {path}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
-        raise ValueError(f"not a {MODEL_FORMAT} file: {path}")
-    if doc.get("version") != MODEL_VERSION:
-        raise ValueError(f"unsupported version {doc.get('version')} in {path}")
-    for key in ("layers", "pooling"):
-        if key not in doc:
-            raise ValueError(f"missing field {key!r} in {path}")
-    if not isinstance(doc["layers"], list):
-        raise ValueError(f"field 'layers' must be a list in {path}")
-    layers = []
-    for idx, entry in enumerate(doc["layers"], start=1):
-        if not isinstance(entry, dict):
-            raise ValueError(f"layer {idx}: not an object in {path}")
-        try:
-            attn = entry.get("attention")
-            if attn is not None:
-                if not isinstance(attn, dict):
-                    raise ValueError("field 'attention' must be null or an object")
-                attn = AttentionParams(attn["w_source"], attn["w_target"])
-            cfg = FeatureConfig(**{f.name: entry[f.name] for f in fields(FeatureConfig)})
-            arrays = (entry["u_vectors"], entry["mixing"], entry["bias"])
-            layers.append(LayerParams(*arrays, cfg, attn))
-        except KeyError as exc:
-            raise ValueError(f"layer {idx}: missing field {exc.args[0]!r} in {path}") from None
-        except ValueError as exc:
-            raise ValueError(f"layer {idx}: {exc} in {path}") from exc
-    try:
-        return ModelConfig(tuple(layers), doc["pooling"], doc.get("seed"))
-    except ValueError as exc:
+    except RecursionError as exc:
         raise ValueError(f"{exc} in {path}") from exc

@@ -681,6 +681,20 @@ def test_wide_node_label_range_is_data_error_naming_file(tmp_path, capsys, comma
 
 
 @pytest.mark.parametrize("command", ["extract", "describe"])
+def test_out_of_range_node_id_is_data_error_naming_line_and_id(tmp_path, capsys, command):
+    write_tu_files(tmp_path, "far", [(1, 2), (2, 1), (3, 1)], [1, 1], node_labels=[0, 1])
+    args = [command, "--dataset", str(tmp_path), "--name", "far"]
+    if command == "extract":
+        args += ["--out", str(tmp_path / "o.csv")]
+    assert main(args) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"hypograph: data error: {tmp_path / 'far_A.txt'}: line 3: "
+        "node id out of range 1..2, got 3\n"
+    )
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["extract", "describe"])
 def test_non_utf8_byte_is_data_error_naming_file_and_line(tmp_path, capsys, command):
     write_tu_files(tmp_path, "bytes", [(1, 2), (2, 1)], [1, 1], node_labels=[0, 1])
     labels = tmp_path / "bytes_node_labels.txt"

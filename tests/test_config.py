@@ -27,7 +27,7 @@ def test_bounds_validated():
     ("diff", "no"), ("zero_start", 1), ("time_param", np.bool_(True)), ("diff", None),
 ])
 def test_field_types_checked(field, value):
-    kind = "a bool" if field in ("diff", "zero_start", "time_param") else "an integer"
+    kind = "a bool" if field in ("diff", "zero_start", "time_param") else r"an integer >= \d"
     with pytest.raises(ValueError, match=f"^{field} must be {kind}, got "):
         FeatureConfig(**{field: value})
 
@@ -55,11 +55,13 @@ def test_lift_coeffs_length_checked_at_use():
 
 @pytest.mark.parametrize("value, message", [
     (5, "lift_coeffs must be a sequence of numbers, got 5"),
-    ("1", "lift_coeffs must be a sequence of numbers, got '1'"),
+    ("1", "lift_coeffs must hold real numbers, got '1'"),
     ([[1.0]], "lift_coeffs must hold real numbers, got [1.0]"),
     ([1.0, None], "lift_coeffs must hold real numbers, got None"),
     ([1.0, True], "lift_coeffs must hold real numbers, got True"),
     ([1.0, np.bool_(True)], "lift_coeffs must hold real numbers, got "),  # repr varies by numpy
+    ([1.0, "0.5"], "lift_coeffs must hold real numbers, got '0.5'"),
+    ([1.0, [0.5]], "lift_coeffs has ragged rows 1.0 and [0.5]"),
 ])
 def test_lift_coeffs_types_checked(value, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):

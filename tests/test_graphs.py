@@ -67,7 +67,8 @@ class TestLabelledGraph:
 
     @pytest.mark.parametrize("n", [3.0, 2.5, True, np.float64(3.0), "3", None])
     def test_rejects_non_integer_node_count(self, n):
-        with pytest.raises(ValueError, match=f"^n must be an integer, got {re.escape(repr(n))}$"):
+        message = f"^n must be an integer >= 1, got {re.escape(repr(n))}$"
+        with pytest.raises(ValueError, match=message):
             LabelledGraph(n, [(0, 1)], np.zeros((3, 1)))
 
     def test_numpy_integer_node_count_stored_as_int(self):
@@ -376,7 +377,8 @@ class TestWeightedTransition:
             message = rf"^need one weight per edge, shape \(2,\), got {re.escape(shape)}$"
             with pytest.raises(ValueError, match=message):
                 weighted_transition(g, weights)
-        with pytest.raises(ValueError, match=r"^edge weights must be an array of numbers$"):
+        message = "edge weights must hold real numbers, got {(0, 1): 1.0, (1, 3): 1.0}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             weighted_transition(g, {(0, 1): 1.0, (1, 3): 1.0})
 
     def test_matches_loop_reference(self):
@@ -639,6 +641,7 @@ class TestTuLoader:
         ("1, 2\n2, 99999999999999999999\n", r"bad_A\.txt: line 2: "),
         ("1, 2\n2, 4\n", r"node id out of range 1\.\.3"),
         ("1, 2\n0, 1\n", r"node id out of range 1\.\.3"),
+        ("1, 2\n\n3, 4\n", r"^\S+bad_A\.txt: line 3: node id out of range 1\.\.3, got 4$"),
         ("1, 2\n2, 3\n", r"edge \(2, 3\) crosses graphs 5 and 9"),
         ("1, 2\n\n2, 3\n", r"bad_A\.txt: line 3: edge \(2, 3\) crosses graphs 5 and 9"),
         ("1, 2\n\n1, 1\n", r"bad_A\.txt: line 3: self-loops are not allowed"),
@@ -861,7 +864,7 @@ def _load_with_edge_file_as_directory(tmp_path):
 # name -> (the failing call, given a scratch directory; error type; message)
 RAISE_SITES = {
     "graph_without_nodes": (lambda tmp: LabelledGraph(0, [], np.zeros((0, 1))),
-                            ValueError, r"^need at least one node, got n=0$"),
+                            ValueError, r"^n must be an integer >= 1, got 0$"),
     "transition_values_misaligned": (lambda tmp: RowStochastic(path_graph(1).pattern, [1.0]),
                                      ValueError, r"^values must align with the pattern entries$"),
     "transition_value_above_one": (lambda tmp: RowStochastic(path_graph(1).pattern, [1.5, 1.0]),
@@ -882,17 +885,34 @@ RAISE_SITES = {
     "offsets_fractional": (lambda tmp: path_graph(3).split([0, 1.5, 4]),
                            ValueError, r"^offsets: node ids must be integers, got 1\.5$"),
     "perm_strings": (lambda tmp: path_graph(1).permuted(["a", "b"]),
-                     ValueError, r"^perm: node ids must be integers, got 'a'$"),
+                     ValueError, r"^perm must hold real numbers, got 'a'$"),
     "perm_bool_array": (lambda tmp: path_graph(1).permuted(np.array([True, False])),
-                        ValueError, r"^perm: node ids must be integers, got True$"),
+                        ValueError, r"^perm must hold real numbers, got True$"),
     "edges_none": (lambda tmp: LabelledGraph(3, [[0, None]], np.zeros((3, 1))),
-                   ValueError, r"^edges: node ids must be integers, got None$"),
+                   ValueError, r"^edges must hold real numbers, got None$"),
     "edges_beyond_int64": (lambda tmp: LabelledGraph(3, [[0, 2**70]], np.zeros((3, 1))),
-                           ValueError, rf"^edges: node ids must be integers, got {2**70}$"),
+                           ValueError, r"^edges: node ids must be integers, got 1\.18059\d+e\+21$"),
     "edges_bool_among_ints": (lambda tmp: LabelledGraph(3, [[0, True]], np.zeros((3, 1))),
-                              ValueError, r"^edges: node ids must be integers, got True$"),
+                              ValueError, r"^edges must hold real numbers, got True$"),
     "edges_nan": (lambda tmp: LabelledGraph(3, np.array([[0.0, np.nan]]), np.zeros((3, 1))),
                   ValueError, r"^edges: node ids must be integers, got nan$"),
+    "edges_ragged": (lambda tmp: LabelledGraph(3, [[0, 1], [2]], np.zeros((3, 1))),
+                     ValueError, r"^edges has ragged rows \[0, 1\] and \[2\]$"),
+    "edges_beyond_float": (lambda tmp: LabelledGraph(3, [[0, 10**400]], np.zeros((3, 1))),
+                           ValueError, r"^edges: int too large to convert to float$"),
+    "attributes_bool": (lambda tmp: LabelledGraph(2, [], [[True], [1.0]]),
+                        ValueError, r"^attributes must hold real numbers, got True$"),
+    "attributes_numeric_string": (lambda tmp: LabelledGraph(2, [], [[1.0], ["2"]]), ValueError,
+                                  r"^attributes must hold real numbers, got '2'$"),
+    "attributes_bytes": (lambda tmp: LabelledGraph(2, [], [[1.0], [b"2"]]),
+                         ValueError, r"^attributes must hold real numbers, got b'2'$"),
+    "attributes_ragged": (lambda tmp: LabelledGraph(3, [], [[0.0], [1.0, 2.0], [3.0]]),
+                          ValueError, r"^attributes has ragged rows \[0\.0\] and \[1\.0, 2\.0\]$"),
+    "weights_bool_and_string": (lambda tmp: weighted_transition(path_graph(2), [True, "2"]),
+                                ValueError,
+                                r"^edge weights must hold real numbers, got True$"),
+    "weights_ragged": (lambda tmp: weighted_transition(path_graph(2), [1.0, [2.0]]),
+                       ValueError, r"^edge weights has ragged rows 1\.0 and \[2\.0\]$"),
     "save_mixed_widths": (
         lambda tmp: save_tu_dataset(
             str(tmp), "mix", [(path_graph(1), 0), (path_graph(1, attr_dim=2), 1)]

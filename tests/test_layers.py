@@ -1,13 +1,18 @@
+import copy
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_labelled_graph
 from hypograph.config import FeatureConfig
 from hypograph.exact import level_tensor
-from hypograph.graphs import AttentionParams, LabelledGraph, disjoint_union, transition_matrix
+from hypograph.graphs import (
+    AttentionParams, LabelledGraph, disjoint_union, path_graph, transition_matrix,
+)
 from hypograph.layers import (
     LayerParams,
     ModelConfig,
@@ -345,12 +350,26 @@ RAISE_SITES = {
     "attention_width": (lambda: _layer_with(attention=AttentionParams(np.ones(3), np.ones(3))),
                         r"^attention dim 3 does not match attributes 2$"),
     "model_without_layers": (lambda: ModelConfig(()), r"^need at least one layer$"),
+    "model_negative_seed": (lambda: ModelConfig((_layer_with(),), seed=-1),
+                            r"^seed must be an integer >= 0, got -1$"),
+    "bias_bool": (lambda: _layer_with(bias=[True, 0.0, 0.0]),
+                  r"^bias must hold real numbers, got True$"),
+    "mixing_numeric_string": (lambda: _layer_with(mixing=[["0.5"] * 6] * 3),
+                              r"^mixing must hold real numbers, got '0\.5'$"),
+    "mixing_ragged": (lambda: _layer_with(mixing=[[0.0] * 6, [0.0] * 5, [0.0] * 6]),
+                      r"^mixing has ragged rows \[0\.0(, 0\.0){5}\] and \[0\.0(, 0\.0){4}\]$"),
+    "forward_string_attribute": (
+        lambda: layer_forward(path_graph(1), [[0.0, "1"], [0.0, 0.0]], _layer_with()),
+        r"^attributes must hold real numbers, got '1'$",
+    ),
     "init_without_attributes": (lambda: init_params(0, FeatureConfig(), 0),
                                 r"^d must be an integer >= 1, got 0$"),
     "init_fractional_width": (lambda: init_params(2.0, FeatureConfig(), 0),
                               r"^d must be an integer >= 1, got 2\.0$"),
     "init_bool_width": (lambda: init_params(True, FeatureConfig(), 0),
                         r"^d must be an integer >= 1, got True$"),
+    "init_fractional_heads": (lambda: init_params(2, FeatureConfig(), 0, attention=True, heads=2.0),
+                              r"^heads must be an integer >= 1, got 2\.0$"),
 }
 
 
@@ -441,9 +460,9 @@ class TestSerialization:
             load_params(str(path))
 
     @pytest.mark.parametrize("key, value, message", [
-        ("walk_length", 2.7, "walk_length must be an integer, got 2.7"),
-        ("rank", True, "rank must be an integer, got True"),
-        ("max_degree", "2", "max_degree must be an integer, got '2'"),
+        ("walk_length", 2.7, "walk_length must be an integer >= 0, got 2.7"),
+        ("rank", True, "rank must be an integer >= 1, got True"),
+        ("max_degree", "2", "max_degree must be an integer >= 1, got '2'"),
         ("diff", "no", "diff must be a bool, got 'no'"),
         ("time_param", 0, "time_param must be a bool, got 0"),
         ("zero_start", None, "missing field 'zero_start'"),
@@ -452,10 +471,15 @@ class TestSerialization:
         ("lift_coeffs", [[1.0]], "lift_coeffs must hold real numbers, got [1.0]"),
         ("lift_coeffs", [1.0, None], "lift_coeffs must hold real numbers, got None"),
         ("lift_coeffs", [1.0, 0.5], "lift_coeffs cover degrees <= 1, need 2"),
-        ("u_vectors", {"a": 1}, "component vectors must be an array of numbers"),
-        ("u_vectors", "abc", "component vectors must be an array of numbers"),
+        ("u_vectors", {"a": 1}, "component vectors must hold real numbers, got {'a': 1}"),
+        ("u_vectors", "abc", "component vectors must hold real numbers, got 'abc'"),
         ("attention", {"w_source": [[1.0]], "w_target": {"x": 1}},
-         "attention weights must be an array of numbers"),
+         "attention weights must hold real numbers, got {'x': 1}"),
+        ("bias", [True], "bias must hold real numbers, got True"),
+        ("mixing", [["0.5"]], "mixing must hold real numbers, got '0.5'"),
+        ("mixing", [[0.5, 0.5], [0.5]], "mixing has ragged rows [0.5, 0.5] and [0.5]"),
+        ("attention", {"w_source": [[1.0, 2.0], [3.0]], "w_target": [[1.0, 2.0]]},
+         "attention weights has ragged rows [1.0, 2.0] and [3.0]"),
     ])
     def test_mistyped_or_missing_field_names_field_and_layer(self, tmp_path, key, value, message):
         layer = make_layer(np.random.default_rng(24), 2, rank=2)
@@ -484,18 +508,37 @@ class TestSerialization:
         ({**MODEL_HEADER, "layers": [{**LAYER_ENTRY, "attention": [1, 2]}]},
          "layer 1: field 'attention' must be null or an object"),
         ({**MODEL_HEADER, "seed": "x", "layers": [LAYER_ENTRY]},
-         "seed must be None or an integer, got 'x'"),
+         "seed must be an integer >= 0, got 'x'"),
         ({**MODEL_HEADER, "seed": True, "layers": [LAYER_ENTRY]},
-         "seed must be None or an integer, got True"),
+         "seed must be an integer >= 0, got True"),
         ({**MODEL_HEADER, "seed": 1.5, "layers": [LAYER_ENTRY]},
-         "seed must be None or an integer, got 1.5"),
+         "seed must be an integer >= 0, got 1.5"),
         ({**MODEL_HEADER, "version": 2, "layers": [LAYER_ENTRY]}, "unsupported version 2"),
+        ({**MODEL_HEADER, "seed": -1, "layers": [LAYER_ENTRY]},
+         "seed must be an integer >= 0, got -1"),
+        ({**MODEL_HEADER, "version": True, "layers": [LAYER_ENTRY]}, "unsupported version True"),
     ])
     def test_malformed_document_names_key_and_path(self, tmp_path, doc, message):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}.* {re.escape(str(path))}$"):
             load_params(str(path))
+
+    def test_deeply_nested_document_names_path(self, tmp_path):
+        # json.load overflows the stack past about sys.getrecursionlimit()
+        # levels; a value nested just short of that overflows it later, when
+        # a message takes the value's repr
+        limit = sys.getrecursionlimit()
+        texts = ["[" * 100000, json.dumps({**MODEL_HEADER, "layers": []}).replace(
+            "[]", "[" * 5000 + "]" * 5000)]
+        text = json.dumps({**MODEL_HEADER, "layers": [LAYER_ENTRY]})
+        texts += [text.replace('"seed": 0', '"seed": ' + "[" * depth + "0" + "]" * depth)
+                  for depth in range(limit - 100, limit, 5)]
+        path = tmp_path / "model.json"
+        for text in texts:
+            path.write_text(text)
+            with pytest.raises(ValueError, match=f" in {re.escape(str(path))}$"):
+                load_params(str(path))
 
     def test_invalid_json_names_path(self, tmp_path):
         path = tmp_path / "model.json"
@@ -518,3 +561,63 @@ class TestSerialization:
         path.write_text('{"format": "something-else", "version": 1}')
         with pytest.raises(ValueError, match="not a"):
             load_params(str(path))
+
+
+def _json_paths(node, path=()):
+    """(path, value) of every node of a JSON tree, the root first; a path
+    holds the keys and indices that lead to the node."""
+    yield path, node
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _json_paths(child, path + (key,))
+
+
+@pytest.fixture(scope="module")
+def model_file(tmp_path_factory):
+    """A saved two-layer model that uses every field: its path and JSON tree."""
+    rng = np.random.default_rng(31)
+    first = make_layer(rng, 2, rank=2, attention=True, lift_coeffs=(1.0, 0.5, 0.25))
+    second = make_layer(rng, 2, rank=2, max_degree=1, time_param=True)
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_params(str(path), ModelConfig((first, second), pooling="sum", seed=7))
+    return path, json.loads(path.read_text())
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_model_file_loads_or_names_path(model_file, data):
+    """One node of a saved model's JSON tree dropped, retyped, nested or
+    made non-finite: the file loads, or load_params raises a ValueError
+    naming it.  A number retyped to a bool or a numeric string never loads."""
+    path, tree = model_file
+    kind = data.draw(st.sampled_from(["drop", "retype", "nest", "non-finite"]))
+    nodes = list(_json_paths(tree))
+    where, old = data.draw(st.sampled_from(nodes[1:] if kind == "drop" else nodes))
+    number = isinstance(old, (int, float)) and not isinstance(old, bool)
+    if kind == "retype":
+        numeric_string = repr(old) if number else "1"
+        new = data.draw(st.sampled_from([True, False, numeric_string, None, [old], {"x": old}]))
+    elif kind == "nest":
+        new = old
+        for _ in range(data.draw(st.integers(1, 70))):  # past numpy's 32 and 64 dimensions
+            new = [new]
+    else:  # "@1e400@" stands for the literal 1e400, which json reads as inf
+        new = data.draw(st.sampled_from([float("nan"), -float("inf"), "@1e400@", 10**400]))
+    doc = copy.deepcopy(tree)
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    if not where:
+        doc = new
+    elif kind == "drop":
+        del parent[where[-1]]
+    else:
+        parent[where[-1]] = new
+    mutated = path.with_name("mutated.json")
+    mutated.write_text(json.dumps(doc).replace('"@1e400@"', "1e400"))
+    try:
+        load_params(str(mutated))
+    except ValueError as exc:
+        assert str(exc).endswith(str(mutated)), exc
+    else:
+        assert not (number and kind == "retype" and isinstance(new, (bool, str))), (where, new)
