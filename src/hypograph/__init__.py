@@ -15,6 +15,7 @@ from .graphs import (
     AttentionParams,
     DatasetError,
     LabelledGraph,
+    NonFiniteError,
     RowStochastic,
     attention_transition,
     classic_diffusion,
@@ -27,7 +28,7 @@ from .graphs import (
     transition_matrix,
     weighted_transition,
 )
-from .lowrank import NonFiniteError, batch_features
+from .lowrank import batch_features
 from .layers import (
     LayerParams,
     ModelConfig,

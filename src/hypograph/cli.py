@@ -9,6 +9,7 @@ import functools
 import itertools
 import json
 import os
+import pickle
 import shutil
 import signal
 import sys
@@ -18,10 +19,9 @@ import threading
 import numpy as np
 
 from .config import FeatureConfig
-from .graphs import DatasetError, disjoint_union, load_tu_dataset
+from .graphs import DatasetError, NonFiniteError, disjoint_union, load_tu_dataset
 from .layers import LayerParams, ModelConfig, init_params, model_forward
 from .layers import layer_forward  # not called here: perfbench traces cli.layer_forward
-from .lowrank import NonFiniteError
 from .verify import MAX_DEGREE, MAX_NODES, MAX_WALK, RANK, TOLERANCE, run_equivalence_suite
 from . import bench as bench_mod
 
@@ -43,8 +43,9 @@ class UsageError(ValueError):
 
 
 class WorkerError(RuntimeError):
-    """An extract child process died or raised something other than
-    NonFiniteError; names its graph rows and maps to exit code 4."""
+    """An extract child process ended without a report: killed by a signal,
+    or exiting nonzero, as when its exception cannot be pickled and
+    rebuilt.  Names its graph rows and maps to exit code 4."""
 
 
 def _at_least(lo: int):
@@ -241,18 +242,19 @@ def _write_rows(fh, rows, fmt: str, per_node: bool, width: int) -> None:
 
 
 def _child(write_share, share, fh, report_fd: int):
-    """Body of a forked child: write its share, report a failure through
-    the pipe (b"N" and an overflow's message, or b"E" and any other
-    exception), and leave by os._exit, never by returning or raising."""
+    """Body of a forked child: write its share, send the exception it raises
+    pickled through the pipe for the parent to raise, and leave by
+    os._exit, never by returning or raising."""
     code = 1
     try:
         try:
             write_share(share, fh)
             code = 0
-        except NonFiniteError as exc:
-            os.write(report_fd, b"N" + str(exc).encode())
         except BaseException as exc:
-            os.write(report_fd, b"E" + f"{type(exc).__name__}: {exc}".encode())
+            report = pickle.dumps(exc)
+            pickle.loads(report)  # an exception the parent cannot rebuild is no report
+            with open(report_fd, "wb") as pipe:
+                pipe.write(report)
     finally:
         os._exit(code)
 
@@ -260,8 +262,8 @@ def _child(write_share, share, fh, report_fd: int):
 def _run_shares(shares, files, write_share) -> None:
     """Call write_share(share, file) per share: share 0 in this process, the
     others in forked children. Returns once every share has succeeded;
-    otherwise kills and reaps every child left and raises the error of the
-    lowest failing share."""
+    otherwise kills and reaps every child left and raises the exception of
+    the lowest failing share, as if this process had raised it."""
     children = []  # (pid, read end of its report pipe, share), in share order
     try:
         for share, fh in zip(shares[1:], files[1:]):
@@ -284,18 +286,12 @@ def _run_shares(shares, files, write_share) -> None:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             children.pop(0)
             pipe.close()
-            if code == 0 and not report:
-                continue
-            if report[:1] == b"N":
-                raise NonFiniteError(report[1:].decode())
-            if report:
-                why = report[1:].decode()
-            elif code < 0:
-                why = f"killed by signal {-code}"
-            else:
-                why = f"exited with status {code}"
-            rows = f"{share[0][0]}-{share[-1][1] - 1}"
-            raise WorkerError(f"graph rows {rows}: extract process failed: {why}")
+            if report and code >= 0:  # a signal may cut a report short
+                raise pickle.loads(report)
+            if code:
+                why = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                rows = f"{share[0][0]}-{share[-1][1] - 1}"
+                raise WorkerError(f"graph rows {rows}: extract process failed: {why}")
     finally:
         for pid, pipe, _ in children:
             try:

@@ -31,6 +31,14 @@ class NonFiniteError(ArithmeticError):
     """A walk transition or feature computation produced a non-finite value."""
 
 
+def finite(values: np.ndarray, where: str) -> np.ndarray:
+    """``values``, or ``NonFiniteError("non-finite value {where}")`` if any
+    of them is not finite: the one overflow check of a computation."""
+    if not np.isfinite(values).all():
+        raise NonFiniteError(f"non-finite value {where}")
+    return values
+
+
 def integer(value, name: str, lo: int) -> int:
     """``value`` as an int: a bool, a fraction, a string or a count below
     ``lo`` raises ``ValueError("{name} must be an integer >= {lo}, got
@@ -412,8 +420,7 @@ def attention_transition(g: LabelledGraph, params: AttentionParams) -> RowStocha
         src = g.attributes @ params.w_source.T  # (n, heads)
         tgt = g.attributes @ params.w_target.T
         scores = _leaky_relu(src[pattern.rows] + tgt[pattern.indices])  # (nnz, heads)
-        if not np.isfinite(scores).all():
-            raise NonFiniteError("non-finite value in the attention transition")
+        finite(scores, "in the attention transition")
         row_max = np.maximum.reduceat(scores, pattern.indptr[:-1])
         probs = _row_normalized(pattern, np.exp(scores - row_max[pattern.rows]))
     # the running sum over heads, in head order, as a per-head loop adds them
@@ -657,8 +664,8 @@ def save_tu_dataset(path: str, name: str, dataset) -> None:
 
 def path_graph(num_edges: int, attr_dim: int = 1, seed: int | None = None) -> LabelledGraph:
     """Path on num_edges+1 nodes; attributes random (seeded) or linear ramp."""
-    n = num_edges + 1
-    idx = np.arange(num_edges)
+    n = integer(num_edges, "num_edges", 0) + 1
+    idx = np.arange(n - 1)
     edges = np.column_stack([idx, idx + 1])
     if seed is None:
         attrs = np.linspace(0.0, 1.0, n)[:, None] * np.ones((1, attr_dim))
@@ -669,6 +676,7 @@ def path_graph(num_edges: int, attr_dim: int = 1, seed: int | None = None) -> La
 
 def grid_graph(side: int, attr_dim: int = 1, seed: int | None = None) -> LabelledGraph:
     """side x side grid; attributes as in path_graph."""
+    side = integer(side, "side", 1)
     n = side * side
     edges = []
     for r in range(side):

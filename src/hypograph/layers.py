@@ -18,10 +18,10 @@ import numpy as np
 
 from .config import FeatureConfig
 from .graphs import (
-    AttentionParams, LabelledGraph, attention_transition, block_offsets, frozen, integer,
-    transition_matrix,
+    AttentionParams, LabelledGraph, NonFiniteError, attention_transition, block_offsets,
+    finite, frozen, integer, transition_matrix,
 )
-from .lowrank import NonFiniteError, batch_features
+from .lowrank import batch_features
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ def init_params(
 def layer_forward(g: LabelledGraph, attributes, params: LayerParams) -> np.ndarray:
     """One layer: walk features on the given attributes, mixed down to (n, R).
 
-    Raises :class:`~hypograph.lowrank.NonFiniteError` if the features or
+    Raises :class:`~hypograph.graphs.NonFiniteError` if the features or
     the mixed rows overflow.
     """
     graph = g.with_attributes(attributes)
@@ -151,10 +151,7 @@ def layer_forward(g: LabelledGraph, attributes, params: LayerParams) -> np.ndarr
         p = transition_matrix(graph)
     feats = batch_features(graph, p, params.vectors, params.config)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = feats @ params.mixing.T + params.bias
-    if not np.isfinite(out).all():
-        raise NonFiniteError("non-finite value after mixing")
-    return out
+        return finite(feats @ params.mixing.T + params.bias, "after mixing")
 
 
 def model_forward(g: LabelledGraph, model: ModelConfig, offsets=None) -> np.ndarray:
@@ -164,7 +161,7 @@ def model_forward(g: LabelledGraph, model: ModelConfig, offsets=None) -> np.ndar
     :func:`~hypograph.graphs.disjoint_union`) a (G, R) array pooling each
     node segment ``offsets[i]:offsets[i + 1]`` on its own.  With pooling
     None it returns the last layer's (n, R) node rows, offsets or not.
-    Raises :class:`~hypograph.lowrank.NonFiniteError` naming the layer,
+    Raises :class:`~hypograph.graphs.NonFiniteError` naming the layer,
     or the pooling, where a value overflows.
     """
     single = offsets is None
@@ -180,8 +177,7 @@ def model_forward(g: LabelledGraph, model: ModelConfig, offsets=None) -> np.ndar
     pool = np.mean if model.pooling == "mean" else np.sum
     with np.errstate(over="ignore", invalid="ignore"):
         pooled = np.stack([pool(x[a:b], axis=0) for a, b in zip(offsets[:-1], offsets[1:])])
-    if not np.isfinite(pooled).all():
-        raise NonFiniteError(f"non-finite value after {model.pooling} pooling")
+    finite(pooled, f"after {model.pooling} pooling")
     return pooled[0] if single else pooled
 
 

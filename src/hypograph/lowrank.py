@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FeatureConfig
-from .graphs import LabelledGraph, NonFiniteError, RowStochastic, frozen
+from .graphs import LabelledGraph, NonFiniteError, RowStochastic, finite, frozen
 
 
 @dataclass(frozen=True)
@@ -107,9 +107,7 @@ def _step(state: np.ndarray, terms: list, targets, plain, rowsum, where: str) ->
             for r in range(2, m):
                 acc += chains[r - 1] * gathered[m - r - 1]
             column += rowsum(acc)
-        if not np.isfinite(column).all():
-            raise NonFiniteError(f"non-finite value {where}, degree {m}")
-        new[m - 1] = column
+        new[m - 1] = finite(column, f"{where}, degree {m}")
     return new
 
 

@@ -1,15 +1,20 @@
 import argparse
+import contextlib
+import errno
+import functools
 import importlib
 import io
 import json
 import os
 import re
 import signal
+import tempfile
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_labelled_graph, write_tu_files
 import hypograph
@@ -278,6 +283,20 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def raiser(exc):
+    """A function that raises exc."""
+    def fail():
+        raise exc
+    return fail
+
+
+class TwoArgumentError(Exception):
+    """Pickles, but does not unpickle: its args hold one of two arguments."""
+
+    def __init__(self, first, second):
+        super().__init__(first)
+
+
 class TestProcesses:
     """extract splits its chunks into one contiguous share per usable CPU;
     every share but the first runs in a forked child."""
@@ -288,18 +307,19 @@ class TestProcesses:
     @pytest.fixture
     def many(self, tmp_path, monkeypatch):
         """(write, graphs) for a 30-graph dataset that splits into many
-        chunks under BUDGET: write(overflow) saves it and returns its
-        directory, giving the graph rows in `overflow` attributes of
-        +-1e300, which overflow the first layer's walk steps."""
+        chunks under BUDGET: write(overflow, value) saves it and returns its
+        directory, giving node i of the graph rows in `overflow` the
+        attribute value(i), by default +-1e300, which overflow the first
+        layer's walk steps."""
         monkeypatch.setattr(cli, "CHUNK_ELEMENTS", self.BUDGET)
         rng = np.random.default_rng(8)
         graphs = [random_labelled_graph(rng, max_nodes=7, max_dim=1) for _ in range(30)]
 
-        def write(overflow=()):
+        def write(overflow=(), value=lambda i: (-1.0) ** i * 1e300):
             dataset = []
             for row, g in enumerate(graphs):
                 if row in overflow:
-                    g = g.with_attributes([[(-1.0) ** i * 1e300] for i in range(g.n)])
+                    g = g.with_attributes([[value(i)] for i in range(g.n)])
                 dataset.append((g, row % 3))
             save_tu_dataset(str(tmp_path), "many", dataset)
             return tmp_path
@@ -315,8 +335,10 @@ class TestProcesses:
             return REAL_FORK()
 
         monkeypatch.setattr(os, "fork", counted_fork)
-        code = main(extract_args(data_dir, out, name="many", walk_length=3, **extra))
-        assert_no_child_left()
+        try:
+            code = main(extract_args(data_dir, out, name="many", **{"walk_length": 3, **extra}))
+        finally:
+            assert_no_child_left()
         return code, len(forks)
 
     def test_shares_are_contiguous_balanced_and_cover_every_chunk(self, many, monkeypatch):
@@ -455,31 +477,119 @@ class TestProcesses:
     @pytest.mark.parametrize("death, why", [
         ("signal", "killed by signal 9"),
         ("raise", "RuntimeError: not a NonFiniteError"),
+        ("unpicklable", "exited with status 1"),
+        ("unloadable", "exited with status 1"),
     ])
     def test_failed_child_exits_nonzero_naming_its_rows(
         self, many, monkeypatch, tmp_path, capsys, death, why
     ):
+        """A child that ends without a report exits 4 naming its graph rows;
+        one whose exception the parent can rebuild fails as one process
+        does."""
         write, graphs = many
         data_dir = write()
         shares = cli._shares(graphs, cli._chunks(graphs, self.RANK), 3)
         real = cli._share_rows
 
         def share_rows(dataset, graphs, share, *rest):
-            # the child computing share 1 fails before its first row
-            if share == shares[1]:
+            # the process computing share 1's chunks fails before its first row
+            if shares[1][0] in share:
                 if death == "signal":
                     os.kill(os.getpid(), signal.SIGKILL)
+                if death == "unpicklable":
+                    raise RuntimeError(lambda: None)
+                if death == "unloadable":
+                    raise TwoArgumentError("one", "two")
                 raise RuntimeError("not a NonFiniteError")
             return real(dataset, graphs, share, *rest)
 
         monkeypatch.setattr(cli, "_share_rows", share_rows)
         out = tmp_path / "o.csv"
-        assert self.run(monkeypatch, data_dir, out, 3) == (EXIT_WORKER, 2)
-        rows = f"{shares[1][0][0]}-{shares[1][-1][1] - 1}"
-        assert capsys.readouterr().err == (
-            f"hypograph: graph rows {rows}: extract process failed: {why}\n"
-        )
+        if death == "raise":
+            for procs in (1, 3):
+                with pytest.raises(RuntimeError) as info:
+                    self.run(monkeypatch, data_dir, out, procs)
+                assert f"{type(info.value).__name__}: {info.value}" == why
+            assert capsys.readouterr().err == ""
+        else:
+            assert self.run(monkeypatch, data_dir, out, 3) == (EXIT_WORKER, 2)
+            rows = f"{shares[1][0][0]}-{shares[1][-1][1] - 1}"
+            assert capsys.readouterr().err == (
+                f"hypograph: graph rows {rows}: extract process failed: {why}\n"
+            )
         assert not out.exists()
+
+    MARK = 0.5  # the attribute of the graph whose chunk raises
+
+    @pytest.mark.parametrize("value, extra, fail, end", [
+        pytest.param(
+            lambda i: (-1.0) ** i * 1e300, {}, None,
+            (EXIT_DATA, "hypograph: data error: graph row {row}, layer 1: "
+                        "non-finite value at walk step 3, degree 2\n"),
+            id="walk-step"),
+        pytest.param(
+            lambda i: (-1.0) ** i * 1.7e308, {"attention": True, "heads": 2}, None,
+            (EXIT_DATA, "hypograph: data error: graph row {row}, layer 1: "
+                        "non-finite value in the attention transition\n"),
+            id="attention"),
+        pytest.param(
+            lambda i: 1e308,
+            {"walk_length": 1, "max_degree": 1, "no_diff": True, "no_zero_start": True,
+             "per_node": True, "seed": 1}, None,
+            (EXIT_DATA, "hypograph: data error: graph row {row}, layer 1: "
+                        "non-finite value after mixing\n"),
+            id="mixing"),
+        pytest.param(
+            lambda i: 5e307, {"walk_length": 1, "max_degree": 1, "no_diff": True}, None,
+            (EXIT_DATA, "hypograph: data error: graph row {row}, "
+                        "non-finite value after mean pooling\n"),
+            id="pooling"),
+        pytest.param(
+            lambda i: TestProcesses.MARK, {}, functools.partial(np.empty, (1 << 45, 16)),
+            (EXIT_DATA, "hypograph: out of memory: Unable to allocate "),
+            id="MemoryError"),
+        pytest.param(
+            lambda i: TestProcesses.MARK, {}, raiser(OSError(errno.ENOSPC, "No space left on device")),
+            (EXIT_DATA, "hypograph: data error: [Errno 28] No space left on device\n"),
+            id="OSError"),
+        pytest.param(
+            lambda i: TestProcesses.MARK, {}, raiser(RuntimeError("not a data error")),
+            (RuntimeError, "not a data error"),
+            id="RuntimeError"),
+    ])
+    def test_share_failure_does_not_depend_on_process_count(
+        self, many, monkeypatch, tmp_path, capsys, value, extra, fail, end
+    ):
+        """A failure while computing a chunk of share 1 of 3 ends the run as
+        it does in one process: the same exit code and stderr line, or the
+        same exception."""
+        write, graphs = many
+        shares = cli._shares(graphs, cli._chunks(graphs, self.RANK), 3)
+        row = shares[1][0][0]
+        data_dir = write(overflow=(row,), value=value)
+        if fail is not None:
+            real = cli.model_forward
+
+            def model_forward(union, model, offsets):
+                if self.MARK in union.attributes:  # the chunk holding graph row
+                    fail()
+                return real(union, model, offsets)
+
+            monkeypatch.setattr(cli, "model_forward", model_forward)
+        out = tmp_path / "o.csv"
+        ends = []
+        for procs in (1, 3):
+            if isinstance(end[0], type):  # the exception leaves main
+                with pytest.raises(end[0]) as info:
+                    self.run(monkeypatch, data_dir, out, procs, **extra)
+                ends.append((type(info.value), str(info.value)))
+            else:
+                code, forks = self.run(monkeypatch, data_dir, out, procs, **extra)
+                assert forks == procs - 1
+                ends.append((code, capsys.readouterr().err))
+            assert not out.exists()
+        assert ends[0] == ends[1]
+        assert ends[0][0] == end[0] and ends[0][1].startswith(end[1].format(row=row))
 
 
 class TestCheck:
@@ -706,6 +816,84 @@ def test_non_utf8_byte_is_data_error_naming_file_and_line(tmp_path, capsys, comm
     err = capsys.readouterr().err
     assert err.startswith(f"hypograph: data error: {labels}: line 2: ") and err.count("\n") == 1
     assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def saved_dataset(tmp_path_factory):
+    """The files of a five-graph labelled dataset written by save_tu_dataset:
+    {file name: bytes}."""
+    rng = np.random.default_rng(23)
+    dataset = [(random_labelled_graph(rng, max_nodes=6, max_dim=1), gi % 2) for gi in range(5)]
+    path = tmp_path_factory.mktemp("saved")
+    save_tu_dataset(str(path), "mut", dataset)
+    return {f.name: f.read_bytes() for f in sorted(path.iterdir())}
+
+
+# what a field of a line may become: huge, negative, fractional or not a number
+ODD_VALUES = [b"99999999999999999999999", b"9223372036854775808", b"1e400", b"-1", b"-7", b"0",
+              b"1.5", b"2.0", b"nan", b""]
+
+
+def mutated(data, blob: bytes) -> bytes:
+    """blob with one byte-level mutation drawn from data."""
+    lines = blob.split(b"\n")
+    line = data.draw(st.integers(0, len(lines) - 1))
+    kind = data.draw(st.sampled_from(
+        ["drop", "duplicate", "swap", "truncate", "empty", "byte", "bom", "crlf", "cr", "value",
+         "column"]
+    ))
+    if kind == "drop":
+        del lines[line]
+    elif kind == "duplicate":
+        lines.insert(line, lines[line])
+    elif kind == "swap":
+        other = data.draw(st.integers(0, len(lines) - 1))
+        lines[line], lines[other] = lines[other], lines[line]
+    elif kind == "truncate":
+        return blob[: data.draw(st.integers(0, len(blob)))]
+    elif kind == "empty":
+        return b""
+    elif kind == "byte":
+        at = data.draw(st.integers(0, len(blob)))
+        return blob[:at] + data.draw(st.sampled_from([b"\xff", b"\xe9", b"\x80", b"\xc3"])) + blob[at:]
+    elif kind == "bom":
+        lines[line] = b"\xef\xbb\xbf" + lines[line]
+    elif kind in ("crlf", "cr"):
+        return blob.replace(b"\n", b"\r\n" if kind == "crlf" else b"\r")
+    elif kind == "value":
+        fields = lines[line].split(b",")
+        fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(st.sampled_from(ODD_VALUES))
+        lines[line] = b",".join(fields)
+    else:  # "column"
+        lines[line] += b", 1"
+    return b"\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_dataset_loads_or_fails_naming_a_file(saved_dataset, data):
+    """One or two byte-level mutations of a saved dataset's files: describe
+    and extract exit 0, or exit 2 with one stderr line naming a file of the
+    dataset; neither raises."""
+    files = dict(saved_dataset)
+    for _ in range(data.draw(st.integers(1, 2))):
+        name = data.draw(st.sampled_from(sorted(files)))
+        files[name] = mutated(data, files[name])
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, blob in files.items():
+            Path(tmp, name).write_bytes(blob)
+        out = Path(tmp, "out.csv")
+        for command in ("describe", "extract"):
+            args = [command, "--dataset", tmp, "--name", "mut"]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(args + (["--out", str(out)] if command == "extract" else []))
+            assert code in (EXIT_OK, EXIT_DATA), (command, code)
+            if code == EXIT_DATA:
+                text = err.getvalue()
+                assert text.count("\n") == 1 and text.endswith("\n"), text
+                assert any(str(Path(tmp, name)) in text for name in files), text
+                assert command == "describe" or not out.exists()
 
 
 def test_benchmark_trace_targets_resolve(monkeypatch):

@@ -882,6 +882,15 @@ RAISE_SITES = {
                                    ValueError, r"^k must be an integer >= 0, got 1\.5$"),
     "diffusion_bool_steps": (lambda tmp: classic_diffusion(path_graph(1), True),
                              ValueError, r"^k must be an integer >= 0, got True$"),
+    "path_fractional_edges": (lambda tmp: path_graph(2.5),
+                              ValueError, r"^num_edges must be an integer >= 0, got 2\.5$"),
+    "path_bool_edges": (lambda tmp: path_graph(True),
+                        ValueError, r"^num_edges must be an integer >= 0, got True$"),
+    "path_negative_edges": (lambda tmp: path_graph(-1),
+                            ValueError, r"^num_edges must be an integer >= 0, got -1$"),
+    "grid_fractional_side": (lambda tmp: grid_graph(2.5),
+                             ValueError, r"^side must be an integer >= 1, got 2\.5$"),
+    "grid_empty": (lambda tmp: grid_graph(0), ValueError, r"^side must be an integer >= 1, got 0$"),
     "offsets_fractional": (lambda tmp: path_graph(3).split([0, 1.5, 4]),
                            ValueError, r"^offsets: node ids must be integers, got 1\.5$"),
     "perm_strings": (lambda tmp: path_graph(1).permuted(["a", "b"]),
