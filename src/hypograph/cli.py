@@ -9,7 +9,6 @@ import functools
 import itertools
 import json
 import os
-import pickle
 import shutil
 import signal
 import sys
@@ -43,9 +42,8 @@ class UsageError(ValueError):
 
 
 class WorkerError(RuntimeError):
-    """An extract child process ended without a report: killed by a signal,
-    or exiting nonzero, as when its exception cannot be pickled and
-    rebuilt.  Names its graph rows and maps to exit code 4."""
+    """An extract child process was killed by a signal.  Names its graph
+    rows and maps to exit code 4."""
 
 
 def _at_least(lo: int):
@@ -241,65 +239,45 @@ def _write_rows(fh, rows, fmt: str, per_node: bool, width: int) -> None:
         fh.write((template % tuple(values.ravel().tolist())).encode())
 
 
-def _child(write_share, share, fh, report_fd: int):
-    """Body of a forked child: write its share, send the exception it raises
-    pickled through the pipe for the parent to raise, and leave by
-    os._exit, never by returning or raising."""
-    code = 1
-    try:
-        try:
-            write_share(share, fh)
-            code = 0
-        except BaseException as exc:
-            report = pickle.dumps(exc)
-            pickle.loads(report)  # an exception the parent cannot rebuild is no report
-            with open(report_fd, "wb") as pipe:
-                pipe.write(report)
-    finally:
-        os._exit(code)
-
-
 def _run_shares(shares, files, write_share) -> None:
     """Call write_share(share, file) per share: share 0 in this process, the
-    others in forked children. Returns once every share has succeeded;
-    otherwise kills and reaps every child left and raises the exception of
-    the lowest failing share, as if this process had raised it."""
-    children = []  # (pid, read end of its report pipe, share), in share order
+    others in forked children, which report only their exit status. A
+    share whose child exits nonzero runs again here, so that it raises its
+    own exception with its own traceback, the lowest failing share first;
+    a child killed by a signal raises WorkerError. Every child left is
+    killed and reaped on the way out."""
+    children = []  # (pid, share, file), in share order
     try:
         for share, fh in zip(shares[1:], files[1:]):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
+            pid = os.fork()
             if pid == 0:
-                os.close(read_fd)
-                _child(write_share, share, fh, write_fd)
-            os.close(write_fd)
-            children.append((pid, open(read_fd, "rb"), share))
+                code = 1
+                try:
+                    write_share(share, fh)
+                    code = 0
+                finally:
+                    os._exit(code)  # never return or raise into the caller's frames
+            children.append((pid, share, fh))
         write_share(shares[0], files[0])
         while children:
-            pid, pipe, share = children[0]
-            report = pipe.read()
+            pid, share, fh = children[0]
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             children.pop(0)
-            pipe.close()
-            if report and code >= 0:  # a signal may cut a report short
-                raise pickle.loads(report)
-            if code:
-                why = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            if code < 0:
                 rows = f"{share[0][0]}-{share[-1][1] - 1}"
-                raise WorkerError(f"graph rows {rows}: extract process failed: {why}")
+                raise WorkerError(f"graph rows {rows}: extract process failed: "
+                                  f"killed by signal {-code}")
+            if code:
+                fh.seek(0)
+                fh.truncate()
+                write_share(share, fh)
     finally:
-        for pid, pipe, _ in children:
+        for pid, _, _ in children:
             try:
                 os.kill(pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
             os.waitpid(pid, 0)
-            pipe.close()
 
 
 def cmd_extract(args: argparse.Namespace) -> int:

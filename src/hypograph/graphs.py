@@ -632,15 +632,25 @@ def load_tu_dataset(path: str, name: str):
 
 
 def save_tu_dataset(path: str, name: str, dataset) -> None:
-    """Write graphs back out in TU format (attributes as reals)."""
+    """Write graphs back out in TU format (attributes as reals).  Raises
+    DatasetError, before writing any file, for what load_tu_dataset would
+    not read back as given: no graphs, a mix of attribute widths, or labels
+    that are not all None or all integers."""
+    if not dataset:
+        raise DatasetError("cannot save an empty dataset")
     widths = {g.attr_dim for g, _ in dataset}
     if len(widths) > 1:
         raise DatasetError(f"graphs must share one attribute width, got {sorted(widths)}")
+    has_labels = dataset[0][1] is not None
+    for gi, (_, label) in enumerate(dataset):
+        if has_labels and (isinstance(label, bool) or not isinstance(label, numbers.Integral)):
+            raise DatasetError(f"graph {gi}: label must be an integer, got {label!r}")
+        if not has_labels and label is not None:
+            raise DatasetError(f"graph {gi}: label must be None as graph 0's is, got {label!r}")
     os.makedirs(path, exist_ok=True)
     prefix = os.path.join(path, name)
     offset = 0
     a_lines, ind_lines, attr_lines, label_lines = [], [], [], []
-    has_labels = any(label is not None for _, label in dataset)
     for gi, (graph, label) in enumerate(dataset):
         for i, j in graph.edges:
             a_lines.append(f"{offset + i + 1}, {offset + j + 1}")
@@ -649,7 +659,7 @@ def save_tu_dataset(path: str, name: str, dataset) -> None:
         for row in graph.attributes:
             attr_lines.append(", ".join(f"{x:.17g}" for x in row))
         if has_labels:
-            label_lines.append(str(label if label is not None else 0))
+            label_lines.append(str(int(label)))
         offset += graph.n
     with open(prefix + "_A.txt", "w", encoding="utf-8") as fh:
         fh.write("\n".join(a_lines) + ("\n" if a_lines else ""))

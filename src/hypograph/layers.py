@@ -19,7 +19,7 @@ import numpy as np
 from .config import FeatureConfig
 from .graphs import (
     AttentionParams, LabelledGraph, NonFiniteError, attention_transition, block_offsets,
-    finite, frozen, integer, transition_matrix,
+    finite, frozen, integer, number_array, transition_matrix,
 )
 from .lowrank import batch_features
 
@@ -188,11 +188,12 @@ def l2_penalty(params: LayerParams, lam: float) -> float:
     Equals the squared entry norm of every materialized functional level,
     computed without building any tensors.
     """
-    if lam < 0.0:
-        raise ValueError("lambda must be non-negative")
+    value = number_array(lam, "lambda")
+    if value.ndim or not np.isfinite(value) or value < 0:
+        raise ValueError(f"lambda must be a finite number >= 0, got {lam!r}")
     sq = np.sum(params.vectors**2, axis=2)  # ||u_s||^2 per functional, s = 1..M
     # column m-1 of the reversed cumulative product is the degree-m suffix product
-    return lam * float(np.sum(np.cumprod(sq[:, ::-1], axis=1)))
+    return float(value) * float(np.sum(np.cumprod(sq[:, ::-1], axis=1)))
 
 
 MODEL_FORMAT = "hypograph-model"

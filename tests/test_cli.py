@@ -10,6 +10,7 @@ import re
 import signal
 import tempfile
 import threading
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -283,10 +284,10 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def raiser(exc):
-    """A function that raises exc."""
+def raiser(error, *args):
+    """A function that raises a new error(*args) at each call."""
     def fail():
-        raise exc
+        raise error(*args)
     return fail
 
 
@@ -477,15 +478,12 @@ class TestProcesses:
     @pytest.mark.parametrize("death, why", [
         ("signal", "killed by signal 9"),
         ("raise", "RuntimeError: not a NonFiniteError"),
-        ("unpicklable", "exited with status 1"),
-        ("unloadable", "exited with status 1"),
     ])
     def test_failed_child_exits_nonzero_naming_its_rows(
         self, many, monkeypatch, tmp_path, capsys, death, why
     ):
-        """A child that ends without a report exits 4 naming its graph rows;
-        one whose exception the parent can rebuild fails as one process
-        does."""
+        """A child killed by a signal exits 4 naming its graph rows; one
+        that raises fails as one process does."""
         write, graphs = many
         data_dir = write()
         shares = cli._shares(graphs, cli._chunks(graphs, self.RANK), 3)
@@ -496,10 +494,6 @@ class TestProcesses:
             if shares[1][0] in share:
                 if death == "signal":
                     os.kill(os.getpid(), signal.SIGKILL)
-                if death == "unpicklable":
-                    raise RuntimeError(lambda: None)
-                if death == "unloadable":
-                    raise TwoArgumentError("one", "two")
                 raise RuntimeError("not a NonFiniteError")
             return real(dataset, graphs, share, *rest)
 
@@ -518,6 +512,28 @@ class TestProcesses:
                 f"hypograph: graph rows {rows}: extract process failed: {why}\n"
             )
         assert not out.exists()
+
+    def test_child_only_failure_does_not_fail_the_run(self, many, monkeypatch, tmp_path, capsys):
+        """A share that fails in its child but not when the parent runs it
+        again writes the bytes of a one-process run."""
+        write, graphs = many
+        data_dir = write()
+        parent = os.getpid()
+        real = cli.model_forward
+
+        def model_forward(union, model, offsets):
+            if os.getpid() != parent:
+                np.empty((1 << 45, 16))  # MemoryError, in a child only
+            return real(union, model, offsets)
+
+        monkeypatch.setattr(cli, "model_forward", model_forward)
+        outputs = []
+        for procs in (1, 3):
+            out = tmp_path / f"p{procs}.csv"
+            assert self.run(monkeypatch, data_dir, out, procs) == (EXIT_OK, procs - 1)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert capsys.readouterr().err == ""
 
     MARK = 0.5  # the attribute of the graph whose chunk raises
 
@@ -549,20 +565,28 @@ class TestProcesses:
             (EXIT_DATA, "hypograph: out of memory: Unable to allocate "),
             id="MemoryError"),
         pytest.param(
-            lambda i: TestProcesses.MARK, {}, raiser(OSError(errno.ENOSPC, "No space left on device")),
+            lambda i: TestProcesses.MARK, {}, raiser(OSError, errno.ENOSPC, "No space left on device"),
             (EXIT_DATA, "hypograph: data error: [Errno 28] No space left on device\n"),
             id="OSError"),
         pytest.param(
-            lambda i: TestProcesses.MARK, {}, raiser(RuntimeError("not a data error")),
+            lambda i: TestProcesses.MARK, {}, raiser(RuntimeError, "not a data error"),
             (RuntimeError, "not a data error"),
             id="RuntimeError"),
+        pytest.param(
+            lambda i: TestProcesses.MARK, {}, raiser(RuntimeError, lambda: None),
+            (RuntimeError, "<function "),  # a lambda does not pickle
+            id="unpicklable"),
+        pytest.param(
+            lambda i: TestProcesses.MARK, {}, raiser(TwoArgumentError, "one", "two"),
+            (TwoArgumentError, "one"),
+            id="unloadable"),
     ])
     def test_share_failure_does_not_depend_on_process_count(
         self, many, monkeypatch, tmp_path, capsys, value, extra, fail, end
     ):
         """A failure while computing a chunk of share 1 of 3 ends the run as
         it does in one process: the same exit code and stderr line, or the
-        same exception."""
+        same exception raised from the same frames."""
         write, graphs = many
         shares = cli._shares(graphs, cli._chunks(graphs, self.RANK), 3)
         row = shares[1][0][0]
@@ -582,7 +606,9 @@ class TestProcesses:
             if isinstance(end[0], type):  # the exception leaves main
                 with pytest.raises(end[0]) as info:
                     self.run(monkeypatch, data_dir, out, procs, **extra)
-                ends.append((type(info.value), str(info.value)))
+                frames = [f.name for f in traceback.extract_tb(info.value.__traceback__)]
+                assert frames[-1] == "fail"  # the raising function
+                ends.append((type(info.value), str(info.value), frames))
             else:
                 code, forks = self.run(monkeypatch, data_dir, out, procs, **extra)
                 assert forks == procs - 1

@@ -839,19 +839,17 @@ class TestTuLoader:
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
-        dataset = [
-            (random_labelled_graph(rng, max_dim=1), int(rng.integers(0, 2)))
-            for _ in range(5)
-        ]
-        out = tmp_path / "saved"
-        save_tu_dataset(str(out), "rt", dataset)
-        reloaded = load_tu_dataset(str(out), "rt")
-        assert len(reloaded) == len(dataset)
-        for (g0, l0), (g1, l1) in zip(dataset, reloaded):
-            assert l0 == l1
-            assert g0.n == g1.n
-            np.testing.assert_array_equal(g0.edges, g1.edges)
-            np.testing.assert_array_equal(g0.attributes, g1.attributes)
+        graphs = [random_labelled_graph(rng, max_dim=1) for _ in range(5)]
+        for name, labels in [("rt", rng.integers(0, 2, 5).tolist()), ("bare", [None] * 5)]:
+            dataset = list(zip(graphs, labels))
+            save_tu_dataset(str(tmp_path), name, dataset)
+            reloaded = load_tu_dataset(str(tmp_path), name)
+            assert len(reloaded) == len(dataset)
+            for (g0, l0), (g1, l1) in zip(dataset, reloaded):
+                assert l0 == l1
+                assert g0.n == g1.n
+                np.testing.assert_array_equal(g0.edges, g1.edges)
+                np.testing.assert_array_equal(g0.attributes, g1.attributes)
 
 
 def _load_with_edge_file_as_directory(tmp_path):
@@ -928,6 +926,24 @@ RAISE_SITES = {
         ),
         DatasetError, r"^graphs must share one attribute width, got \[1, 2\]$",
     ),
+    "save_empty": (lambda tmp: save_tu_dataset(str(tmp), "none", []),
+                   DatasetError, r"^cannot save an empty dataset$"),
+    "save_none_after_label": (
+        lambda tmp: save_tu_dataset(str(tmp), "mix", [(path_graph(1), 1), (path_graph(1), None)]),
+        DatasetError, r"^graph 1: label must be an integer, got None$",
+    ),
+    "save_label_after_none": (
+        lambda tmp: save_tu_dataset(str(tmp), "mix", [(path_graph(1), None), (path_graph(1), 1)]),
+        DatasetError, r"^graph 1: label must be None as graph 0's is, got 1$",
+    ),
+    "save_string_label": (lambda tmp: save_tu_dataset(str(tmp), "str", [(path_graph(1), "a")]),
+                          DatasetError, r"^graph 0: label must be an integer, got 'a'$"),
+    "save_fractional_label": (
+        lambda tmp: save_tu_dataset(str(tmp), "frac", [(path_graph(1), 0), (path_graph(1), 2.5)]),
+        DatasetError, r"^graph 1: label must be an integer, got 2\.5$",
+    ),
+    "save_bool_label": (lambda tmp: save_tu_dataset(str(tmp), "bool", [(path_graph(1), True)]),
+                        DatasetError, r"^graph 0: label must be an integer, got True$"),
     "edge_file_is_a_directory": (_load_with_edge_file_as_directory,
                                  DatasetError, r"^cannot read \S+dirA_A\.txt: .*Is a directory"),
 }

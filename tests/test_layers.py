@@ -318,10 +318,23 @@ class TestL2Penalty:
         assert l2_penalty(a, 1.3) == pytest.approx(l2_penalty(b, 1.3), rel=1e-12)
 
     def test_negative_lambda_rejected(self):
-        rng = np.random.default_rng(13)
-        layer = make_layer(rng, 2)
-        with pytest.raises(ValueError):
+        layer = make_layer(np.random.default_rng(13), 2)
+        with pytest.raises(ValueError, match=r"^lambda must be a finite number >= 0, got -1\.0$"):
             l2_penalty(layer, -1.0)
+
+    @pytest.mark.parametrize("lam, shown", [
+        (float("nan"), "nan"), (float("inf"), "inf"), ([0.5], r"\[0\.5\]"),
+    ])
+    def test_non_finite_or_array_lambda_rejected(self, lam, shown):
+        layer = make_layer(np.random.default_rng(13), 2)
+        with pytest.raises(ValueError, match=rf"^lambda must be a finite number >= 0, got {shown}$"):
+            l2_penalty(layer, lam)
+
+    @pytest.mark.parametrize("lam", [True, "1", None])
+    def test_non_number_lambda_rejected(self, lam):
+        layer = make_layer(np.random.default_rng(13), 2)
+        with pytest.raises(ValueError, match=rf"^lambda must hold real numbers, got {lam!r}$"):
+            l2_penalty(layer, lam)
 
 
 # every top-level field of a model file except "layers"
