@@ -22,7 +22,6 @@ from .graphs import (
     disjoint_union,
     grid_graph,
     load_tu_dataset,
-    normalized_laplacian,
     path_graph,
     save_tu_dataset,
     transition_matrix,
@@ -35,9 +34,7 @@ from .layers import (
     init_params,
     l2_penalty,
     layer_forward,
-    load_params,
     model_forward,
-    save_params,
 )
 
 __version__ = "0.1.0"
@@ -53,7 +50,6 @@ __all__ = [
     "disjoint_union",
     "grid_graph",
     "load_tu_dataset",
-    "normalized_laplacian",
     "path_graph",
     "save_tu_dataset",
     "transition_matrix",
@@ -65,7 +61,5 @@ __all__ = [
     "init_params",
     "l2_penalty",
     "layer_forward",
-    "load_params",
     "model_forward",
-    "save_params",
 ]

@@ -133,7 +133,7 @@ def _build_model(args: argparse.Namespace, attr_dim: int) -> ModelConfig:
     for seed in layer_seeds:
         layers.append(init_params(width, cfg, seed, args.attention, args.heads or 1))
         width = args.rank
-    return ModelConfig(tuple(layers), pooling=None if args.per_node else "mean", seed=args.seed)
+    return ModelConfig(tuple(layers), pooling=None if args.per_node else "mean")
 
 
 def _chunks(graphs, rank: int) -> list[tuple[int, int]]:

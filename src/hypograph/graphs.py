@@ -323,9 +323,6 @@ class RowStochastic:
     def matrix(self) -> sparse.csr_matrix:
         return self.pattern.matrix(self.values)
 
-    def toarray(self) -> np.ndarray:
-        return self.matrix.toarray()
-
 
 def _row_normalized(pattern: AdjacencyPattern, weights: np.ndarray) -> np.ndarray:
     """``weights`` on the pattern entries, (nnz,) or one column per head
@@ -425,11 +422,6 @@ def attention_transition(g: LabelledGraph, params: AttentionParams) -> RowStocha
         probs = _row_normalized(pattern, np.exp(scores - row_max[pattern.rows]))
     # the running sum over heads, in head order, as a per-head loop adds them
     return RowStochastic(pattern, np.cumsum(probs, axis=1)[:, -1] / params.heads)
-
-
-def normalized_laplacian(g: LabelledGraph) -> sparse.csr_matrix:
-    """I - P for the uniform walk."""
-    return sparse.identity(g.n, format="csr") - transition_matrix(g).matrix
 
 
 def classic_diffusion(g: LabelledGraph, k: int) -> np.ndarray:

@@ -10,9 +10,8 @@ last layer's node rows per graph, or with pooling None returns them.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,7 +74,6 @@ class ModelConfig:
 
     layers: tuple[LayerParams, ...]
     pooling: str | None = "mean"
-    seed: int | None = None
 
     def __post_init__(self):
         layers = tuple(self.layers)
@@ -83,8 +81,6 @@ class ModelConfig:
             raise ValueError("need at least one layer")
         if self.pooling not in ("mean", "sum", None):
             raise ValueError(f"pooling must be 'mean', 'sum' or None, got {self.pooling!r}")
-        if self.seed is not None:
-            object.__setattr__(self, "seed", integer(self.seed, "seed", 0))
         for prev, nxt in zip(layers, layers[1:]):
             if prev.rank != nxt.attr_dim:
                 raise ValueError(
@@ -194,88 +190,3 @@ def l2_penalty(params: LayerParams, lam: float) -> float:
     sq = np.sum(params.vectors**2, axis=2)  # ||u_s||^2 per functional, s = 1..M
     # column m-1 of the reversed cumulative product is the degree-m suffix product
     return float(value) * float(np.sum(np.cumprod(sq[:, ::-1], axis=1)))
-
-
-MODEL_FORMAT = "hypograph-model"
-MODEL_VERSION = 1
-
-
-def save_params(path: str, model: ModelConfig) -> None:
-    """Serialize a model to versioned JSON.
-
-    Field order is fixed: header, then per layer the FeatureConfig fields
-    in declaration order, the u-vectors grouped by functional then
-    position, the mixing matrix in row-major order, the bias, and the
-    optional attention weights.  Floats round-trip exactly.
-    """
-    doc = {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
-        "pooling": model.pooling,
-        "seed": model.seed,
-        "layers": [],
-    }
-    for layer in model.layers:
-        entry = asdict(layer.config)
-        entry["u_vectors"] = layer.vectors.tolist()
-        entry["mixing"] = layer.mixing.tolist()
-        entry["bias"] = layer.bias.tolist()
-        entry["attention"] = (
-            None
-            if layer.attention is None
-            else {
-                "w_source": layer.attention.w_source.tolist(),
-                "w_target": layer.attention.w_target.tolist(),
-            }
-        )
-        doc["layers"].append(entry)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
-
-
-def load_params(path: str) -> ModelConfig:
-    """Load a model saved by :func:`save_params`; every ``ValueError`` it
-    raises names ``path``, also for a document nested too deeply to read."""
-    # json.load overflows the stack past about sys.getrecursionlimit()
-    # levels, and a value nested just short of that overflows it in the
-    # repr of any message that names the value
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except ValueError as exc:
-                raise ValueError(f"{exc} in {path}") from exc
-        if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
-            raise ValueError(f"not a {MODEL_FORMAT} file: {path}")
-        version = doc.get("version")
-        if isinstance(version, bool) or version != MODEL_VERSION:  # True == 1
-            raise ValueError(f"unsupported version {version} in {path}")
-        for key in ("layers", "pooling"):
-            if key not in doc:
-                raise ValueError(f"missing field {key!r} in {path}")
-        if not isinstance(doc["layers"], list):
-            raise ValueError(f"field 'layers' must be a list in {path}")
-        layers = []
-        for idx, entry in enumerate(doc["layers"], start=1):
-            if not isinstance(entry, dict):
-                raise ValueError(f"layer {idx}: not an object in {path}")
-            try:
-                attn = entry.get("attention")
-                if attn is not None:
-                    if not isinstance(attn, dict):
-                        raise ValueError("field 'attention' must be null or an object")
-                    attn = AttentionParams(attn["w_source"], attn["w_target"])
-                cfg = FeatureConfig(**{f.name: entry[f.name] for f in fields(FeatureConfig)})
-                arrays = (entry["u_vectors"], entry["mixing"], entry["bias"])
-                layers.append(LayerParams(*arrays, cfg, attn))
-            except KeyError as exc:
-                raise ValueError(f"layer {idx}: missing field {exc.args[0]!r} in {path}") from None
-            except ValueError as exc:
-                raise ValueError(f"layer {idx}: {exc} in {path}") from exc
-        try:
-            return ModelConfig(tuple(layers), doc["pooling"], doc.get("seed"))
-        except ValueError as exc:
-            raise ValueError(f"{exc} in {path}") from exc
-    except RecursionError as exc:
-        raise ValueError(f"{exc} in {path}") from exc

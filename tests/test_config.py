@@ -25,6 +25,7 @@ def test_bounds_validated():
 @pytest.mark.parametrize("field, value", [
     ("walk_length", 2.7), ("max_degree", "2"), ("rank", True), ("rank", np.True_),
     ("diff", "no"), ("zero_start", 1), ("time_param", np.bool_(True)), ("diff", None),
+    ("time_param", 0),
 ])
 def test_field_types_checked(field, value):
     kind = "a bool" if field in ("diff", "zero_start", "time_param") else r"an integer >= \d"
@@ -62,6 +63,7 @@ def test_lift_coeffs_length_checked_at_use():
     ([1.0, np.bool_(True)], "lift_coeffs must hold real numbers, got "),  # repr varies by numpy
     ([1.0, "0.5"], "lift_coeffs must hold real numbers, got '0.5'"),
     ([1.0, [0.5]], "lift_coeffs has ragged rows 1.0 and [0.5]"),
+    ([], "lift_coeffs must start with c_0 == 1"),
 ])
 def test_lift_coeffs_types_checked(value, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):

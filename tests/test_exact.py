@@ -65,7 +65,7 @@ class TestTensorTransition:
             pytest.skip("no edges drawn")
         p = weighted_transition(g, rng.uniform(0.2, 2.0, size=g.num_edges))
         mat = tensor_transition(g, p, cfg_of())
-        np.testing.assert_array_equal(degree0(mat), p.toarray())
+        np.testing.assert_array_equal(degree0(mat), p.matrix.toarray())
 
     def test_pattern_mismatch_rejected(self, path2, triangle):
         p = transition_matrix(triangle)
@@ -283,7 +283,7 @@ class TestForwardDiffusion:
             k = int(rng.integers(0, 4))
             out = forward_diffusion_exact(g, p, cfg_of(walk_length=k))
             mass = np.array([out[i][0] for i in range(g.n)])
-            dense = np.linalg.matrix_power(p.toarray(), k)
+            dense = np.linalg.matrix_power(p.matrix.toarray(), k)
             want = np.ones(g.n) / g.n @ dense
             np.testing.assert_allclose(mass, want, atol=1e-12)
             assert mass.sum() == pytest.approx(1.0, abs=1e-12)

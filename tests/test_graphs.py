@@ -19,7 +19,6 @@ from hypograph.graphs import (
     frozen,
     grid_graph,
     load_tu_dataset,
-    normalized_laplacian,
     path_graph,
     save_tu_dataset,
     transition_matrix,
@@ -308,16 +307,16 @@ class TestDisjointUnion:
 class TestTransitionMatrix:
     def test_path(self, path2):
         np.testing.assert_array_equal(
-            transition_matrix(path2).toarray(), [[0.0, 1.0], [1.0, 0.0]]
+            transition_matrix(path2).matrix.toarray(), [[0.0, 1.0], [1.0, 0.0]]
         )
 
     def test_triangle(self, triangle):
-        p = transition_matrix(triangle).toarray()
+        p = transition_matrix(triangle).matrix.toarray()
         np.testing.assert_allclose(p, (np.ones((3, 3)) - np.eye(3)) / 2.0)
 
     def test_isolated_self_loop(self):
         g = LabelledGraph(3, [(0, 1)], np.zeros((3, 1)))
-        p = transition_matrix(g).toarray()
+        p = transition_matrix(g).matrix.toarray()
         assert p[2, 2] == 1.0
 
     def test_rejects_non_finite_values(self, path2):
@@ -345,7 +344,7 @@ class TestWeightedTransition:
 
     def test_star_normalization(self):
         g = LabelledGraph(3, [(0, 1), (0, 2)], np.zeros((3, 1)))
-        p = weighted_transition(g, [1.0, 3.0]).toarray()
+        p = weighted_transition(g, [1.0, 3.0]).matrix.toarray()
         np.testing.assert_allclose(p[0], [0.0, 0.25, 0.75])
 
     def test_scale_invariance(self):
@@ -413,12 +412,12 @@ class TestAttentionTransition:
     def test_single_neighbour_gets_probability_one(self):
         g = LabelledGraph(2, [(0, 1)], [[1.5], [-2.0]])
         params = AttentionParams(np.array([3.0]), np.array([-1.0]))
-        p = attention_transition(g, params).toarray()
+        p = attention_transition(g, params).matrix.toarray()
         np.testing.assert_array_equal(p, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_hand_softmax(self, triangle):
         params = AttentionParams(np.zeros(1), np.array([1.0]))
-        p = attention_transition(triangle, params).toarray()
+        p = attention_transition(triangle, params).matrix.toarray()
         # row 0 scores over neighbours (1, 2) are (1, 2)
         want = np.exp([1.0, 2.0])
         want /= want.sum()
@@ -429,7 +428,7 @@ class TestAttentionTransition:
     def test_leaky_relu_negative_branch(self):
         g = LabelledGraph(3, [(0, 1), (0, 2)], [[0.0], [-1.0], [1.0]])
         params = AttentionParams(np.zeros(1), np.array([1.0]))
-        p = attention_transition(g, params).toarray()
+        p = attention_transition(g, params).matrix.toarray()
         # scores: leaky(-1) = -0.2, leaky(1) = 1
         want = np.exp([-0.2, 1.0])
         want /= want.sum()
@@ -443,8 +442,8 @@ class TestAttentionTransition:
                 rng.standard_normal(g.attr_dim), rng.standard_normal(g.attr_dim)
             )
             perm = rng.permutation(g.n)
-            pg = attention_transition(g, params).toarray()
-            ph = attention_transition(g.permuted(perm), params).toarray()
+            pg = attention_transition(g, params).matrix.toarray()
+            ph = attention_transition(g.permuted(perm), params).matrix.toarray()
             np.testing.assert_allclose(ph[np.ix_(perm, perm)], pg, atol=1e-14)
 
     def test_multi_head_averages(self):
@@ -452,9 +451,9 @@ class TestAttentionTransition:
         g = random_labelled_graph(rng)
         ws = rng.standard_normal((3, g.attr_dim))
         wt = rng.standard_normal((3, g.attr_dim))
-        combined = attention_transition(g, AttentionParams(ws, wt)).toarray()
+        combined = attention_transition(g, AttentionParams(ws, wt)).matrix.toarray()
         singles = [
-            attention_transition(g, AttentionParams(ws[h], wt[h])).toarray()
+            attention_transition(g, AttentionParams(ws[h], wt[h])).matrix.toarray()
             for h in range(3)
         ]
         np.testing.assert_allclose(combined, np.mean(singles, axis=0), atol=1e-14)
@@ -503,23 +502,6 @@ class TestAttentionTransition:
 
 
 class TestLaplacianAndDiffusion:
-    def test_path_laplacian(self, path2):
-        np.testing.assert_array_equal(
-            normalized_laplacian(path2).toarray(), [[1.0, -1.0], [-1.0, 1.0]]
-        )
-
-    def test_triangle_laplacian(self, triangle):
-        lap = normalized_laplacian(triangle).toarray()
-        np.testing.assert_allclose(np.diag(lap), 1.0)
-        off = lap[~np.eye(3, dtype=bool)]
-        np.testing.assert_allclose(off, -0.5)
-
-    def test_laplacian_annihilates_ones(self):
-        rng = np.random.default_rng(7)
-        g = random_labelled_graph(rng, edge_prob=0.9)
-        lap = normalized_laplacian(g)
-        np.testing.assert_allclose(lap @ np.ones(g.n), 0.0, atol=1e-12)
-
     def test_classic_diffusion_k0(self, path2):
         np.testing.assert_array_equal(classic_diffusion(path2, 0), path2.attributes)
 
@@ -530,7 +512,7 @@ class TestLaplacianAndDiffusion:
     def test_classic_diffusion_is_matrix_power(self):
         rng = np.random.default_rng(8)
         g = random_labelled_graph(rng)
-        p = transition_matrix(g).toarray()
+        p = transition_matrix(g).matrix.toarray()
         want = np.linalg.matrix_power(p, 3) @ g.attributes
         np.testing.assert_allclose(classic_diffusion(g, 3), want, atol=1e-12)
 
@@ -874,6 +856,11 @@ RAISE_SITES = {
     "attention_without_heads": (lambda tmp: AttentionParams(np.zeros((0, 2)), np.zeros((0, 2))),
                                 ValueError,
                                 r"^attention weights need at least one head, got shape \(0, 2\)$"),
+    "attention_mapping": (lambda tmp: AttentionParams([[1.0]], {"x": 1}),
+                          ValueError, r"^attention weights must hold real numbers, got \{'x': 1\}$"),
+    "attention_ragged": (lambda tmp: AttentionParams([[1.0, 2.0], [3.0]], [[1.0, 2.0]]),
+                         ValueError,
+                         r"^attention weights has ragged rows \[1\.0, 2\.0\] and \[3\.0\]$"),
     "diffusion_negative_steps": (lambda tmp: classic_diffusion(path_graph(1), -1),
                                  ValueError, r"^k must be an integer >= 0, got -1$"),
     "diffusion_fractional_steps": (lambda tmp: classic_diffusion(path_graph(1), 1.5),
