@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graphs import frozen, integer
+from .graphs import integer
 
 
 @dataclass(frozen=True)
@@ -15,10 +15,7 @@ class FeatureConfig:
     ``diff`` lifts attribute increments instead of raw attributes;
     ``zero_start`` includes the start-node factor in front of the walk
     product; ``time_param`` augments every lift input with the step index,
-    so lifts act on dimension d+1.  ``lift_coeffs`` overrides the
-    per-degree lift scaling c_0..c_M (default c_m = 1/m!); it must cover
-    every degree up to ``max_degree``, and c_0 is pinned to 1 so the
-    algebra unit is preserved.
+    so lifts act on dimension d+1.
     """
 
     walk_length: int = 1
@@ -27,7 +24,6 @@ class FeatureConfig:
     diff: bool = True
     zero_start: bool = True
     time_param: bool = False
-    lift_coeffs: tuple[float, ...] | None = None
 
     def __post_init__(self):
         for name, lo in (("walk_length", 0), ("max_degree", 1), ("rank", 1)):
@@ -35,22 +31,6 @@ class FeatureConfig:
         for name in ("diff", "zero_start", "time_param"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
-        if self.lift_coeffs is not None:
-            coeffs = frozen(self.lift_coeffs, what="lift_coeffs")
-            if coeffs.ndim == 0:
-                raise ValueError(
-                    f"lift_coeffs must be a sequence of numbers, got {self.lift_coeffs!r}"
-                )
-            if coeffs.ndim > 1:  # one flat sequence, whose entries are not rows
-                raise ValueError(f"lift_coeffs must hold real numbers, got {coeffs[0].tolist()}")
-            coeffs = tuple(coeffs.tolist())
-            if not coeffs or coeffs[0] != 1.0:
-                raise ValueError("lift_coeffs must start with c_0 == 1")
-            if len(coeffs) <= self.max_degree:
-                raise ValueError(
-                    f"lift_coeffs cover degrees <= {len(coeffs) - 1}, need {self.max_degree}"
-                )
-            object.__setattr__(self, "lift_coeffs", coeffs)
 
     def lift_dim(self, d: int) -> int:
         """Dimension seen by the algebra lift for d-dimensional attributes."""
@@ -74,7 +54,6 @@ class FeatureConfig:
 
     @property
     def coefficients(self) -> tuple[float, ...]:
-        """Lift coefficients c_0..c_M: ``lift_coeffs`` or c_m = 1/m!."""
-        if self.lift_coeffs is not None:
-            return self.lift_coeffs
+        """Lift coefficients c_0..c_M of the truncated tensor exponential,
+        c_m = 1/m!."""
         return tuple(1.0 / math.factorial(m) for m in range(self.max_degree + 1))

@@ -560,14 +560,14 @@ def load_tu_dataset(path: str, name: str):
     Returns a list of (LabelledGraph, label) pairs where label is None if
     the dataset has no graph labels.
     """
-    prefix = os.path.join(path, name, name)
-    if not os.path.exists(prefix + "_A.txt"):
-        prefix = os.path.join(path, name)
+    nested = os.path.join(path, name, name)
+    prefix = nested if os.path.exists(nested + "_A.txt") else os.path.join(path, name)
     a_path = prefix + "_A.txt"
     ind_path = prefix + "_graph_indicator.txt"
-    for req in (a_path, ind_path):
-        if not os.path.exists(req):
-            raise DatasetError(f"missing required file {req}")
+    if not os.path.exists(a_path):
+        raise DatasetError(f"missing required file {nested}_A.txt or {a_path}")
+    if not os.path.exists(ind_path):
+        raise DatasetError(f"missing required file {ind_path}")
 
     indicator = _read_table(ind_path, np.int64, 1)[:, 0]
     if indicator.size == 0:
@@ -664,32 +664,27 @@ def save_tu_dataset(path: str, name: str, dataset) -> None:
             fh.write("\n".join(label_lines) + "\n")
 
 
+def _generated_attributes(n: int, attr_dim: int, seed: int | None) -> np.ndarray:
+    """(n, attr_dim) attributes of a generated graph: a linear ramp from 0
+    to 1 down the nodes without a seed, standard normal draws with one."""
+    if seed is None:
+        return np.linspace(0.0, 1.0, n)[:, None] * np.ones((1, attr_dim))
+    return np.random.default_rng(seed).standard_normal((n, attr_dim))
+
+
 def path_graph(num_edges: int, attr_dim: int = 1, seed: int | None = None) -> LabelledGraph:
     """Path on num_edges+1 nodes; attributes random (seeded) or linear ramp."""
     n = integer(num_edges, "num_edges", 0) + 1
     idx = np.arange(n - 1)
     edges = np.column_stack([idx, idx + 1])
-    if seed is None:
-        attrs = np.linspace(0.0, 1.0, n)[:, None] * np.ones((1, attr_dim))
-    else:
-        attrs = np.random.default_rng(seed).standard_normal((n, attr_dim))
-    return LabelledGraph(n, edges, attrs)
+    return LabelledGraph(n, edges, _generated_attributes(n, attr_dim, seed))
 
 
 def grid_graph(side: int, attr_dim: int = 1, seed: int | None = None) -> LabelledGraph:
     """side x side grid; attributes as in path_graph."""
     side = integer(side, "side", 1)
     n = side * side
-    edges = []
-    for r in range(side):
-        for c in range(side):
-            v = r * side + c
-            if c + 1 < side:
-                edges.append((v, v + 1))
-            if r + 1 < side:
-                edges.append((v, v + side))
-    if seed is None:
-        attrs = np.linspace(0.0, 1.0, n)[:, None] * np.ones((1, attr_dim))
-    else:
-        attrs = np.random.default_rng(seed).standard_normal((n, attr_dim))
-    return LabelledGraph(n, edges, attrs)
+    ids = np.arange(n).reshape(side, side)
+    right = np.column_stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()])
+    down = np.column_stack([ids[:-1].ravel(), ids[1:].ravel()])
+    return LabelledGraph(n, np.concatenate([right, down]), _generated_attributes(n, attr_dim, seed))

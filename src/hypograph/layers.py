@@ -33,15 +33,13 @@ class LayerParams:
 
     vectors: np.ndarray
     mixing: np.ndarray
-    bias: np.ndarray
     config: FeatureConfig
     attention: AttentionParams | None = None
 
     def __post_init__(self):
-        named = {"vectors": "component vectors", "mixing": "mixing", "bias": "bias"}
-        for name, what in named.items():
+        for name, what in (("vectors", "component vectors"), ("mixing", "mixing")):
             object.__setattr__(self, name, frozen(getattr(self, name), what=what))
-        vectors, mixing, bias = self.vectors, self.mixing, self.bias
+        vectors, mixing = self.vectors, self.mixing
         if vectors.ndim != 3 or 0 in vectors.shape:
             raise ValueError(f"vectors must be (R, M, dim), got {vectors.shape}")
         shape = self.config.functional_shape(self.attr_dim)
@@ -50,8 +48,6 @@ class LayerParams:
         rank, deg, _ = shape
         if mixing.shape != (rank, rank * deg):
             raise ValueError(f"mixing must be ({rank}, {rank * deg}), got {mixing.shape}")
-        if bias.shape != (rank,):
-            raise ValueError(f"bias must be ({rank},), got {bias.shape}")
         if self.attention is not None and self.attention.dim != self.attr_dim:
             raise ValueError(
                 f"attention dim {self.attention.dim} does not match attributes {self.attr_dim}"
@@ -69,8 +65,8 @@ class LayerParams:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """An ordered stack of layers plus the final pooling mode: "mean",
-    "sum", or None for the last layer's node rows unpooled."""
+    """An ordered stack of layers plus the final pooling mode: "mean", or
+    None for the last layer's node rows unpooled."""
 
     layers: tuple[LayerParams, ...]
     pooling: str | None = "mean"
@@ -79,8 +75,8 @@ class ModelConfig:
         layers = tuple(self.layers)
         if not layers:
             raise ValueError("need at least one layer")
-        if self.pooling not in ("mean", "sum", None):
-            raise ValueError(f"pooling must be 'mean', 'sum' or None, got {self.pooling!r}")
+        if self.pooling not in ("mean", None):
+            raise ValueError(f"pooling must be 'mean' or None, got {self.pooling!r}")
         for prev, nxt in zip(layers, layers[1:]):
             if prev.rank != nxt.attr_dim:
                 raise ValueError(
@@ -101,9 +97,8 @@ def init_params(
 
     Component vectors are centered uniform with variance 1/fan-in per
     component (fan-in is the lift dimension for the u-vectors and R*M for
-    the mixing matrix); the bias starts at zero.  ``seed`` may be an int
-    or a numpy SeedSequence; each functional draws from its own spawned
-    substream.
+    the mixing matrix).  ``seed`` may be an int or a numpy SeedSequence;
+    each functional draws from its own spawned substream.
     """
     d = integer(d, "d", 1)
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
@@ -127,7 +122,7 @@ def init_params(
             rng.uniform(-bound_a, bound_a, size=(heads, d)),
             rng.uniform(-bound_a, bound_a, size=(heads, d)),
         )
-    return LayerParams(vectors, mixing, np.zeros(rank), cfg, attn)
+    return LayerParams(vectors, mixing, cfg, attn)
 
 
 def layer_forward(g: LabelledGraph, attributes, params: LayerParams) -> np.ndarray:
@@ -147,7 +142,7 @@ def layer_forward(g: LabelledGraph, attributes, params: LayerParams) -> np.ndarr
         p = transition_matrix(graph)
     feats = batch_features(graph, p, params.vectors, params.config)
     with np.errstate(over="ignore", invalid="ignore"):
-        return finite(feats @ params.mixing.T + params.bias, "after mixing")
+        return finite(feats @ params.mixing.T, "after mixing")
 
 
 def model_forward(g: LabelledGraph, model: ModelConfig, offsets=None) -> np.ndarray:
@@ -170,10 +165,9 @@ def model_forward(g: LabelledGraph, model: ModelConfig, offsets=None) -> np.ndar
             raise NonFiniteError(f"layer {idx + 1}: {exc}") from exc
     if model.pooling is None:
         return x
-    pool = np.mean if model.pooling == "mean" else np.sum
     with np.errstate(over="ignore", invalid="ignore"):
-        pooled = np.stack([pool(x[a:b], axis=0) for a, b in zip(offsets[:-1], offsets[1:])])
-    finite(pooled, f"after {model.pooling} pooling")
+        pooled = np.stack([np.mean(x[a:b], axis=0) for a, b in zip(offsets[:-1], offsets[1:])])
+    finite(pooled, "after mean pooling")
     return pooled[0] if single else pooled
 
 

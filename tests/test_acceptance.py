@@ -242,7 +242,7 @@ def test_criterion_7_attention_degeneracy_bit_for_bit():
     same_matrix = np.array_equal(p_att.values, p_uni.values)
     cfg = FeatureConfig(walk_length=3, max_degree=2, rank=3)
     base = init_params(g.attr_dim, cfg, 7)
-    attended = LayerParams(base.vectors, base.mixing, base.bias, cfg, zeroed)
+    attended = LayerParams(base.vectors, base.mixing, cfg, zeroed)
     out_uni = model_forward(g, ModelConfig((base,)))
     out_att = model_forward(g, ModelConfig((attended,)))
     report(
@@ -259,7 +259,7 @@ def test_criterion_8_l2_penalty_matches_dense_norms():
         rank = int(rng.integers(1, 4))
         cfg = FeatureConfig(walk_length=1, max_degree=m_max, rank=rank)
         fs = tuple(RankOneFunctional(rng.standard_normal((m_max, d))) for _ in range(rank))
-        layer = LayerParams(fs, np.zeros((rank, rank * m_max)), np.zeros(rank), cfg)
+        layer = LayerParams(fs, np.zeros((rank, rank * m_max)), cfg)
         lam = float(rng.uniform(0.1, 2.0))
         dense = lam * sum(
             float(np.sum(level_tensor(f, m) ** 2))

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import errno
 import functools
 import hashlib
@@ -91,6 +92,21 @@ def test_model_draw_is_pinned():
         "init_params or _build_model draws differently for seed 7, which changes "
         "every extract output for a seed; a change in numpy's random streams "
         "would do the same")
+
+
+def test_every_feature_setting_comes_from_a_flag():
+    # a FeatureConfig field that no extract flag sets stays at its default here
+    flags = ["--walk-length", "3", "--max-degree", "3", "--rank", "5", "--no-diff",
+             "--no-zero-start", "--time-param", "--attention", "--heads", "2"]
+    base = ["extract", "--dataset", "d", "--name", "n", "--out", "o"] + flags
+    parse = cli.build_parser().parse_args
+    model = cli._build_model(parse(base + ["--per-node"]), 3)
+    cfg = model.layers[0].config
+    unset = [f.name for f in dataclasses.fields(FeatureConfig)
+             if getattr(cfg, f.name) == f.default]
+    assert unset == []
+    assert model.pooling is None
+    assert cli._build_model(parse(base), 3).pooling == "mean"
 
 
 class TestExtract:

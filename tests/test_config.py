@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 
@@ -37,43 +35,6 @@ def test_numpy_integer_counts_are_stored_as_int():
     cfg = FeatureConfig(walk_length=np.int64(3), max_degree=np.int32(2), rank=np.uint8(4))
     assert (cfg.walk_length, cfg.max_degree, cfg.rank) == (3, 2, 4)
     assert all(type(v) is int for v in (cfg.walk_length, cfg.max_degree, cfg.rank))
-
-
-def test_lift_coeffs_pin_c0():
-    with pytest.raises(ValueError):
-        FeatureConfig(lift_coeffs=(2.0, 1.0))
-    with pytest.raises(ValueError):
-        FeatureConfig(lift_coeffs=(1.0, float("nan")))
-
-
-def test_lift_coeffs_length_checked_at_use():
-    # "use" is building the config: a short tuple never reaches a consumer
-    cfg = FeatureConfig(max_degree=1, lift_coeffs=(1.0, 0.5))
-    assert cfg.coefficients == (1.0, 0.5)
-    with pytest.raises(ValueError, match=r"^lift_coeffs cover degrees <= 1, need 3$"):
-        FeatureConfig(max_degree=3, lift_coeffs=(1.0, 0.5))
-
-
-@pytest.mark.parametrize("value, message", [
-    (5, "lift_coeffs must be a sequence of numbers, got 5"),
-    ("1", "lift_coeffs must hold real numbers, got '1'"),
-    ([[1.0]], "lift_coeffs must hold real numbers, got [1.0]"),
-    ([1.0, None], "lift_coeffs must hold real numbers, got None"),
-    ([1.0, True], "lift_coeffs must hold real numbers, got True"),
-    ([1.0, np.bool_(True)], "lift_coeffs must hold real numbers, got "),  # repr varies by numpy
-    ([1.0, "0.5"], "lift_coeffs must hold real numbers, got '0.5'"),
-    ([1.0, [0.5]], "lift_coeffs has ragged rows 1.0 and [0.5]"),
-    ([], "lift_coeffs must start with c_0 == 1"),
-])
-def test_lift_coeffs_types_checked(value, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
-        FeatureConfig(lift_coeffs=value)
-
-
-def test_lift_coeffs_stored_as_float_tuple():
-    cfg = FeatureConfig(max_degree=2, lift_coeffs=np.array([1, 2, 3], dtype=np.int64))
-    assert cfg.coefficients == (1.0, 2.0, 3.0)
-    assert all(type(c) is float for c in cfg.lift_coeffs)
 
 
 def test_lift_dim_and_homogeneity():

@@ -135,8 +135,8 @@ class TestLabelledGraph:
             path_graph(2).permuted(perm)
 
 
-def _layer(vectors, mixing, bias):
-    return LayerParams(vectors, mixing, bias, FeatureConfig(rank=2, max_degree=1))
+def _layer(vectors, mixing):
+    return LayerParams(vectors, mixing, FeatureConfig(rank=2, max_degree=1))
 
 
 # name -> (caller arrays, build the value from them, the value's fields to watch)
@@ -147,8 +147,8 @@ OWNERSHIP_CASES = {
                         ["attributes"]),
     "with_attributes": (lambda: [np.ones((2, 3))],
                         lambda a: path_graph(1).with_attributes(a[0]), ["attributes"]),
-    "layer": (lambda: [np.ones((2, 1, 3)), np.ones((2, 2)), np.ones(2)],
-              lambda a: _layer(*a), ["vectors", "mixing", "bias"]),
+    "layer": (lambda: [np.ones((2, 1, 3)), np.ones((2, 2))],
+              lambda a: _layer(*a), ["vectors", "mixing"]),
     "attention": (lambda: [np.ones((2, 3)), np.ones((2, 3))],
                   lambda a: AttentionParams(*a), ["w_source", "w_target"]),
     "attention_1d": (lambda: [np.ones(3), np.ones(3)],
@@ -525,6 +525,10 @@ class TestSyntheticGraphs:
     def test_grid_graph_shape(self):
         g = grid_graph(4)
         assert g.n == 16 and g.num_edges == 2 * 4 * 3
+        assert grid_graph(3).edges.tolist() == [
+            [0, 1], [0, 3], [1, 2], [1, 4], [2, 5], [3, 4],
+            [3, 6], [4, 5], [4, 7], [5, 8], [6, 7], [7, 8],
+        ]
 
 
 class TestTuLoader:
@@ -573,7 +577,10 @@ class TestTuLoader:
             load_tu_dataset(str(tmp_path), "bad")
 
     def test_missing_files(self, tmp_path):
-        with pytest.raises(DatasetError, match="missing required file"):
+        # neither layout has the edge file: both paths tried are named
+        nested, flat = tmp_path / "nothing" / "nothing_A.txt", tmp_path / "nothing_A.txt"
+        message = f"missing required file {nested} or {flat}"
+        with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
             load_tu_dataset(str(tmp_path), "nothing")
 
     def test_needs_labels_or_attributes(self, tmp_path):

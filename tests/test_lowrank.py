@@ -347,35 +347,6 @@ class TestBatchFeatures:
         b = batch_features(h, transition_matrix(h), fs, cfg)
         np.testing.assert_allclose(b[perm], a, atol=1e-12)
 
-    def test_explicit_factorial_coefficients_match_default(self):
-        rng = np.random.default_rng(13)
-        g = random_labelled_graph(rng)
-        p = transition_matrix(g)
-        coeffs = tuple(1.0 / math.factorial(m) for m in range(4))
-        base = cfg_of(walk_length=3, max_degree=3, rank=2, zero_start=True)
-        opt = cfg_of(walk_length=3, max_degree=3, rank=2, zero_start=True, lift_coeffs=coeffs)
-        fs = [RankOneFunctional(rng.standard_normal((3, g.attr_dim))) for _ in range(2)]
-        a = batch_features(g, p, fs, base)
-        b = batch_features(g, p, fs, opt)
-        np.testing.assert_array_equal(a, b)
-
-    def test_custom_coefficients_against_oracle(self):
-        rng = np.random.default_rng(14)
-        g = random_labelled_graph(rng, max_nodes=5)
-        p = transition_matrix(g)
-        cfg = cfg_of(
-            walk_length=2, max_degree=2, zero_start=True,
-            lift_coeffs=(1.0, 0.7, 0.3),
-        )
-        u = rng.standard_normal((2, g.attr_dim))
-        ell = RankOneFunctional(u)
-        got = batch_features(g, p, [ell], cfg)
-        exact = node_features_exact(g, p, cfg)
-        for m in (1, 2):
-            level = level_tensor(ell, m)
-            want = [float(np.vdot(level, exact[i][m])) for i in range(g.n)]
-            np.testing.assert_allclose(got[:, m - 1], want, rtol=1e-10, atol=1e-12)
-
     def test_suffix_scaling_linearity(self):
         # scaling u_{M-m+1} by lam scales degrees >= m, fixes degrees < m
         rng = np.random.default_rng(15)

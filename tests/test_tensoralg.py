@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -149,19 +147,6 @@ class TestLift:
         for m in range(3):
             np.testing.assert_array_equal(out[m], one[m])
 
-    def test_coefficient_override(self):
-        coeffs = (1.0, 1.0, 1.0)
-        out = lift(np.array([2.0]), FeatureConfig(max_degree=2, lift_coeffs=coeffs))
-        assert out[0] == 1.0
-        np.testing.assert_array_equal(out[1], [2.0])
-        np.testing.assert_array_equal(out[2], [[4.0]])
-        with pytest.raises(ValueError, match="cover degrees <= 2, need 3"):
-            lift(np.array([2.0]), FeatureConfig(max_degree=3, lift_coeffs=coeffs))
-
-    def test_coefficients_pin_c0(self):
-        with pytest.raises(ValueError):
-            FeatureConfig(lift_coeffs=(2.0, 1.0))
-
     def test_parallel_exponential_relation(self):
         # d = 1: lift(x) * lift(lam*x) == lift((1+lam)*x) on retained degrees
         rng = np.random.default_rng(5)
@@ -290,12 +275,7 @@ class TestSequenceHelpers:
             lift([np.inf], FeatureConfig(max_degree=2))
 
     def test_default_coefficients_are_factorial_reciprocals(self):
-        c = FeatureConfig(max_degree=4).coefficients
-        assert c == tuple(1.0 / math.factorial(m) for m in range(5))
-        x = np.array([0.3, -1.2])
-        default, explicit = FeatureConfig(max_degree=4), FeatureConfig(max_degree=4, lift_coeffs=c)
-        for m in range(5):  # lift's default is the same sequence
-            np.testing.assert_array_equal(lift(x, default)[m], lift(x, explicit)[m])
+        assert FeatureConfig(max_degree=4).coefficients == (1.0, 1.0, 0.5, 1 / 6, 1 / 24)
 
 
 # name -> (the failing call, message)
