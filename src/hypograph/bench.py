@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -31,12 +32,11 @@ def _timer(g: LabelledGraph, cfg: FeatureConfig, seed: int):
     return run
 
 
-def time_batch(
-    g: LabelledGraph, cfg: FeatureConfig, seed: int = 0, repeats: int = 5
-) -> float:
-    """Median wall-clock seconds of batch_features; one warm-up run discarded."""
-    run = _timer(g, cfg, seed)
-    return float(np.median([run() for _ in range(repeats)]))
+def _rounds(runs, repeats: int) -> np.ndarray:
+    """The (repeats, len(runs)) seconds of ``repeats`` rounds, each calling
+    every run once, in order; a burst of host load then slows one round of
+    every run, not every repeat of one."""
+    return np.array([[run() for run in runs] for _ in range(repeats)])
 
 
 @dataclass
@@ -45,7 +45,6 @@ class BenchRow:
     seconds: float
     ns_per_edge: float
     ratio: float | None  # time growth per doubling of edges since the previous row
-    linear: bool | None  # ratio within the edge-linear bound
 
 
 def _grid_side(exp: int) -> int:
@@ -53,25 +52,32 @@ def _grid_side(exp: int) -> int:
     return max(2, int(round((2**exp / 2) ** 0.5)))
 
 
-def ladder_edges(min_exp: int, max_exp: int, topology: str) -> list[int]:
-    """Edge count of each rung of the ladder.
+def _ladder(min_exp: int, max_exp: int, topology: str, seed: int = 0) -> list:
+    """(edge count, zero-argument graph builder) of each rung of the ladder.
 
     Raises ValueError unless the counts strictly grow, so that every rung
     after the first has a per-doubling time ratio.
     """
     exps = range(min_exp, max_exp + 1)
     if topology == "path":
-        edges = [2**exp for exp in exps]
+        rungs = [(2**exp, partial(path_graph, 2**exp, seed=seed)) for exp in exps]
     elif topology == "grid":
-        edges = [2 * side * (side - 1) for side in map(_grid_side, exps)]
+        sides = map(_grid_side, exps)
+        rungs = [(2 * s * (s - 1), partial(grid_graph, s, seed=seed)) for s in sides]
     else:
         raise ValueError(f"topology must be 'path' or 'grid', got {topology!r}")
+    edges = [e for e, _ in rungs]
     if any(b <= a for a, b in zip(edges, edges[1:])):
         raise ValueError(
             f"{topology} rungs for exponents {min_exp}..{max_exp} have "
             f"{', '.join(map(str, edges))} edges, which do not strictly grow"
         )
-    return edges
+    return rungs
+
+
+def ladder_edges(min_exp: int, max_exp: int, topology: str) -> list[int]:
+    """Edge count of each rung of the ladder; raises as :func:`_ladder`."""
+    return [edges for edges, _ in _ladder(min_exp, max_exp, topology)]
 
 
 def edge_scaling(
@@ -84,31 +90,21 @@ def edge_scaling(
 ) -> list[BenchRow]:
     """Time a geometric ladder of edge counts at the fixed settings ``cfg``.
 
-    A row's ratio is the time growth per doubling of the edge count,
+    Every rung is built first; then ``repeats`` interleaved rounds time each
+    rung once, and a rung reports its median over the rounds.  A row's ratio
+    is the time growth per doubling of the edge count,
     (t / t_prev) ** (1 / log2(E / E_prev)); on the path ladder E doubles
     every rung, so it is t / t_prev.
     """
-    ladder_edges(min_exp, max_exp, topology)
+    graphs = [build() for _, build in _ladder(min_exp, max_exp, topology, seed)]
+    medians = np.median(_rounds([_timer(g, cfg, seed) for g in graphs], repeats), axis=0)
     rows: list[BenchRow] = []
-    for exp in range(min_exp, max_exp + 1):
-        if topology == "path":
-            g = path_graph(2**exp, seed=seed)
-        else:
-            g = grid_graph(_grid_side(exp), seed=seed)
-        seconds = time_batch(g, cfg, seed=seed, repeats=repeats)
+    for g, seconds in zip(graphs, medians.tolist()):
         ratio = None
         if rows:
             doublings = math.log2(g.num_edges / rows[-1].edges)
             ratio = (seconds / rows[-1].seconds) ** (1.0 / doublings)
-        rows.append(
-            BenchRow(
-                edges=g.num_edges,
-                seconds=seconds,
-                ns_per_edge=seconds / g.num_edges * 1e9,
-                ratio=ratio,
-                linear=None if ratio is None else ratio <= LINEAR_RATIO_BOUND,
-            )
-        )
+        rows.append(BenchRow(g.num_edges, seconds, seconds / g.num_edges * 1e9, ratio))
     return rows
 
 
@@ -120,16 +116,14 @@ def degree_scaling(
     seed: int = 0,
 ) -> dict:
     """Time the recursion at two tensor degrees on one fixed path graph, in
-    ``repeats`` interleaved pairs; the ratio is the median per-pair ratio,
-    so a burst of host load slows both runs of a pair, not one degree.
-    Every other setting is taken from ``cfg``, whose ``max_degree`` is
-    replaced by each degree in turn."""
+    ``repeats`` interleaved rounds (see :func:`_rounds`); the ratio is the
+    median per-round ratio, so a burst of host load slows both degrees of
+    a round, not one degree.  Every other setting is taken from ``cfg``,
+    whose ``max_degree`` is replaced by each degree in turn."""
     g = path_graph(2**edges_exp, seed=seed)
-    lo, hi = degrees
-    run_lo, run_hi = (_timer(g, replace(cfg, max_degree=deg), seed) for deg in degrees)
-    pairs = np.array([(run_lo(), run_hi()) for _ in range(repeats)])
+    pairs = _rounds([_timer(g, replace(cfg, max_degree=deg), seed) for deg in degrees], repeats)
     return {
         "edges": g.num_edges,
-        "seconds": {lo: float(np.median(pairs[:, 0])), hi: float(np.median(pairs[:, 1]))},
+        "seconds": dict(zip(degrees, np.median(pairs, axis=0).tolist())),
         "ratio": float(np.median(pairs[:, 1] / pairs[:, 0])),
     }

@@ -345,7 +345,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for row in rows:
         ratio = "" if row.ratio is None else f"{row.ratio:7.2f}"
         note = ""
-        if row.linear is False:
+        if row.ratio is not None and row.ratio > bench_mod.LINEAR_RATIO_BOUND:
             note = f"non-linear growth (> {bench_mod.LINEAR_RATIO_BOUND}x per doubling)"
         print(
             f"{row.edges:>10d} {row.seconds:>12.6f} {row.ns_per_edge:>10.1f} {ratio:>7s}  {note}"

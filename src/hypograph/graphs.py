@@ -316,10 +316,6 @@ class RowStochastic:
         object.__setattr__(self, "values", values)
 
     @property
-    def n(self) -> int:
-        return self.pattern.n
-
-    @property
     def matrix(self) -> sparse.csr_matrix:
         return self.pattern.matrix(self.values)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FeatureConfig
-from .graphs import LabelledGraph, NonFiniteError, RowStochastic, finite, frozen
+from .graphs import LabelledGraph, RowStochastic, finite, frozen
 
 
 @dataclass(frozen=True)

@@ -783,14 +783,29 @@ class TestBench:
     def test_ratio_is_per_doubling(self, monkeypatch):
         # time proportional to edges grows 2x per doubling, whatever the rung
         # spacing; on the path ladder the ratio is plain t / t_prev
-        monkeypatch.setattr(bench, "time_batch", lambda g, cfg, **kw: 1e-9 * g.num_edges)
+        monkeypatch.setattr(bench, "_timer", lambda g, cfg, seed: lambda: 1e-9 * g.num_edges)
         grid = bench.edge_scaling(FeatureConfig(), 3, 8, topology="grid")
         assert [row.ratio for row in grid[1:]] == pytest.approx([2.0] * 5, rel=1e-12)
-        monkeypatch.setattr(bench, "time_batch", lambda g, cfg, **kw: 1e-9 * g.num_edges**1.5)
+        monkeypatch.setattr(bench, "_timer", lambda g, cfg, seed: lambda: 1e-9 * g.num_edges**1.5)
         path = bench.edge_scaling(FeatureConfig(), 3, 6, topology="path")
         assert [row.ratio for row in path[1:]] == [
             b.seconds / a.seconds for a, b in zip(path, path[1:])
         ]
+
+    def test_rungs_are_timed_in_interleaved_rounds(self, monkeypatch):
+        # each round times every rung once, smallest first, so a burst of
+        # host load slows one round of every rung rather than one rung
+        log = []
+
+        def timer(g, cfg, seed):
+            def run():
+                log.append(g.num_edges)
+                return 1e-9 * g.num_edges
+            return run
+
+        monkeypatch.setattr(bench, "_timer", timer)
+        rows = bench.edge_scaling(FeatureConfig(), 3, 5, repeats=3)
+        assert log == [row.edges for row in rows] * 3
 
 
 # name -> (the failing call, message)

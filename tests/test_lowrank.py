@@ -8,8 +8,8 @@ import pytest
 from conftest import random_labelled_graph
 from hypograph.config import FeatureConfig
 from hypograph.exact import level_tensor, node_features_exact
-from hypograph.graphs import LabelledGraph, disjoint_union, transition_matrix
-from hypograph.lowrank import NonFiniteError, RankOneFunctional, batch_features
+from hypograph.graphs import LabelledGraph, NonFiniteError, disjoint_union, transition_matrix
+from hypograph.lowrank import RankOneFunctional, batch_features
 from hypograph.verify import TOLERANCE, case_error, make_transition
 
 
