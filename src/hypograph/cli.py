@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import bisect
 import collections
+import ctypes
 import functools
 import itertools
 import json
@@ -34,7 +35,7 @@ EXIT_WORKER = 4
 # (2 * edges + nodes) * rank stays within this many values; a larger
 # graph runs alone.  The chunks are then split into one contiguous share
 # per usable CPU, each computed and formatted by its own process.
-CHUNK_ELEMENTS = 1 << 15
+CHUNK_ELEMENTS = 1 << 16
 
 
 class UsageError(ValueError):
@@ -172,6 +173,25 @@ def _usable_cpus() -> int:
     return 1
 
 
+def _keep_heap() -> None:
+    """Keep freed arrays in the C library's heap for the next chunk.
+
+    By default glibc serves an allocation past its dynamic mmap threshold
+    from fresh pages and returns the heap's free top to the system after
+    most frees, so every chunk faults its arrays' pages in again.  Fixing
+    both thresholds keeps them mapped.  Where the C library has no
+    ``mallopt`` (not glibc) this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no handle on the C library
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at glibc's 64-bit cap
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+
+
 def _chunk_rows(graphs, model: ModelConfig) -> list[np.ndarray]:
     """Per graph, its (1, width) pooled row or (pooling None) its (n, width)
     node rows, all computed on one disjoint union of the graphs."""
@@ -284,6 +304,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     if args.heads is not None and not args.attention:
         raise UsageError("argument --heads: only valid with --attention")
     dataset = load_tu_dataset(args.dataset, args.name)
+    _keep_heap()  # after loading, so that its large temporaries still go back when freed
     model = _build_model(args, dataset[0][0].attr_dim)
     graphs = [g for g, _ in dataset]
     chunks = _chunks(graphs, args.rank)
@@ -338,6 +359,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     cfg = FeatureConfig(
         walk_length=args.walk_length, max_degree=args.max_degree, rank=args.rank
     )
+    _keep_heap()
     rows = bench_mod.edge_scaling(
         cfg, args.min_exp, args.max_exp, args.repeats, args.seed, args.topology
     )

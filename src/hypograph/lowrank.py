@@ -50,9 +50,16 @@ def _edge_attr_inputs(g: LabelledGraph, cfg: FeatureConfig) -> np.ndarray:
     node's own attributes without ``diff``.
     """
     pattern = g.pattern
+    x = g.attributes[pattern.indices]
     if cfg.diff:
-        return g.attributes[pattern.indices] - g.attributes[pattern.rows]
-    return g.attributes[pattern.indices]
+        # in blocks of entries whose start gather is no larger than one
+        # (nnz, R) array: one block unless the attributes are wider than R
+        nnz, d = x.shape
+        size = nnz if d <= cfg.rank else -(-nnz * cfg.rank // d)
+        for start in range(0, nnz, size):
+            block = slice(start, start + size)
+            x[block] -= g.attributes[pattern.rows[block]]
+    return x
 
 
 def _project(x: np.ndarray, u_attr: np.ndarray) -> np.ndarray:
@@ -79,13 +86,18 @@ def _step_terms(cvals: np.ndarray, weights, rowsum, coeffs) -> list:
     m_max = cvals.shape[0]
     terms = []
     for m in range(1, m_max + 1):
-        chain = None
+        factors = cvals[m_max - m :]
+        chain = factors[0]
         chains = []
-        for r in range(1, m + 1):
-            factor = cvals[m_max - m + r - 1]
-            chain = factor if chain is None else chain * factor
+        for r in range(1, m):
             chains.append((coeffs[r] * weights)[:, None] * chain)
-        terms.append((chains[:-1], rowsum(chains[-1])))
+            chain = chain * factors[r]
+        scale = (coeffs[m] * weights)[:, None]
+        if m == 1:
+            chain = scale * chain  # chain is a view of cvals
+        else:
+            chain *= scale  # a fresh product, last used here
+        terms.append((chains, rowsum(chain)))
     return terms
 
 
@@ -154,10 +166,11 @@ def batch_features(
         # product
         for step in range(cfg.walk_length, 0, -1):
             if terms is None or not cfg.step_homogeneous:
-                step_cvals = cvals
-                if u_time is not None:
-                    step_cvals = cvals + (1.0 if cfg.diff else float(step)) * u_time
+                time = 1.0 if cfg.diff else float(step)
+                step_cvals = cvals if u_time is None else cvals + time * u_time
                 terms = _step_terms(step_cvals, p.values, rowsum, coeffs)
+                if cfg.step_homogeneous:
+                    step_cvals = cvals = None  # every later step reuses these terms
             state = _step(state, terms, targets, plain, rowsum, f"at walk step {step}")
         if cfg.zero_start:
             # step 0 lifts the start projections <u, f(i)>, time coordinate 0

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import ctypes
 import dataclasses
 import errno
 import functools
@@ -427,6 +428,25 @@ class TestProcesses:
         rows = sum(g.n for g in graphs) if per_node else len(graphs)
         assert outputs[0].count(b"\n") == rows + (fmt == "csv")
 
+    def test_heap_rule_leaves_bytes_unchanged(self, many, monkeypatch, tmp_path):
+        write, _ = many
+        data_dir = write()
+        real, calls = cli._keep_heap, []
+
+        def counted():
+            calls.append(1)
+            real()
+
+        outputs = []
+        for keep_heap in (counted, lambda: None):
+            monkeypatch.setattr(cli, "_keep_heap", keep_heap)
+            for procs in (1, 3):
+                out = tmp_path / f"p{procs}.csv"
+                assert self.run(monkeypatch, data_dir, out, procs) == (EXIT_OK, procs - 1)
+                outputs.append(out.read_bytes())
+        assert len(calls) == 2
+        assert len(set(outputs)) == 1
+
     AWKWARD = [3.0, -0.0, 0.1, 1e16, 5e-324, 1.7976931348623157e308, -2.5e-7]
 
     @pytest.mark.parametrize("labels", [None, [2, -1, 0, -3]])
@@ -664,6 +684,16 @@ class TestProcesses:
             assert not out.exists()
         assert ends[0] == ends[1]
         assert ends[0][0] == end[0] and ends[0][1].startswith(end[1].format(row=row))
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("library", [lambda name: object(), _no_c_library])
+def test_heap_rule_without_mallopt_does_nothing(monkeypatch, library):
+    monkeypatch.setattr(ctypes, "CDLL", library)
+    assert cli._keep_heap() is None
 
 
 class TestCheck:

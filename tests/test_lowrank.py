@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from conftest import random_labelled_graph
 from hypograph.config import FeatureConfig
 from hypograph.exact import level_tensor, node_features_exact
 from hypograph.graphs import LabelledGraph, NonFiniteError, disjoint_union, transition_matrix
+from hypograph import lowrank
 from hypograph.lowrank import RankOneFunctional, batch_features
 from hypograph.verify import TOLERANCE, case_error, make_transition
 
@@ -453,3 +455,45 @@ class TestProductionShapeIdentities:
         base = self.features(g, vectors, zero_start=False)
         shifted = self.features(g.with_attributes(g.attributes + 1e3), vectors, zero_start=False)
         assert relative_error(shifted, base) <= TOLERANCE
+
+
+@pytest.mark.parametrize("rank", [128, 8])
+def test_working_set_of_an_nci_shaped_chunk(rank):
+    """One batch_features call on an NCI1-shaped union (four molecules with
+    one-hot 37-wide attributes, 2E + n near 512, the size of one R=128
+    extract chunk) at M=2, k=5 allocates at most 5.5 times its
+    (nnz + n) * R float64 values at once.  Keeping the (M, nnz, R)
+    projections alive through the walk steps, as a step-dependent
+    time parametrization must, takes R=128 past 6; gathering every
+    entry's 37 start attributes at once takes R=8 past 7."""
+    rng = np.random.default_rng(24)
+    graphs = []
+    for n in (38, 30, 45, 37):
+        tree = [(int(rng.integers(0, i)), i) for i in range(1, n)]
+        ends = rng.integers(0, n, n // 8)
+        rings = zip(ends.tolist(), ((ends + rng.integers(2, n, n // 8)) % n).tolist())
+        attributes = np.eye(37)[rng.integers(0, 37, n)]
+        graphs.append(LabelledGraph(n, tree + list(rings), attributes))
+    g, _ = disjoint_union(graphs)
+    cfg = FeatureConfig(walk_length=5, max_degree=2, rank=rank)
+    p = transition_matrix(g)
+    vectors = rng.standard_normal(cfg.functional_shape(37))
+    batch_features(g, p, vectors, cfg)  # builds the pattern's cached arrays
+    tracemalloc.start()
+    try:
+        batch_features(g, p, vectors, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 400 <= 2 * g.num_edges + g.n <= 512
+    assert peak <= 5.5 * (g.pattern.nnz + g.n) * rank * 8
+
+
+@pytest.mark.parametrize("rank", [1, 3, 16, 64])
+def test_edge_increments_in_blocks_are_one_subtraction(molecule_union, rank):
+    # 16 attributes: blocks of about nnz / 16 and 3 nnz / 16 entries at
+    # ranks 1 and 3, one block from rank 16 up
+    g, _ = molecule_union
+    got = lowrank._edge_attr_inputs(g, FeatureConfig(rank=rank))
+    want = g.attributes[g.pattern.indices] - g.attributes[g.pattern.rows]
+    assert np.array_equal(got, want)
