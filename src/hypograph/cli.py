@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import bisect
 import collections
+import contextlib
 import ctypes
 import functools
 import itertools
@@ -192,6 +193,62 @@ def _keep_heap() -> None:
     mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
 
 
+# thread-count setters that OpenBLAS builds export; each getter is named
+# the same with "get"
+_BLAS_SETTERS = (
+    "openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "scipy_openblas_set_num_threads64_",
+)
+
+
+@functools.cache
+def _blas_thread_controls() -> tuple:
+    """(setter, getter) of the thread count of each OpenBLAS this process
+    has loaded, found by path in its memory map; none where there is no
+    ``/proc`` or the BLAS is not OpenBLAS (MKL, Accelerate)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line})
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # mapped, but not a library dlopen takes
+            continue
+        for name in _BLAS_SETTERS:
+            try:
+                setter, getter = getattr(lib, name), getattr(lib, name.replace("_set_", "_get_"))
+            except AttributeError:
+                continue
+            setter.argtypes, setter.restype, getter.restype = (ctypes.c_int,), None, ctypes.c_int
+            controls.append((setter, getter))
+            break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with every loaded OpenBLAS at one thread, then give
+    each back its caller's count.  Forked extract processes already use
+    every usable CPU; OpenBLAS at its default would also start a thread per
+    CPU in each of them, and they would contend for the same cores.  A
+    one-process run, on one large graph say, gained no wall time from BLAS
+    threads on 2 CPUs and spent more CPU time, so it runs on one too."""
+    controls = _blas_thread_controls()
+    counts = [get() for _, get in controls]
+    for set_threads, _ in controls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (set_threads, _), count in zip(controls, counts):
+            set_threads(count)
+
+
 def _chunk_rows(graphs, model: ModelConfig) -> list[np.ndarray]:
     """Per graph, its (1, width) pooled row or (pooling None) its (n, width)
     node rows, all computed on one disjoint union of the graphs."""
@@ -317,13 +374,20 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
     files = [tempfile.TemporaryFile() for _ in shares]
     try:
-        _run_shares(shares, files, write_share)
-        with open(args.out, "wb") as out:
-            if args.fmt == "csv":
-                out.write(_csv_header(args.rank, args.per_node).encode())
-            for fh in files:
-                fh.seek(0)
-                shutil.copyfileobj(fh, out)
+        with _one_blas_thread():
+            _run_shares(shares, files, write_share)
+        out = open(args.out, "wb")
+        try:
+            with out:
+                if args.fmt == "csv":
+                    out.write(_csv_header(args.rank, args.per_node).encode())
+                for fh in files:
+                    fh.seek(0)
+                    shutil.copyfileobj(fh, out)
+        except BaseException:
+            if os.path.isfile(args.out):  # no partial output; /dev/null or a pipe stays
+                os.remove(args.out)
+            raise
     finally:
         for fh in files:
             fh.close()

@@ -10,6 +10,7 @@ import io
 import json
 import os
 import re
+import shutil
 import signal
 import tempfile
 import threading
@@ -428,24 +429,104 @@ class TestProcesses:
         rows = sum(g.n for g in graphs) if per_node else len(graphs)
         assert outputs[0].count(b"\n") == rows + (fmt == "csv")
 
-    def test_heap_rule_leaves_bytes_unchanged(self, many, monkeypatch, tmp_path):
+    def outputs_with_and_without(self, many, monkeypatch, tmp_path, name, stub):
+        """The bytes of 1- and 3-process runs with cli.<name> in place and
+        replaced by stub, and how often it was called."""
         write, _ = many
         data_dir = write()
-        real, calls = cli._keep_heap, []
+        real, calls = getattr(cli, name), []
 
         def counted():
             calls.append(1)
-            real()
+            return real()
 
         outputs = []
-        for keep_heap in (counted, lambda: None):
-            monkeypatch.setattr(cli, "_keep_heap", keep_heap)
+        for rule in (counted, stub):
+            monkeypatch.setattr(cli, name, rule)
             for procs in (1, 3):
                 out = tmp_path / f"p{procs}.csv"
                 assert self.run(monkeypatch, data_dir, out, procs) == (EXIT_OK, procs - 1)
                 outputs.append(out.read_bytes())
-        assert len(calls) == 2
+        return outputs, len(calls)
+
+    def test_heap_rule_leaves_bytes_unchanged(self, many, monkeypatch, tmp_path):
+        outputs, calls = self.outputs_with_and_without(
+            many, monkeypatch, tmp_path, "_keep_heap", lambda: None)
+        assert calls == 2
         assert len(set(outputs)) == 1
+
+    def test_blas_rule_leaves_bytes_unchanged(self, many, monkeypatch, tmp_path):
+        outputs, calls = self.outputs_with_and_without(
+            many, monkeypatch, tmp_path, "_one_blas_thread", contextlib.nullcontext)
+        assert calls == 2
+        assert len(set(outputs)) == 1
+
+    @pytest.fixture
+    def blas_threads(self, monkeypatch, tmp_path):
+        """Runs with every loaded OpenBLAS at 2 threads: returns (counts,
+        log), where counts() reads each library's thread count here and
+        log() the counts each share was computed under, in any process."""
+        controls = cli._blas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS thread-count setter is loaded, so BLAS "
+                        "threads cannot be counted")
+
+        def counts():
+            return [get() for _, get in controls]
+
+        caller = counts()
+        log = tmp_path / "blas.log"
+        real = cli._share_rows
+
+        def share_rows(*args):
+            with open(log, "a") as fh:
+                fh.write(f"{counts()}\n")
+            return real(*args)
+
+        monkeypatch.setattr(cli, "_share_rows", share_rows)
+        for set_threads, _ in controls:
+            set_threads(2)
+        try:
+            yield counts, lambda: log.read_text().splitlines()
+        finally:
+            for (set_threads, _), count in zip(controls, caller):
+                set_threads(count)
+
+    @pytest.mark.parametrize("overflow", [False, True])
+    def test_forked_shares_run_on_one_blas_thread(
+        self, many, monkeypatch, tmp_path, blas_threads, overflow
+    ):
+        """Every share of a 3-process run computes on one BLAS thread, and
+        the caller's count is back when main returns, also after a failure."""
+        counts, log = blas_threads
+        write, graphs = many
+        shares = cli._shares(graphs, cli._chunks(graphs, self.RANK), 3)
+        data_dir = write(overflow=(shares[1][0][0],) if overflow else ())
+        code = self.run(monkeypatch, data_dir, tmp_path / "o.csv", 3)
+        assert code == (EXIT_DATA if overflow else EXIT_OK, 2)
+        ones = str([1] * len(counts()))
+        assert log() == [ones] * (4 if overflow else 3)  # the parent reruns share 1
+        assert counts() == [2] * len(counts())
+
+    def test_output_is_written_whole_or_not_at_all(self, many, monkeypatch, tmp_path, capsys):
+        """A write that fails after the first share has been copied leaves
+        no output and no other file behind."""
+        write, _ = many
+        data_dir = write()
+        out = tmp_path / "out" / "o.csv"
+        out.parent.mkdir()
+        real, copies = shutil.copyfileobj, []
+
+        def copy(src, dst):
+            copies.append(1)
+            if len(copies) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            real(src, dst)
+
+        monkeypatch.setattr(shutil, "copyfileobj", copy)
+        assert self.run(monkeypatch, data_dir, out, 3) == (EXIT_DATA, 2)
+        assert capsys.readouterr().err == "hypograph: data error: [Errno 28] No space left on device\n"
+        assert list(out.parent.iterdir()) == []
 
     AWKWARD = [3.0, -0.0, 0.1, 1e16, 5e-324, 1.7976931348623157e308, -2.5e-7]
 
@@ -694,6 +775,24 @@ def _no_c_library(name):
 def test_heap_rule_without_mallopt_does_nothing(monkeypatch, library):
     monkeypatch.setattr(ctypes, "CDLL", library)
     assert cli._keep_heap() is None
+
+
+@pytest.mark.parametrize("where, stub", [
+    ("open", raiser(FileNotFoundError, errno.ENOENT, "No such file or directory")),
+    ("CDLL", lambda name: object()),
+    ("CDLL", _no_c_library),
+])
+def test_blas_rule_without_openblas_setter_does_nothing(monkeypatch, where, stub):
+    """No memory map to read, or no library exporting a setter: no BLAS
+    thread count is found, and the rule runs its block untouched."""
+    if where == "open":
+        monkeypatch.setattr(cli, "open", lambda *args: stub(), raising=False)
+    else:
+        monkeypatch.setattr(ctypes, "CDLL", stub)
+    assert cli._blas_thread_controls.__wrapped__() == ()
+    monkeypatch.setattr(cli, "_blas_thread_controls", cli._blas_thread_controls.__wrapped__)
+    with cli._one_blas_thread():
+        pass
 
 
 class TestCheck:
