@@ -5,8 +5,8 @@ from __future__ import annotations
 import argparse
 import bisect
 import collections
-import contextlib
 import ctypes
+import errno
 import functools
 import itertools
 import json
@@ -193,8 +193,7 @@ def _keep_heap() -> None:
     mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
 
 
-# thread-count setters that OpenBLAS builds export; each getter is named
-# the same with "get"
+# thread-count setters that OpenBLAS builds export
 _BLAS_SETTERS = (
     "openblas_set_num_threads",
     "openblas_set_num_threads64_",
@@ -205,48 +204,70 @@ _BLAS_SETTERS = (
 
 @functools.cache
 def _blas_thread_controls() -> tuple:
-    """(setter, getter) of the thread count of each OpenBLAS this process
-    has loaded, found by path in its memory map; none where there is no
-    ``/proc`` or the BLAS is not OpenBLAS (MKL, Accelerate)."""
+    """The thread-count setter of each OpenBLAS this process has loaded,
+    found by path in its memory map; none where there is no ``/proc`` or
+    the BLAS is not OpenBLAS (MKL, Accelerate)."""
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line})
     except OSError:
         return ()
-    controls = []
+    setters = []
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
         except OSError:  # mapped, but not a library dlopen takes
             continue
-        for name in _BLAS_SETTERS:
-            try:
-                setter, getter = getattr(lib, name), getattr(lib, name.replace("_set_", "_get_"))
-            except AttributeError:
-                continue
-            setter.argtypes, setter.restype, getter.restype = (ctypes.c_int,), None, ctypes.c_int
-            controls.append((setter, getter))
-            break
-    return tuple(controls)
+        setter = next((getattr(lib, name) for name in _BLAS_SETTERS if hasattr(lib, name)), None)
+        if setter is not None:
+            setter.argtypes, setter.restype = (ctypes.c_int,), None
+            setters.append(setter)
+    return tuple(setters)
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with every loaded OpenBLAS at one thread, then give
-    each back its caller's count.  Forked extract processes already use
-    every usable CPU; OpenBLAS at its default would also start a thread per
-    CPU in each of them, and they would contend for the same cores.  A
-    one-process run, on one large graph say, gained no wall time from BLAS
-    threads on 2 CPUs and spent more CPU time, so it runs on one too."""
-    controls = _blas_thread_controls()
-    counts = [get() for _, get in controls]
-    for set_threads, _ in controls:
+def _one_blas_thread() -> None:
+    """Set every loaded OpenBLAS to one thread, and leave it so.  Forked
+    extract processes already use every usable CPU; OpenBLAS at its default
+    would also start a thread per CPU in each of them, and they would
+    contend for the same cores.  A one-process run, on one large graph say,
+    gained no wall time from BLAS threads on 2 CPUs and spent more CPU
+    time, so it runs on one too."""
+    for set_threads in _blas_thread_controls():
         set_threads(1)
+
+
+def _die_with_parent(parent: int) -> None:
+    """In a child forked by ``parent``: ask the kernel to SIGKILL this
+    process when the parent dies, by a signal too, and exit at once if it
+    already has.  Where the C library has no ``prctl`` (not Linux) this
+    does nothing."""
     try:
-        yield
-    finally:
-        for (set_threads, _), count in zip(controls, counts):
-            set_threads(count)
+        prctl = ctypes.CDLL(None).prctl
+    except (AttributeError, OSError, TypeError):  # no prctl, or no handle on the C library
+        return
+    prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+    prctl.restype = ctypes.c_int
+    prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+    if os.getppid() != parent:  # the parent died before the call
+        os._exit(1)
+
+
+def _check_out(path: str) -> None:
+    """Raise the OSError, naming path, that opening it for writing would
+    raise: it is a directory, or it cannot be written, or it does not exist
+    and its directory is missing or cannot be written.  Creates and
+    truncates nothing."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif os.path.exists(path):
+        code = 0 if os.access(path, os.W_OK) else errno.EACCES
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        code = 0 if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
+    if code:
+        raise OSError(code, os.strerror(code), path)
 
 
 def _chunk_rows(graphs, model: ModelConfig) -> list[np.ndarray]:
@@ -322,14 +343,17 @@ def _run_shares(shares, files, write_share) -> None:
     share whose child exits nonzero runs again here, so that it raises its
     own exception with its own traceback, the lowest failing share first;
     a child killed by a signal raises WorkerError. Every child left is
-    killed and reaped on the way out."""
+    killed and reaped on the way out, and the kernel kills the children of
+    a parent that dies."""
     children = []  # (pid, share, file), in share order
+    parent = os.getpid()
     try:
         for share, fh in zip(shares[1:], files[1:]):
             pid = os.fork()
             if pid == 0:
                 code = 1
                 try:
+                    _die_with_parent(parent)
                     write_share(share, fh)
                     code = 0
                 finally:
@@ -360,8 +384,10 @@ def _run_shares(shares, files, write_share) -> None:
 def cmd_extract(args: argparse.Namespace) -> int:
     if args.heads is not None and not args.attention:
         raise UsageError("argument --heads: only valid with --attention")
+    _check_out(args.out)
     dataset = load_tu_dataset(args.dataset, args.name)
     _keep_heap()  # after loading, so that its large temporaries still go back when freed
+    _one_blas_thread()
     model = _build_model(args, dataset[0][0].attr_dim)
     graphs = [g for g, _ in dataset]
     chunks = _chunks(graphs, args.rank)
@@ -374,8 +400,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
     files = [tempfile.TemporaryFile() for _ in shares]
     try:
-        with _one_blas_thread():
-            _run_shares(shares, files, write_share)
+        _run_shares(shares, files, write_share)
         out = open(args.out, "wb")
         try:
             with out:

@@ -12,8 +12,12 @@ import os
 import re
 import shutil
 import signal
+import subprocess
+import sys
 import tempfile
+import textwrap
 import threading
+import time
 import traceback
 from pathlib import Path
 
@@ -255,6 +259,38 @@ class TestExtract:
         rc = main(["extract", "--dataset", str(tiny_dataset), "--name", "tiny"])
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("out, code", [
+        ("nope/x.csv", errno.ENOENT),
+        ("file/x.csv", errno.ENOTDIR),
+        ("dir", errno.EISDIR),
+    ])
+    def test_out_that_cannot_be_written_fails_before_loading(
+        self, tiny_dataset, tmp_path, monkeypatch, capsys, out, code
+    ):
+        (tmp_path / "file").write_text("kept")
+        (tmp_path / "dir").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        loads = []
+        monkeypatch.setattr(cli, "load_tu_dataset", lambda *args: loads.append(args))
+        out = tmp_path / out
+        assert main(extract_args(tiny_dataset, out)) == EXIT_DATA
+        assert loads == []
+        assert capsys.readouterr().err == (
+            f"hypograph: data error: [Errno {code}] {os.strerror(code)}: '{out}'\n")
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "file").read_text() == "kept"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    def test_out_may_be_a_device_or_a_pipe(self, tiny_dataset, tmp_path):
+        assert main(extract_args(tiny_dataset, os.devnull)) == EXIT_OK
+        read, write = os.pipe()
+        with open(read, "rb") as reader, open(write, "wb") as writer:
+            assert main(extract_args(tiny_dataset, f"/proc/self/fd/{writer.fileno()}")) == EXIT_OK
+            writer.close()
+            rows = reader.read().splitlines()
+        assert main(extract_args(tiny_dataset, tmp_path / "o.csv")) == EXIT_OK
+        assert rows == (tmp_path / "o.csv").read_bytes().splitlines()
+
     def test_unreadable_dataset_is_data_error(self, tmp_path):
         rc = main(
             extract_args(tmp_path / "nope", tmp_path / "out.csv")
@@ -348,6 +384,36 @@ class TwoArgumentError(Exception):
         super().__init__(first)
 
 
+def blas_thread_getters():
+    """The thread-count getter of each OpenBLAS library that exports one of
+    cli._BLAS_SETTERS, looked up as cli._blas_thread_controls looks up the
+    setters: extract itself reads no count."""
+    with open("/proc/self/maps") as fh:
+        paths = sorted({line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line})
+    names = [name.replace("_set_", "_get_") for name in cli._BLAS_SETTERS]
+    getters = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        get = next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
+        if get is not None:
+            get.restype = ctypes.c_int
+            getters.append(get)
+    return getters
+
+
+def process_state(pid):
+    """The state letter of process pid ("Z" for a zombie), or None once it
+    is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return None
+
+
 class TestProcesses:
     """extract splits its chunks into one contiguous share per usable CPU;
     every share but the first runs in a forked child."""
@@ -430,8 +496,8 @@ class TestProcesses:
         assert outputs[0].count(b"\n") == rows + (fmt == "csv")
 
     def outputs_with_and_without(self, many, monkeypatch, tmp_path, name, stub):
-        """The bytes of 1- and 3-process runs with cli.<name> in place and
-        replaced by stub, and how often it was called."""
+        """The bytes of 1- and 3-process runs with cli.<name> replaced by
+        stub and then in place, and how often it was called."""
         write, _ = many
         data_dir = write()
         real, calls = getattr(cli, name), []
@@ -441,7 +507,7 @@ class TestProcesses:
             return real()
 
         outputs = []
-        for rule in (counted, stub):
+        for rule in (stub, counted):
             monkeypatch.setattr(cli, name, rule)
             for procs in (1, 3):
                 out = tmp_path / f"p{procs}.csv"
@@ -455,24 +521,30 @@ class TestProcesses:
         assert calls == 2
         assert len(set(outputs)) == 1
 
-    def test_blas_rule_leaves_bytes_unchanged(self, many, monkeypatch, tmp_path):
+    def test_blas_rule_leaves_bytes_unchanged(self, many, monkeypatch, tmp_path, blas_threads):
+        counts, log = blas_threads
         outputs, calls = self.outputs_with_and_without(
-            many, monkeypatch, tmp_path, "_one_blas_thread", contextlib.nullcontext)
+            many, monkeypatch, tmp_path, "_one_blas_thread", lambda: None)
         assert calls == 2
         assert len(set(outputs)) == 1
+        # four shares computed on two threads without the rule, four on one with it
+        two, one = (str([n] * len(counts())) for n in (2, 1))
+        assert log() == [two] * 4 + [one] * 4
 
     @pytest.fixture
     def blas_threads(self, monkeypatch, tmp_path):
         """Runs with every loaded OpenBLAS at 2 threads: returns (counts,
         log), where counts() reads each library's thread count here and
         log() the counts each share was computed under, in any process."""
-        controls = cli._blas_thread_controls()
-        if not controls:
+        setters = cli._blas_thread_controls()
+        if not setters:
             pytest.skip("no OpenBLAS thread-count setter is loaded, so BLAS "
                         "threads cannot be counted")
+        getters = blas_thread_getters()
+        assert len(getters) == len(setters)
 
         def counts():
-            return [get() for _, get in controls]
+            return [get() for get in getters]
 
         caller = counts()
         log = tmp_path / "blas.log"
@@ -484,12 +556,12 @@ class TestProcesses:
             return real(*args)
 
         monkeypatch.setattr(cli, "_share_rows", share_rows)
-        for set_threads, _ in controls:
+        for set_threads in setters:
             set_threads(2)
         try:
             yield counts, lambda: log.read_text().splitlines()
         finally:
-            for (set_threads, _), count in zip(controls, caller):
+            for set_threads, count in zip(setters, caller):
                 set_threads(count)
 
     @pytest.mark.parametrize("overflow", [False, True])
@@ -497,7 +569,7 @@ class TestProcesses:
         self, many, monkeypatch, tmp_path, blas_threads, overflow
     ):
         """Every share of a 3-process run computes on one BLAS thread, and
-        the caller's count is back when main returns, also after a failure."""
+        BLAS stays at one thread when main returns, also after a failure."""
         counts, log = blas_threads
         write, graphs = many
         shares = cli._shares(graphs, cli._chunks(graphs, self.RANK), 3)
@@ -506,7 +578,7 @@ class TestProcesses:
         assert code == (EXIT_DATA if overflow else EXIT_OK, 2)
         ones = str([1] * len(counts()))
         assert log() == [ones] * (4 if overflow else 3)  # the parent reruns share 1
-        assert counts() == [2] * len(counts())
+        assert str(counts()) == ones
 
     def test_output_is_written_whole_or_not_at_all(self, many, monkeypatch, tmp_path, capsys):
         """A write that fails after the first share has been copied leaves
@@ -573,6 +645,53 @@ class TestProcesses:
             extra = {"format": fmt, "per_node": True} if per_node else {"format": fmt}
             assert self.run(monkeypatch, tmp_path, out, procs, **extra) == (EXIT_OK, procs - 1)
             assert out.read_text() == "\n".join(want) + "\n"
+
+    # run by a fresh interpreter: main(argv[2:]) on two shares, one graph
+    # each, whose forked child writes its pid to argv[1] and then sleeps
+    SLOW_CHILD = textwrap.dedent("""
+        import os, sys, time
+        from hypograph import cli
+        real, parent = cli._share_rows, os.getpid()
+        def share_rows(*args):
+            if os.getpid() != parent:
+                with open(sys.argv[1] + ".part", "w") as fh:
+                    fh.write(str(os.getpid()))
+                os.rename(sys.argv[1] + ".part", sys.argv[1])
+                time.sleep(60)
+            return real(*args)
+        cli._share_rows, cli._usable_cpus, cli.CHUNK_ELEMENTS = share_rows, lambda: 2, 0
+        sys.exit(cli.main(sys.argv[2:]))
+    """)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="the parent-death signal is Linux's prctl")
+    @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=lambda sig: sig.name)
+    def test_child_dies_with_its_parent(self, tiny_dataset, tmp_path, sig):
+        """A parent ended by a signal runs no finally block, yet its forked
+        child is gone, or a zombie, within 2 s."""
+        pid_file = tmp_path / "child.pid"
+        path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        argv = [str(a) for a in extract_args(tiny_dataset, tmp_path / "o.csv")]
+        proc = subprocess.Popen([sys.executable, "-c", self.SLOW_CHILD, str(pid_file), *argv], env=env)
+        child = None
+        try:
+            deadline = time.monotonic() + 60
+            while not pid_file.exists():
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            child = int(pid_file.read_text())
+            proc.send_signal(sig)
+            assert proc.wait(timeout=10) == -sig
+            deadline = time.monotonic() + 2
+            while process_state(child) not in (None, "Z"):
+                assert time.monotonic() < deadline, f"child {child} outlived its parent"
+                time.sleep(0.01)
+            assert not (tmp_path / "o.csv").exists()
+        finally:
+            proc.kill()
+            proc.wait()
+            if child is not None and process_state(child) not in (None, "Z"):
+                os.kill(child, signal.SIGKILL)
 
     def test_one_chunk_never_forks(self, tiny_dataset, tmp_path, monkeypatch):
         def no_fork():
@@ -784,15 +903,14 @@ def test_heap_rule_without_mallopt_does_nothing(monkeypatch, library):
 ])
 def test_blas_rule_without_openblas_setter_does_nothing(monkeypatch, where, stub):
     """No memory map to read, or no library exporting a setter: no BLAS
-    thread count is found, and the rule runs its block untouched."""
+    thread count is found, and the rule sets nothing."""
     if where == "open":
         monkeypatch.setattr(cli, "open", lambda *args: stub(), raising=False)
     else:
         monkeypatch.setattr(ctypes, "CDLL", stub)
     assert cli._blas_thread_controls.__wrapped__() == ()
     monkeypatch.setattr(cli, "_blas_thread_controls", cli._blas_thread_controls.__wrapped__)
-    with cli._one_blas_thread():
-        pass
+    assert cli._one_blas_thread() is None
 
 
 class TestCheck:
