@@ -109,18 +109,15 @@ def edge_scaling(
 
 
 def degree_scaling(
-    cfg: FeatureConfig,
-    edges_exp: int = 15,
-    degrees: tuple[int, int] = (2, 4),
-    repeats: int = 5,
-    seed: int = 0,
+    cfg: FeatureConfig, edges_exp: int = 15, repeats: int = 5, seed: int = 0
 ) -> dict:
-    """Time the recursion at two tensor degrees on one fixed path graph, in
-    ``repeats`` interleaved rounds (see :func:`_rounds`); the ratio is the
-    median per-round ratio, so a burst of host load slows both degrees of
-    a round, not one degree.  Every other setting is taken from ``cfg``,
-    whose ``max_degree`` is replaced by each degree in turn."""
+    """Time the recursion at tensor degrees 2 and 4 on one fixed path
+    graph, in ``repeats`` interleaved rounds (see :func:`_rounds`); the
+    ratio is the median per-round ratio, so a burst of host load slows both
+    degrees of a round, not one degree.  Every other setting is taken from
+    ``cfg``, whose ``max_degree`` is replaced by each degree in turn."""
     g = path_graph(2**edges_exp, seed=seed)
+    degrees = (2, 4)
     pairs = _rounds([_timer(g, replace(cfg, max_degree=deg), seed) for deg in degrees], repeats)
     return {
         "edges": g.num_edges,

@@ -24,19 +24,13 @@ from .graphs import DatasetError, NonFiniteError, disjoint_union, load_tu_datase
 from .layers import LayerParams, ModelConfig, init_params, model_forward
 from .layers import layer_forward  # not called here: perfbench traces cli.layer_forward
 from .verify import MAX_DEGREE, MAX_NODES, MAX_WALK, RANK, TOLERANCE, run_equivalence_suite
-from . import bench as bench_mod
+from . import bench as bench_mod, lowrank
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_CHECK = 3
 EXIT_WORKER = 4
-
-# extract runs consecutive graphs as one disjoint union while their
-# (2 * edges + nodes) * rank stays within this many values; a larger
-# graph runs alone.  The chunks are then split into one contiguous share
-# per usable CPU, each computed and formatted by its own process.
-CHUNK_ELEMENTS = 1 << 16
 
 
 class UsageError(ValueError):
@@ -140,11 +134,12 @@ def _build_model(args: argparse.Namespace, attr_dim: int) -> ModelConfig:
 
 def _chunks(graphs, rank: int) -> list[tuple[int, int]]:
     """Consecutive [start, stop) ranges of graphs, filled greedily in order
-    up to CHUNK_ELEMENTS values per R-wide array."""
+    up to lowrank.CHUNK_ELEMENTS values per R-wide array; a larger graph
+    runs alone."""
     bounds, start, size = [], 0, 0
     for row, g in enumerate(graphs):
         cost = (2 * g.num_edges + g.n) * rank
-        if row > start and size + cost > CHUNK_ELEMENTS:
+        if row > start and size + cost > lowrank.CHUNK_ELEMENTS:
             bounds.append((start, row))
             start, size = row, 0
         size += cost
@@ -258,7 +253,9 @@ def _check_out(path: str) -> None:
     and its directory is missing or cannot be written.  Creates and
     truncates nothing."""
     parent = os.path.dirname(path) or "."
-    if os.path.isdir(path):
+    if not path:
+        code = errno.ENOENT
+    elif os.path.isdir(path):
         code = errno.EISDIR
     elif os.path.exists(path):
         code = 0 if os.access(path, os.W_OK) else errno.EACCES

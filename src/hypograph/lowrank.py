@@ -20,6 +20,10 @@ import numpy as np
 from .config import FeatureConfig
 from .graphs import LabelledGraph, RowStochastic, finite, frozen
 
+# the element budget: extract's chunks keep their (2 * edges + nodes) * rank
+# values within it, and so does every start gather of batch_features
+CHUNK_ELEMENTS = 1 << 16
+
 
 @dataclass(frozen=True)
 class RankOneFunctional:
@@ -52,10 +56,9 @@ def _edge_attr_inputs(g: LabelledGraph, cfg: FeatureConfig) -> np.ndarray:
     pattern = g.pattern
     x = g.attributes[pattern.indices]
     if cfg.diff:
-        # in blocks of entries whose start gather is no larger than one
-        # (nnz, R) array: one block unless the attributes are wider than R
+        # in blocks whose start gather is within one (nnz, R) array and the budget
         nnz, d = x.shape
-        size = nnz if d <= cfg.rank else -(-nnz * cfg.rank // d)
+        size = max(1, min(nnz * cfg.rank, CHUNK_ELEMENTS) // max(d, 1))
         for start in range(0, nnz, size):
             block = slice(start, start + size)
             x[block] -= g.attributes[pattern.rows[block]]

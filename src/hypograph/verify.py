@@ -29,10 +29,12 @@ from .lowrank import batch_features
 
 TOLERANCE = 1e-10
 TRANSITION_KINDS = ("uniform", "weighted", "attention")
-# every case draws its node count from 2..MAX_NODES, its walk length from
-# 0..MAX_WALK and its degree from 1..MAX_DEGREE; degree 3 is the first to
-# run a chain between the shortest and the full-length one
+# every case draws its node count from 2..MAX_NODES, its attribute width
+# from 1..MAX_DIM, its walk length from 0..MAX_WALK and its degree from
+# 1..MAX_DEGREE; degree 3 is the first to run a chain between the shortest
+# and the full-length one
 MAX_NODES = 8
+MAX_DIM = 3
 MAX_WALK = 4
 MAX_DEGREE = 3
 RANK = 4
@@ -43,10 +45,10 @@ def rel_err(got: float, want: float) -> float:
     return abs(got - want) / max(1.0, abs(want))
 
 
-def random_graph(rng: np.random.Generator, max_nodes: int, max_dim: int = 3) -> LabelledGraph:
-    """Random labelled graph; may contain isolated nodes."""
+def random_graph(rng: np.random.Generator, max_nodes: int) -> LabelledGraph:
+    """Random labelled graph of 1..MAX_DIM attributes; may contain isolated nodes."""
     n = int(rng.integers(2, max_nodes + 1))
-    d = int(rng.integers(1, max_dim + 1))
+    d = int(rng.integers(1, MAX_DIM + 1))
     prob = rng.uniform(0.25, 0.8)
     edges = [
         (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < prob
@@ -133,8 +135,9 @@ def run_equivalence_suite(cases: int = 200, seed: int = 0) -> SuiteReport:
 
     Every case cycles through the three transition kinds and all eight
     variation-flag combinations, so each (kind, flags) bucket is hit
-    roughly cases/24 times.  Node counts, walk lengths, degrees and the
-    rank follow MAX_NODES, MAX_WALK, MAX_DEGREE and RANK.
+    roughly cases/24 times.  Node counts, attribute widths, walk lengths,
+    degrees and the rank follow MAX_NODES, MAX_DIM, MAX_WALK, MAX_DEGREE
+    and RANK.
     """
     rng = np.random.default_rng(seed)
     combos = list(itertools.product([True, False], repeat=3))

@@ -225,7 +225,7 @@ def test_criterion_6_edge_linear_complexity():
         in_range >= 4,
         detail,
     )
-    deg = degree_scaling(cfg, 15, degrees=(2, 4), repeats=5)
+    deg = degree_scaling(cfg, 15, repeats=5)
     report(
         "criterion 6: doubling max degree 2 -> 4 costs <= 5x",
         deg["ratio"] <= 5.0,

@@ -223,7 +223,7 @@ class TestExtract:
         graphs.append(LabelledGraph(1, [], [[0.5]]))
         save_tu_dataset(str(tmp_path), "many", [(g, i % 2) for i, g in enumerate(graphs)])
         budget = 64 * 4
-        monkeypatch.setattr(cli, "CHUNK_ELEMENTS", budget)
+        monkeypatch.setattr(lowrank, "CHUNK_ELEMENTS", budget)
         chunks = cli._chunks(graphs, 4)
         assert len(chunks) > 3 and (5, 6) in chunks
         assert max(stop - start for start, stop in chunks) > 2
@@ -235,9 +235,10 @@ class TestExtract:
             assert main(extract_args(tmp_path, batched, **args)) == EXIT_OK
             assert main(extract_args(tmp_path, again, **args)) == EXIT_OK
             assert batched.read_bytes() == again.read_bytes()
-            monkeypatch.setattr(cli, "CHUNK_ELEMENTS", 0)  # every graph alone
+            # every graph alone, and one entry per block of the start gather
+            monkeypatch.setattr(lowrank, "CHUNK_ELEMENTS", 0)
             assert main(extract_args(tmp_path, alone, **args)) == EXIT_OK
-            monkeypatch.setattr(cli, "CHUNK_ELEMENTS", budget)
+            monkeypatch.setattr(lowrank, "CHUNK_ELEMENTS", budget)
             skip = 3 if per_node else 2  # graph, (node,) label
             (got_ids, got), (want_ids, want) = (
                 ([ln.split(",")[:skip] for ln in lines],
@@ -260,6 +261,7 @@ class TestExtract:
         assert rc == EXIT_USAGE
 
     @pytest.mark.parametrize("out, code", [
+        ("", errno.ENOENT),
         ("nope/x.csv", errno.ENOENT),
         ("file/x.csv", errno.ENOTDIR),
         ("dir", errno.EISDIR),
@@ -272,7 +274,7 @@ class TestExtract:
         before = sorted(tmp_path.rglob("*"))
         loads = []
         monkeypatch.setattr(cli, "load_tu_dataset", lambda *args: loads.append(args))
-        out = tmp_path / out
+        out = tmp_path / out if out else out
         assert main(extract_args(tiny_dataset, out)) == EXIT_DATA
         assert loads == []
         assert capsys.readouterr().err == (
@@ -326,7 +328,7 @@ class TestExtract:
         write_tu_files(tmp_path, "ov", [(1, 2), (2, 1), (3, 4), (4, 3), (4, 5), (5, 4)],
                        [1, 1, 2, 2, 2],
                        node_attributes=[[0.5], [1.0], [1.7e308], [-1.7e308], [1.7e308]])
-        monkeypatch.setattr(cli, "CHUNK_ELEMENTS", 0)
+        monkeypatch.setattr(lowrank, "CHUNK_ELEMENTS", 0)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: procs)
         out = tmp_path / "o.csv"
         args = ["extract", "--dataset", str(tmp_path), "--name", "ov", "--rank", "4",
@@ -428,7 +430,7 @@ class TestProcesses:
         directory, giving node i of the graph rows in `overflow` the
         attribute value(i), by default +-1e300, which overflow the first
         layer's walk steps."""
-        monkeypatch.setattr(cli, "CHUNK_ELEMENTS", self.BUDGET)
+        monkeypatch.setattr(lowrank, "CHUNK_ELEMENTS", self.BUDGET)
         rng = np.random.default_rng(8)
         graphs = [random_labelled_graph(rng, max_nodes=7, max_dim=1) for _ in range(30)]
 
@@ -472,7 +474,7 @@ class TestProcesses:
                 assert cost <= sum(costs.values()) / parts + max(costs.values())
         # one chunk dominating the cost still leaves every share a chunk
         heavy = [grid_graph(6, seed=1)] + graphs[:3]
-        monkeypatch.setattr(cli, "CHUNK_ELEMENTS", 0)
+        monkeypatch.setattr(lowrank, "CHUNK_ELEMENTS", 0)
         shares = cli._shares(heavy, cli._chunks(heavy, self.RANK), 4)
         assert shares == [[(0, 1)], [(1, 2)], [(2, 3)], [(3, 4)]]
 
@@ -626,7 +628,7 @@ class TestProcesses:
             return x if model.pooling is None else x[offsets[:-1]]
 
         monkeypatch.setattr(cli, "model_forward", awkward)
-        monkeypatch.setattr(cli, "CHUNK_ELEMENTS", 0)  # one chunk per graph
+        monkeypatch.setattr(lowrank, "CHUNK_ELEMENTS", 0)  # one chunk per graph
         names = ["graph", "node"] if per_node else ["graph"]
         want = ["graph,node,label,f0,f1,f2,f3" if per_node else "graph,label,f0,f1,f2,f3"]
         want = want if fmt == "csv" else []
@@ -650,7 +652,7 @@ class TestProcesses:
     # each, whose forked child writes its pid to argv[1] and then sleeps
     SLOW_CHILD = textwrap.dedent("""
         import os, sys, time
-        from hypograph import cli
+        from hypograph import cli, lowrank
         real, parent = cli._share_rows, os.getpid()
         def share_rows(*args):
             if os.getpid() != parent:
@@ -659,7 +661,7 @@ class TestProcesses:
                 os.rename(sys.argv[1] + ".part", sys.argv[1])
                 time.sleep(60)
             return real(*args)
-        cli._share_rows, cli._usable_cpus, cli.CHUNK_ELEMENTS = share_rows, lambda: 2, 0
+        cli._share_rows, cli._usable_cpus, lowrank.CHUNK_ELEMENTS = share_rows, lambda: 2, 0
         sys.exit(cli.main(sys.argv[2:]))
     """)
 

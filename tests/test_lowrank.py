@@ -9,7 +9,9 @@ import pytest
 from conftest import random_labelled_graph
 from hypograph.config import FeatureConfig
 from hypograph.exact import level_tensor, node_features_exact
-from hypograph.graphs import LabelledGraph, NonFiniteError, disjoint_union, transition_matrix
+from hypograph.graphs import (
+    LabelledGraph, NonFiniteError, disjoint_union, path_graph, transition_matrix,
+)
 from hypograph import lowrank
 from hypograph.lowrank import RankOneFunctional, batch_features
 from hypograph.verify import TOLERANCE, case_error, make_transition
@@ -490,10 +492,68 @@ def test_working_set_of_an_nci_shaped_chunk(rank):
 
 
 @pytest.mark.parametrize("rank", [1, 3, 16, 64])
-def test_edge_increments_in_blocks_are_one_subtraction(molecule_union, rank):
-    # 16 attributes: blocks of about nnz / 16 and 3 nnz / 16 entries at
-    # ranks 1 and 3, one block from rank 16 up
+def test_edge_increments_in_blocks_are_one_subtraction(molecule_union, monkeypatch, rank):
+    # 16 attributes: budgets 0 and 1 gather one entry per block, as does 7,
+    # and 64 four; the default budget gathers blocks of about nnz / 16 and
+    # 3 nnz / 16 entries at ranks 1 and 3, and one block from rank 16 up
     g, _ = molecule_union
-    got = lowrank._edge_attr_inputs(g, FeatureConfig(rank=rank))
     want = g.attributes[g.pattern.indices] - g.attributes[g.pattern.rows]
-    assert np.array_equal(got, want)
+    for budget in (0, 1, 7, 64, 1 << 16):
+        monkeypatch.setattr(lowrank, "CHUNK_ELEMENTS", budget)
+        got = lowrank._edge_attr_inputs(g, FeatureConfig(rank=rank))
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "attention"])
+@pytest.mark.parametrize("diff", [True, False])
+@pytest.mark.parametrize("time_param", [True, False])
+def test_element_budget_moves_no_bit(monkeypatch, kind, diff, time_param):
+    """The budget only sizes the blocks of the start gather, an elementwise
+    subtraction, so batch_features gives the same bits under any budget."""
+    rng = np.random.default_rng(27)
+    g = LabelledGraph(14, [(i, (i * 5 + 3) % 14) for i in range(12)], rng.standard_normal((14, 3)))
+    p = make_transition(g, kind, rng)
+    cfg = FeatureConfig(walk_length=3, max_degree=3, rank=4, diff=diff, time_param=time_param)
+    vectors = rng.standard_normal(cfg.functional_shape(g.attr_dim))
+    outs = []
+    for budget in (1, 7, 64, 1 << 16):
+        monkeypatch.setattr(lowrank, "CHUNK_ELEMENTS", budget)
+        outs.append(batch_features(g, p, vectors, cfg))
+    assert all(np.array_equal(out, outs[-1]) for out in outs)
+
+
+@pytest.mark.parametrize("diff", [True, False])
+def test_zero_width_attributes_give_the_time_only_features(monkeypatch, diff):
+    """Without attributes, time_param leaves the time coordinate as the
+    whole lift input: the features match the oracle and, bit for bit, a
+    graph whose one attribute is 0 everywhere.  No gather block size
+    divides by the zero width, at any budget."""
+    rng = np.random.default_rng(9)
+    g = LabelledGraph(6, [(0, 1), (1, 2), (2, 0), (3, 4)], np.zeros((6, 0)))
+    cfg = FeatureConfig(walk_length=3, max_degree=2, rank=3, diff=diff, time_param=True)
+    vectors = rng.standard_normal(cfg.functional_shape(0))
+    p = transition_matrix(g)
+    assert case_error(g, p, cfg, vectors, cfg.walk_length) <= TOLERANCE
+    zero = g.with_attributes(np.zeros((6, 1)))
+    padded = np.concatenate([vectors, rng.standard_normal((3, 2, 1))], axis=-1)
+    want = batch_features(zero, transition_matrix(zero), padded, cfg)
+    for budget in (0, 1 << 16):
+        monkeypatch.setattr(lowrank, "CHUNK_ELEMENTS", budget)
+        assert np.array_equal(batch_features(g, p, vectors, cfg), want)
+
+
+def test_start_gather_of_a_lone_graph_stays_within_the_budget():
+    """A path of 2^15 edges at d = R = 8 has 2^19 values per R-wide array,
+    so extract runs it alone; its start gather still holds no more than
+    CHUNK_ELEMENTS values beside the (nnz, d) output, plus numpy's
+    8192-entry buffer for casting the int32 row index."""
+    g = path_graph(1 << 15, attr_dim=8, seed=3)
+    assert g.pattern.rows.dtype == np.int32  # builds the pattern's cached arrays
+    tracemalloc.start()
+    try:
+        x = lowrank._edge_attr_inputs(g, FeatureConfig(rank=8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.shape == (1 << 16, 8)
+    assert peak <= x.nbytes + 8 * lowrank.CHUNK_ELEMENTS + (128 << 10)
