@@ -9,23 +9,25 @@ from functools import partial
 
 import numpy as np
 
+from . import lowrank
 from .config import FeatureConfig
 from .graphs import LabelledGraph, grid_graph, path_graph, transition_matrix
-from .lowrank import batch_features
 
 LINEAR_RATIO_BOUND = 2.5
 
 
-def _timer(g: LabelledGraph, cfg: FeatureConfig, seed: int):
+def _timer(g: LabelledGraph, cfg: FeatureConfig):
     """Zero-argument callable returning the wall-clock seconds of one
-    batch_features run; one warm-up run is made and discarded here."""
-    rng = np.random.default_rng(seed)
-    vectors = rng.standard_normal(cfg.functional_shape(g.attr_dim))
+    batch_features run under extract's heap rule (lowrank.keep_heap), so
+    that freed arrays are not faulted in again on every run; one warm-up
+    run is made and discarded here."""
+    vectors = np.random.default_rng(0).standard_normal(cfg.functional_shape(g.attr_dim))
     p = transition_matrix(g)
+    lowrank.keep_heap()
 
     def run() -> float:
         start = time.perf_counter()
-        batch_features(g, p, vectors, cfg)
+        lowrank.batch_features(g, p, vectors, cfg)
         return time.perf_counter() - start
 
     run()  # warm-up
@@ -52,7 +54,7 @@ def _grid_side(exp: int) -> int:
     return max(2, int(round((2**exp / 2) ** 0.5)))
 
 
-def _ladder(min_exp: int, max_exp: int, topology: str, seed: int = 0) -> list:
+def _ladder(min_exp: int, max_exp: int, topology: str) -> list:
     """(edge count, zero-argument graph builder) of each rung of the ladder.
 
     Raises ValueError unless the counts strictly grow, so that every rung
@@ -60,10 +62,10 @@ def _ladder(min_exp: int, max_exp: int, topology: str, seed: int = 0) -> list:
     """
     exps = range(min_exp, max_exp + 1)
     if topology == "path":
-        rungs = [(2**exp, partial(path_graph, 2**exp, seed=seed)) for exp in exps]
+        rungs = [(2**exp, partial(path_graph, 2**exp, seed=0)) for exp in exps]
     elif topology == "grid":
         sides = map(_grid_side, exps)
-        rungs = [(2 * s * (s - 1), partial(grid_graph, s, seed=seed)) for s in sides]
+        rungs = [(2 * s * (s - 1), partial(grid_graph, s, seed=0)) for s in sides]
     else:
         raise ValueError(f"topology must be 'path' or 'grid', got {topology!r}")
     edges = [e for e, _ in rungs]
@@ -85,40 +87,38 @@ def edge_scaling(
     min_exp: int = 12,
     max_exp: int = 18,
     repeats: int = 5,
-    seed: int = 0,
     topology: str = "path",
 ) -> list[BenchRow]:
     """Time a geometric ladder of edge counts at the fixed settings ``cfg``.
 
-    Every rung is built first; then ``repeats`` interleaved rounds time each
-    rung once, and a rung reports its median over the rounds.  A row's ratio
-    is the time growth per doubling of the edge count,
-    (t / t_prev) ** (1 / log2(E / E_prev)); on the path ladder E doubles
-    every rung, so it is t / t_prev.
+    Each rung is built and given its timer in turn, so every rung after
+    the first is built under the heap rule; then ``repeats`` interleaved
+    rounds time each rung once, and a rung reports its median over the
+    rounds.  A row's ratio is the time growth per doubling of the edge
+    count, (t / t_prev) ** (1 / log2(E / E_prev)); on the path ladder E
+    doubles every rung, so it is t / t_prev.
     """
-    graphs = [build() for _, build in _ladder(min_exp, max_exp, topology, seed)]
-    medians = np.median(_rounds([_timer(g, cfg, seed) for g in graphs], repeats), axis=0)
+    rungs = _ladder(min_exp, max_exp, topology)
+    medians = np.median(_rounds([_timer(build(), cfg) for _, build in rungs], repeats), axis=0)
     rows: list[BenchRow] = []
-    for g, seconds in zip(graphs, medians.tolist()):
+    for (edges, _), seconds in zip(rungs, medians.tolist()):
         ratio = None
         if rows:
-            doublings = math.log2(g.num_edges / rows[-1].edges)
+            doublings = math.log2(edges / rows[-1].edges)
             ratio = (seconds / rows[-1].seconds) ** (1.0 / doublings)
-        rows.append(BenchRow(g.num_edges, seconds, seconds / g.num_edges * 1e9, ratio))
+        rows.append(BenchRow(edges, seconds, seconds / edges * 1e9, ratio))
     return rows
 
 
-def degree_scaling(
-    cfg: FeatureConfig, edges_exp: int = 15, repeats: int = 5, seed: int = 0
-) -> dict:
+def degree_scaling(cfg: FeatureConfig, edges_exp: int = 15, repeats: int = 5) -> dict:
     """Time the recursion at tensor degrees 2 and 4 on one fixed path
     graph, in ``repeats`` interleaved rounds (see :func:`_rounds`); the
     ratio is the median per-round ratio, so a burst of host load slows both
     degrees of a round, not one degree.  Every other setting is taken from
     ``cfg``, whose ``max_degree`` is replaced by each degree in turn."""
-    g = path_graph(2**edges_exp, seed=seed)
+    g = path_graph(2**edges_exp, seed=0)
     degrees = (2, 4)
-    pairs = _rounds([_timer(g, replace(cfg, max_degree=deg), seed) for deg in degrees], repeats)
+    pairs = _rounds([_timer(g, replace(cfg, max_degree=deg)) for deg in degrees], repeats)
     return {
         "edges": g.num_edges,
         "seconds": dict(zip(degrees, np.median(pairs, axis=0).tolist())),

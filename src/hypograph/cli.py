@@ -9,7 +9,6 @@ import ctypes
 import errno
 import functools
 import itertools
-import json
 import os
 import shutil
 import signal
@@ -103,7 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="time the recursion on synthetic graphs")
     add_walk(p_bench)
-    p_bench.add_argument("--seed", type=_at_least(0), default=0)
     p_bench.add_argument("--min-exp", type=_at_least(0), default=12, help="smallest 2^e edges")
     p_bench.add_argument("--max-exp", type=_at_least(0), default=18, help="largest 2^e edges")
     p_bench.add_argument("--repeats", type=_at_least(1), default=5)
@@ -167,25 +165,6 @@ def _usable_cpus() -> int:
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
         return len(os.sched_getaffinity(0))
     return 1
-
-
-def _keep_heap() -> None:
-    """Keep freed arrays in the C library's heap for the next chunk.
-
-    By default glibc serves an allocation past its dynamic mmap threshold
-    from fresh pages and returns the heap's free top to the system after
-    most frees, so every chunk faults its arrays' pages in again.  Fixing
-    both thresholds keeps them mapped.  Where the C library has no
-    ``mallopt`` (not glibc) this does nothing.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):  # no mallopt, or no handle on the C library
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at glibc's 64-bit cap
-    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
 
 
 # thread-count setters that OpenBLAS builds export
@@ -317,20 +296,18 @@ def _row_template(fmt: str, per_node: bool, width: int) -> str:
 
 def _write_rows(fh, rows, fmt: str, per_node: bool, width: int) -> None:
     """Write (graph row, label, rows) triples to the binary file fh, each
-    graph's rows formatted by one ``%`` on the template of its row count."""
+    graph's rows formatted by one ``%`` on the template of its row count.
+    A label is an int or None, as load_tu_dataset gives it."""
     row = _row_template(fmt, per_node, width)
+    missing = "null" if fmt == "jsonl" else ""  # a graph without a label
 
     @functools.cache
     def block(count: int) -> str:
         return "".join(row.replace(_NODE, str(node)) for node in range(count))
 
-    @functools.cache
-    def label_text(label) -> str:
-        text = json.dumps(label) if fmt == "jsonl" else "" if label is None else str(label)
-        return text.replace("%", "%%")
-
     for gi, label, values in rows:
-        template = block(len(values)).replace(_GRAPH, str(gi)).replace(_LABEL, label_text(label))
+        text = missing if label is None else str(label)
+        template = block(len(values)).replace(_GRAPH, str(gi)).replace(_LABEL, text)
         fh.write((template % tuple(values.ravel().tolist())).encode())
 
 
@@ -383,7 +360,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         raise UsageError("argument --heads: only valid with --attention")
     _check_out(args.out)
     dataset = load_tu_dataset(args.dataset, args.name)
-    _keep_heap()  # after loading, so that its large temporaries still go back when freed
+    lowrank.keep_heap()  # after loading, so that its large temporaries still go back when freed
     _one_blas_thread()
     model = _build_model(args, dataset[0][0].attr_dim)
     graphs = [g for g, _ in dataset]
@@ -408,7 +385,10 @@ def cmd_extract(args: argparse.Namespace) -> int:
                     shutil.copyfileobj(fh, out)
         except BaseException:
             if os.path.isfile(args.out):  # no partial output; /dev/null or a pipe stays
-                os.remove(args.out)
+                if os.path.islink(args.out):
+                    os.truncate(args.out, 0)  # empty the file it names; the link stays
+                else:
+                    os.remove(args.out)
             raise
     finally:
         for fh in files:
@@ -445,10 +425,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     cfg = FeatureConfig(
         walk_length=args.walk_length, max_degree=args.max_degree, rank=args.rank
     )
-    _keep_heap()
-    rows = bench_mod.edge_scaling(
-        cfg, args.min_exp, args.max_exp, args.repeats, args.seed, args.topology
-    )
+    rows = bench_mod.edge_scaling(cfg, args.min_exp, args.max_exp, args.repeats, args.topology)
     print(f"{'edges':>10s} {'seconds':>12s} {'ns/edge':>10s} {'ratio':>7s}  note")
     for row in rows:
         ratio = "" if row.ratio is None else f"{row.ratio:7.2f}"
@@ -458,9 +435,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(
             f"{row.edges:>10d} {row.seconds:>12.6f} {row.ns_per_edge:>10.1f} {ratio:>7s}  {note}"
         )
-    deg = bench_mod.degree_scaling(
-        cfg, edges_exp=min(args.max_exp, 15), repeats=args.repeats, seed=args.seed
-    )
+    deg = bench_mod.degree_scaling(cfg, edges_exp=min(args.max_exp, 15), repeats=args.repeats)
     lo, hi = sorted(deg["seconds"])
     print(
         f"degree {lo}->{hi} at {deg['edges']} edges: "

@@ -13,6 +13,7 @@ The results are validated entry-wise against :mod:`hypograph.exact`.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,26 @@ from .graphs import LabelledGraph, RowStochastic, finite, frozen
 # the element budget: extract's chunks keep their (2 * edges + nodes) * rank
 # values within it, and so does every start gather of batch_features
 CHUNK_ELEMENTS = 1 << 16
+
+
+def keep_heap() -> None:
+    """Keep freed arrays in the C library's heap for the next call.
+
+    By default glibc serves an allocation past its dynamic mmap threshold
+    from fresh pages and returns the heap's free top to the system after
+    most frees, so every chunk of extract, and every timed run of bench,
+    faults its arrays' pages in again.  Fixing both thresholds keeps them
+    mapped.  Where the C library has no ``mallopt`` (not glibc) this does
+    nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no handle on the C library
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at glibc's 64-bit cap
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
 
 
 @dataclass(frozen=True)

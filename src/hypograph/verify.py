@@ -45,9 +45,10 @@ def rel_err(got: float, want: float) -> float:
     return abs(got - want) / max(1.0, abs(want))
 
 
-def random_graph(rng: np.random.Generator, max_nodes: int) -> LabelledGraph:
-    """Random labelled graph of 1..MAX_DIM attributes; may contain isolated nodes."""
-    n = int(rng.integers(2, max_nodes + 1))
+def random_graph(rng: np.random.Generator) -> LabelledGraph:
+    """Random labelled graph of 2..MAX_NODES nodes and 1..MAX_DIM
+    attributes; may contain isolated nodes."""
+    n = int(rng.integers(2, MAX_NODES + 1))
     d = int(rng.integers(1, MAX_DIM + 1))
     prob = rng.uniform(0.25, 0.8)
     edges = [
@@ -144,7 +145,7 @@ def run_equivalence_suite(cases: int = 200, seed: int = 0) -> SuiteReport:
     buckets: dict[tuple[str, str], ConfigReport] = {}
     start = time.perf_counter()
     for case in range(cases):
-        g = random_graph(rng, MAX_NODES)
+        g = random_graph(rng)
         kind = TRANSITION_KINDS[case % len(TRANSITION_KINDS)]
         p = make_transition(g, kind, rng)
         diff, zero_start, time_param = combos[(case // len(TRANSITION_KINDS)) % len(combos)]

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import random_labelled_graph
-from hypograph.bench import degree_scaling, edge_scaling
+from hypograph.bench import LINEAR_RATIO_BOUND, degree_scaling, edge_scaling
 from hypograph.cli import EXIT_OK, main
 from hypograph.config import FeatureConfig
 from hypograph.exact import (
@@ -218,10 +218,10 @@ def test_criterion_6_edge_linear_complexity():
     cfg = FeatureConfig(walk_length=5, max_degree=2, rank=8)
     rows = edge_scaling(cfg, 12, 18, repeats=5)
     ratios = [row.ratio for row in rows if row.ratio is not None]
-    in_range = sum(1 for r in ratios if 1.5 <= r <= 2.5)
+    in_range = sum(1 for r in ratios if 1.5 <= r <= LINEAR_RATIO_BOUND)
     detail = "ratios " + ", ".join(f"{r:.2f}" for r in ratios)
     report(
-        "criterion 6: per-doubling time ratio in [1.5, 2.5] for >= 4 of 6",
+        f"criterion 6: per-doubling time ratio in [1.5, {LINEAR_RATIO_BOUND}] for >= 4 of 6",
         in_range >= 4,
         detail,
     )

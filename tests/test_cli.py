@@ -190,8 +190,8 @@ class TestExtract:
 
     def test_writers_format_awkward_floats(self):
         values = np.array([[3.0, -0.0, 0.1, 1e16, 5e-324, 1.7976931348623157e308, -2.5e-7]])
-        # a label holding "%" must pass through the row template untouched
-        labels = [7, None, "50%"]
+        # labels as load_tu_dataset gives them: ints, or None for a graph without one
+        labels = [7, None, -3]
         for per_node in (False, True):
             # per node: graph 0 has two rows, graphs 1 and 2 one each
             results = [np.vstack([values, values[:, ::-1]]) if per_node else values,
@@ -497,12 +497,12 @@ class TestProcesses:
         rows = sum(g.n for g in graphs) if per_node else len(graphs)
         assert outputs[0].count(b"\n") == rows + (fmt == "csv")
 
-    def outputs_with_and_without(self, many, monkeypatch, tmp_path, name, stub):
-        """The bytes of 1- and 3-process runs with cli.<name> replaced by
-        stub and then in place, and how often it was called."""
+    def outputs_with_and_without(self, many, monkeypatch, tmp_path, module, name, stub):
+        """The bytes of 1- and 3-process runs with module.<name> replaced
+        by stub and then in place, and how often it was called."""
         write, _ = many
         data_dir = write()
-        real, calls = getattr(cli, name), []
+        real, calls = getattr(module, name), []
 
         def counted():
             calls.append(1)
@@ -510,7 +510,7 @@ class TestProcesses:
 
         outputs = []
         for rule in (stub, counted):
-            monkeypatch.setattr(cli, name, rule)
+            monkeypatch.setattr(module, name, rule)
             for procs in (1, 3):
                 out = tmp_path / f"p{procs}.csv"
                 assert self.run(monkeypatch, data_dir, out, procs) == (EXIT_OK, procs - 1)
@@ -519,14 +519,14 @@ class TestProcesses:
 
     def test_heap_rule_leaves_bytes_unchanged(self, many, monkeypatch, tmp_path):
         outputs, calls = self.outputs_with_and_without(
-            many, monkeypatch, tmp_path, "_keep_heap", lambda: None)
+            many, monkeypatch, tmp_path, lowrank, "keep_heap", lambda: None)
         assert calls == 2
         assert len(set(outputs)) == 1
 
     def test_blas_rule_leaves_bytes_unchanged(self, many, monkeypatch, tmp_path, blas_threads):
         counts, log = blas_threads
         outputs, calls = self.outputs_with_and_without(
-            many, monkeypatch, tmp_path, "_one_blas_thread", lambda: None)
+            many, monkeypatch, tmp_path, cli, "_one_blas_thread", lambda: None)
         assert calls == 2
         assert len(set(outputs)) == 1
         # four shares computed on two threads without the rule, four on one with it
@@ -584,7 +584,8 @@ class TestProcesses:
 
     def test_output_is_written_whole_or_not_at_all(self, many, monkeypatch, tmp_path, capsys):
         """A write that fails after the first share has been copied leaves
-        no output and no other file behind."""
+        no output and no other file behind; through a symbolic link it
+        empties the file the link names and keeps the link."""
         write, _ = many
         data_dir = write()
         out = tmp_path / "out" / "o.csv"
@@ -598,9 +599,18 @@ class TestProcesses:
             real(src, dst)
 
         monkeypatch.setattr(shutil, "copyfileobj", copy)
+        full = "hypograph: data error: [Errno 28] No space left on device\n"
         assert self.run(monkeypatch, data_dir, out, 3) == (EXIT_DATA, 2)
-        assert capsys.readouterr().err == "hypograph: data error: [Errno 28] No space left on device\n"
+        assert capsys.readouterr().err == full
         assert list(out.parent.iterdir()) == []
+        link, target = out.parent / "link.csv", out.parent / "target.csv"
+        target.write_text("earlier output\n")
+        link.symlink_to(target.name)
+        copies.clear()
+        assert self.run(monkeypatch, data_dir, link, 3) == (EXIT_DATA, 2)
+        assert capsys.readouterr().err == full
+        assert sorted(out.parent.iterdir()) == [link, target]
+        assert link.is_symlink() and target.read_bytes() == b""
 
     AWKWARD = [3.0, -0.0, 0.1, 1e16, 5e-324, 1.7976931348623157e308, -2.5e-7]
 
@@ -895,7 +905,15 @@ def _no_c_library(name):
 @pytest.mark.parametrize("library", [lambda name: object(), _no_c_library])
 def test_heap_rule_without_mallopt_does_nothing(monkeypatch, library):
     monkeypatch.setattr(ctypes, "CDLL", library)
-    assert cli._keep_heap() is None
+    assert lowrank.keep_heap() is None
+
+
+@pytest.mark.parametrize("library", [lambda name: object(), _no_c_library])
+def test_death_signal_without_prctl_does_nothing(monkeypatch, library):
+    """No prctl to ask for the signal: the child goes on, even with a
+    parent pid that is not the forking process's."""
+    monkeypatch.setattr(ctypes, "CDLL", library)
+    assert cli._die_with_parent(os.getppid()) is None
 
 
 @pytest.mark.parametrize("where, stub", [
@@ -1032,10 +1050,10 @@ class TestBench:
     def test_ratio_is_per_doubling(self, monkeypatch):
         # time proportional to edges grows 2x per doubling, whatever the rung
         # spacing; on the path ladder the ratio is plain t / t_prev
-        monkeypatch.setattr(bench, "_timer", lambda g, cfg, seed: lambda: 1e-9 * g.num_edges)
+        monkeypatch.setattr(bench, "_timer", lambda g, cfg: lambda: 1e-9 * g.num_edges)
         grid = bench.edge_scaling(FeatureConfig(), 3, 8, topology="grid")
         assert [row.ratio for row in grid[1:]] == pytest.approx([2.0] * 5, rel=1e-12)
-        monkeypatch.setattr(bench, "_timer", lambda g, cfg, seed: lambda: 1e-9 * g.num_edges**1.5)
+        monkeypatch.setattr(bench, "_timer", lambda g, cfg: lambda: 1e-9 * g.num_edges**1.5)
         path = bench.edge_scaling(FeatureConfig(), 3, 6, topology="path")
         assert [row.ratio for row in path[1:]] == [
             b.seconds / a.seconds for a, b in zip(path, path[1:])
@@ -1046,7 +1064,7 @@ class TestBench:
         # host load slows one round of every rung rather than one rung
         log = []
 
-        def timer(g, cfg, seed):
+        def timer(g, cfg):
             def run():
                 log.append(g.num_edges)
                 return 1e-9 * g.num_edges
@@ -1055,6 +1073,19 @@ class TestBench:
         monkeypatch.setattr(bench, "_timer", timer)
         rows = bench.edge_scaling(FeatureConfig(), 3, 5, repeats=3)
         assert log == [row.edges for row in rows] * 3
+
+    def test_harness_keeps_the_heap_before_it_runs_the_engine(self, monkeypatch):
+        # bench, criterion 6 and any library caller time under extract's heap rule
+        calls, real = [], lowrank.batch_features
+        monkeypatch.setattr(lowrank, "keep_heap", lambda: calls.append("keep_heap"))
+        monkeypatch.setattr(lowrank, "batch_features",
+                            lambda *args: calls.append("run") or real(*args))
+        cfg = FeatureConfig(walk_length=1, rank=1)
+        for scaling in (lambda: bench.edge_scaling(cfg, 3, 4, repeats=1),
+                        lambda: bench.degree_scaling(cfg, 3, repeats=1)):
+            calls.clear()
+            scaling()
+            assert calls[0] == "keep_heap" and calls.count("run") == 4
 
 
 # name -> (the failing call, message)
@@ -1299,6 +1330,7 @@ class TestFlags:
         (["describe", "--dataset", "d", "--name", "n", "--rank", "0"], "--rank"),
         (["extract", "--dataset", "d", "--name", "n", "--out", "o", "--seed", "-1"], "--seed"),
         (["bench", "--rank", "eight"], "--rank"),
+        (["bench", "--seed", "0"], "--seed"),
     ])
     def test_bad_flag_is_one_usage_line(self, capsys, argv, flag):
         assert main(argv) == EXIT_USAGE
