@@ -281,16 +281,21 @@ def _csv_header(width: int, per_node: bool) -> str:
 _GRAPH, _NODE, _LABEL = "\0", "\1", "\2"
 
 
+# the text of one feature value in both formats: 17 significant digits read
+# back to the same float64, and cost less than float.__repr__'s shortest ones
+FLOAT_FORMAT = "%.17g"
+
+
 def _row_template(fmt: str, per_node: bool, width: int) -> str:
-    """One output row as a ``%`` template of its values.  CSV gives each
-    value 17 significant digits and a missing label an empty field; JSONL
-    is byte for byte what ``json.dumps`` gives for finite values, whose
-    ``float.__repr__`` is ``%r`` and whose separators are ``", "``."""
+    """One output row as a ``%`` template of its values, each written as
+    FLOAT_FORMAT.  CSV gives a missing label an empty field; JSONL has
+    ``json.dumps``'s keys and ``", "`` separators, and an integral value
+    or -0.0 reads as an integer (``3``, ``-0``)."""
     if fmt == "csv":
         ids = [_GRAPH, _NODE] if per_node else [_GRAPH]
-        return ",".join(ids + [_LABEL] + ["%.17g"] * width) + "\n"
+        return ",".join(ids + [_LABEL] + [FLOAT_FORMAT] * width) + "\n"
     node = f' "node": {_NODE},' if per_node else ""
-    features = ", ".join(["%r"] * width)
+    features = ", ".join([FLOAT_FORMAT] * width)
     return f'{{"graph": {_GRAPH},{node} "label": {_LABEL}, "features": [{features}]}}\n'
 
 

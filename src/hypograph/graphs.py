@@ -310,7 +310,7 @@ class RowStochastic:
             raise ValueError("values must align with the pattern entries")
         if np.any(values < 0.0) or np.any(values > 1.0):
             raise ValueError("transition values must lie in [0, 1]")
-        row_sums = np.add.reduceat(values, self.pattern.indptr[:-1])
+        row_sums = self.pattern.incidence @ values  # an empty row sums to 0
         if np.any(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
             raise ValueError("rows must sum to 1")
         object.__setattr__(self, "values", values)

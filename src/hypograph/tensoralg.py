@@ -91,8 +91,6 @@ def sequence_feature(xs, cfg: FeatureConfig) -> tuple:
     zero lifts to the unit.  ``time_param`` first maps x_i to (i, x_i).
     """
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim == 1:
-        xs = xs[:, None]
     if xs.ndim != 2 or xs.shape[0] == 0:
         raise ValueError("expected a non-empty sequence of vectors")
     if cfg.time_param:

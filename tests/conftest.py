@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,14 @@ def write_tu_files(directory, name, edges, indicator, node_labels=None,
         dump("node_attributes", [", ".join(str(x) for x in row) for row in node_attributes])
     if graph_labels is not None:
         dump("graph_labels", [str(v) for v in graph_labels])
+
+
+def jsonl_line(ids, label, values):
+    """One JSONL row as extract writes it: the ids, the label and the
+    separators as json.dumps writes them, and each value as %.17g."""
+    head = json.dumps({**ids, "label": label, "features": []})
+    assert head.endswith("[]}")
+    return head[:-3] + "[" + ", ".join(f"{float(v):.17g}" for v in values) + "]}"
 
 
 def seq_allclose(v, w, rtol=1e-10, atol=1e-12):

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_labelled_graph, write_tu_files
+from conftest import jsonl_line, random_labelled_graph, write_tu_files
 import hypograph
 from hypograph import bench, cli, exact, lowrank, verify
 from hypograph.config import FeatureConfig
@@ -150,15 +150,15 @@ class TestExtract:
         main(extract_args(tiny_dataset, out_csv))
         main(extract_args(tiny_dataset, out_jsonl, format="jsonl"))
         csv_rows = out_csv.read_text().strip().split("\n")[1:]
-        json_rows = [json.loads(ln) for ln in out_jsonl.read_text().strip().split("\n")]
-        assert len(json_rows) == len(csv_rows) == 2
-        for csv_row, obj in zip(csv_rows, json_rows):
+        json_lines = out_jsonl.read_text().strip().split("\n")
+        assert len(json_lines) == len(csv_rows) == 2
+        for csv_row, json_line in zip(csv_rows, json_lines):
+            obj = json.loads(json_line)
             parts = csv_row.split(",")
             assert obj["graph"] == int(parts[0])
             assert obj["label"] == int(parts[1])
-            np.testing.assert_allclose(
-                obj["features"], [float(x) for x in parts[2:]], rtol=1e-16
-            )
+            features = json_line.split('"features": [')[1].removesuffix("]}")
+            assert features.split(", ") == parts[2:]
 
     @pytest.mark.parametrize("labelled", [True, False])
     @pytest.mark.parametrize("per_node", [False, True])
@@ -185,8 +185,7 @@ class TestExtract:
             assert csv_line == ",".join(
                 [str(i) for i in ids] + [label_field] + [f"{v:.17g}" for v in values]
             )
-            assert json_line == json.dumps({**dict(zip(names, ids)), "label": label,
-                                            "features": values})
+            assert json_line == jsonl_line(dict(zip(names, ids)), label, values)
 
     def test_writers_format_awkward_floats(self):
         values = np.array([[3.0, -0.0, 0.1, 1e16, 5e-324, 1.7976931348623157e308, -2.5e-7]])
@@ -210,11 +209,11 @@ class TestExtract:
                     want_csv.append(",".join([str(i) for i in ids]
                                              + ["" if label is None else str(label)]
                                              + [f"{v:.17g}" for v in row]))
-                    want_jsonl.append(json.dumps({**dict(zip(names, ids)), "label": label,
-                                                  "features": list(map(float, row))}))
+                    want_jsonl.append(jsonl_line(dict(zip(names, ids)), label, row))
             assert csv.getvalue().decode() == "\n".join(want_csv) + "\n"
             assert jsonl.getvalue().decode() == "\n".join(want_jsonl) + "\n"
-            assert '"features": [3.0, -0.0, 0.1, 1e+16, 5e-324, ' in jsonl.getvalue().decode()
+            assert ('"features": [3, -0, 0.10000000000000001, 10000000000000000, '
+                    '4.9406564584124654e-324, ' in jsonl.getvalue().decode())
 
     def test_batched_matches_one_graph_per_chunk(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(4)
@@ -650,7 +649,7 @@ class TestProcesses:
                 want.append(
                     ",".join([str(i) for i in ids] + ["" if label is None else str(label)]
                              + [f"{v:.17g}" for v in values]) if fmt == "csv"
-                    else json.dumps({**dict(zip(names, ids)), "label": label, "features": values})
+                    else jsonl_line(dict(zip(names, ids)), label, values)
                 )
         for procs in (1, 3):
             out = tmp_path / f"p{procs}.{fmt}"
@@ -1016,6 +1015,19 @@ class TestBench:
         )
         assert rc == EXIT_OK
         assert "ns/edge" in capsys.readouterr().out
+
+    def test_growth_above_the_bound_is_noted(self, capsys, monkeypatch):
+        ratio = bench.LINEAR_RATIO_BOUND + 0.5
+        rows = [bench.BenchRow(32, 1e-5, 312.5, None), bench.BenchRow(64, 3e-5, 468.8, ratio)]
+        monkeypatch.setattr(bench, "edge_scaling", lambda *args: rows)
+        rc = main(["bench", "--min-exp", "5", "--max-exp", "6", "--repeats", "1",
+                   "--walk-length", "1", "--rank", "1"])
+        assert rc == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].endswith("  ")  # the first row has no ratio, so no note
+        assert lines[2].endswith(
+            f"{ratio:7.2f}  non-linear growth (> {bench.LINEAR_RATIO_BOUND}x per doubling)"
+        )
 
     def test_grid_ladder_that_does_not_grow_is_rejected(self, capsys):
         # exponents 0..3 all give the 2 x 2 grid with 4 edges

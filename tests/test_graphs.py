@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import random_labelled_graph, write_tu_files
 from hypograph.config import FeatureConfig
 from hypograph.graphs import (
+    AdjacencyPattern,
     AttentionParams,
     DatasetError,
     LabelledGraph,
@@ -848,6 +849,12 @@ def _load_with_edge_file_as_directory(tmp_path):
     load_tu_dataset(str(tmp_path), "dirA")
 
 
+def _load_without_indicator(tmp_path):
+    write_tu_files(tmp_path, "noind", [(1, 2)], [1, 1], node_labels=[0, 1])
+    (tmp_path / "noind_graph_indicator.txt").unlink()
+    load_tu_dataset(str(tmp_path), "noind")
+
+
 # name -> (the failing call, given a scratch directory; error type; message)
 RAISE_SITES = {
     "graph_without_nodes": (lambda tmp: LabelledGraph(0, [], np.zeros((0, 1))),
@@ -858,6 +865,15 @@ RAISE_SITES = {
                                    ValueError, r"^transition values must lie in \[0, 1\]$"),
     "transition_rows_off_one": (lambda tmp: RowStochastic(path_graph(1).pattern, [0.5, 1.0]),
                                 ValueError, r"^rows must sum to 1$"),
+    # rows 0 and 1 of a 2-node pattern, the first or the last one empty
+    "transition_first_row_empty": (
+        lambda tmp: RowStochastic(AdjacencyPattern(2, [0, 0, 1], [1]), [1.0]),
+        ValueError, r"^rows must sum to 1$",
+    ),
+    "transition_last_row_empty": (
+        lambda tmp: RowStochastic(AdjacencyPattern(2, [0, 1, 1], [0]), [1.0]),
+        ValueError, r"^rows must sum to 1$",
+    ),
     "attention_shapes_differ": (lambda tmp: AttentionParams(np.ones((2, 3)), np.ones((1, 3))),
                                 ValueError, r"^w_source and w_target must have matching shapes$"),
     "attention_without_heads": (lambda tmp: AttentionParams(np.zeros((0, 2)), np.zeros((0, 2))),
@@ -938,6 +954,8 @@ RAISE_SITES = {
     ),
     "save_bool_label": (lambda tmp: save_tu_dataset(str(tmp), "bool", [(path_graph(1), True)]),
                         DatasetError, r"^graph 0: label must be an integer, got True$"),
+    "indicator_missing": (_load_without_indicator, DatasetError,
+                          r"^missing required file \S+noind_graph_indicator\.txt$"),
     "edge_file_is_a_directory": (_load_with_edge_file_as_directory,
                                  DatasetError, r"^cannot read \S+dirA_A\.txt: .*Is a directory"),
 }

@@ -311,6 +311,10 @@ RAISE_SITES = {
         lambda: _layer_with(config=FeatureConfig(walk_length=2, max_degree=3, rank=3)),
         r"^vectors must be \(R, M, dim\) = \(3, 3, 2\), got \(3, 2, 2\)$",
     ),
+    "vectors_two_dims": (lambda: _layer_with(vectors=np.zeros((3, 4))),
+                         r"^vectors must be \(R, M, dim\), got \(3, 4\)$"),
+    "vectors_empty_dim": (lambda: _layer_with(vectors=np.zeros((3, 2, 0))),
+                          r"^vectors must be \(R, M, dim\), got \(3, 2, 0\)$"),
     "vectors_mapping": (lambda: _layer_with(vectors={"a": 1}),
                         r"^component vectors must hold real numbers, got \{'a': 1\}$"),
     "vectors_string": (lambda: _layer_with(vectors="abc"),

@@ -2,8 +2,9 @@
 
 The layout of every output must match the reference exactly: the CSV
 header, the graph and node ids, the labels, the row order, the number of
-values per row, and the format of every line (``%.17g`` CSV fields,
-``json.dumps`` JSONL lines).  The values must match within RTOL of the
+values per row, and the format of every line: each value as ``%.17g``
+in both formats, and a JSONL line's ids, label and separators as
+``json.dumps`` writes them.  The values must match within RTOL of the
 largest value of the reference file.
 
 RTOL is derived from the spread of values seen on one host (2 CPUs,
@@ -27,6 +28,7 @@ import os
 import numpy as np
 import pytest
 
+from conftest import jsonl_line
 from hypograph import cli, lowrank
 from hypograph.cli import EXIT_OK, main
 from reference import make_reference as ref
@@ -44,9 +46,13 @@ def layout_and_values(path: str, jsonl: bool):
     if jsonl:
         for line in lines:
             row = json.loads(line)
-            assert json.dumps(row) == line
-            values.append(row.pop("features"))
-            layout.append(json.dumps(row))
+            del row["features"]
+            label = row.pop("label")
+            # "-0" reads back as -0.0 only through parse_int=float
+            features = json.loads(line, parse_int=float)["features"]
+            assert jsonl_line(row, label, features) == line
+            values.append(features)
+            layout.append((row, label))
     else:
         layout.append(lines[0])
         ids = sum(1 for name in lines[0].split(",") if not name.startswith("f"))

@@ -288,6 +288,8 @@ RAISE_SITES = {
                    r"^expected a 1-d vector, got shape \(0,\)$"),
     "sequence_empty": (lambda: sequence_feature(np.zeros((0, 2)), FeatureConfig()),
                        r"^expected a non-empty sequence of vectors$"),
+    "sequence_of_scalars": (lambda: sequence_feature(np.ones(3), FeatureConfig()),
+                            r"^expected a non-empty sequence of vectors$"),
     "product_of_different_widths": (
         lambda: algebra_mul(unit(2, 1), unit(3, 1)),
         r"^level shapes differ: \[\(\), \(2,\)\] vs \[\(\), \(3,\)\]$",
