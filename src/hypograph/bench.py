@@ -18,12 +18,13 @@ LINEAR_RATIO_BOUND = 2.5
 
 def _timer(g: LabelledGraph, cfg: FeatureConfig):
     """Zero-argument callable returning the wall-clock seconds of one
-    batch_features run under extract's heap rule (lowrank.keep_heap), so
-    that freed arrays are not faulted in again on every run; one warm-up
-    run is made and discarded here."""
+    batch_features run in a process set up as extract's
+    (lowrank.set_up_process): freed arrays are not faulted in again on
+    every run, and BLAS computes on one thread.  One warm-up run is made
+    and discarded here."""
     vectors = np.random.default_rng(0).standard_normal(cfg.functional_shape(g.attr_dim))
     p = transition_matrix(g)
-    lowrank.keep_heap()
+    lowrank.set_up_process()
 
     def run() -> float:
         start = time.perf_counter()
@@ -92,7 +93,7 @@ def edge_scaling(
     """Time a geometric ladder of edge counts at the fixed settings ``cfg``.
 
     Each rung is built and given its timer in turn, so every rung after
-    the first is built under the heap rule; then ``repeats`` interleaved
+    the first is built in the set-up process; then ``repeats`` interleaved
     rounds time each rung once, and a rung reports its median over the
     rounds.  A row's ratio is the time growth per doubling of the edge
     count, (t / t_prev) ** (1 / log2(E / E_prev)); on the path ladder E

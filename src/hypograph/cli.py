@@ -130,13 +130,18 @@ def _build_model(args: argparse.Namespace, attr_dim: int) -> ModelConfig:
     return ModelConfig(tuple(layers), pooling=None if args.per_node else "mean")
 
 
+def _cost(g) -> int:
+    """A graph's cost in chunks and shares: its values per unit of rank."""
+    return 2 * g.num_edges + g.n
+
+
 def _chunks(graphs, rank: int) -> list[tuple[int, int]]:
     """Consecutive [start, stop) ranges of graphs, filled greedily in order
     up to lowrank.CHUNK_ELEMENTS values per R-wide array; a larger graph
     runs alone."""
     bounds, start, size = [], 0, 0
     for row, g in enumerate(graphs):
-        cost = (2 * g.num_edges + g.n) * rank
+        cost = _cost(g) * rank
         if row > start and size + cost > lowrank.CHUNK_ELEMENTS:
             bounds.append((start, row))
             start, size = row, 0
@@ -147,9 +152,8 @@ def _chunks(graphs, rank: int) -> list[tuple[int, int]]:
 
 def _shares(graphs, chunks, parts: int) -> list[list[tuple[int, int]]]:
     """Split chunks into `parts` contiguous non-empty runs of about equal
-    (2 * edges + nodes) cost: a chunk joins the run its cost midpoint falls
-    in."""
-    costs = [sum(2 * g.num_edges + g.n for g in graphs[a:b]) for a, b in chunks]
+    cost (_cost): a chunk joins the run its cost midpoint falls in."""
+    costs = [sum(map(_cost, graphs[a:b])) for a, b in chunks]
     mids = [end - cost / 2 for end, cost in zip(itertools.accumulate(costs), costs)]
     cuts = [0]
     for i in range(1, parts):
@@ -167,60 +171,14 @@ def _usable_cpus() -> int:
     return 1
 
 
-# thread-count setters that OpenBLAS builds export
-_BLAS_SETTERS = (
-    "openblas_set_num_threads",
-    "openblas_set_num_threads64_",
-    "scipy_openblas_set_num_threads",
-    "scipy_openblas_set_num_threads64_",
-)
-
-
-@functools.cache
-def _blas_thread_controls() -> tuple:
-    """The thread-count setter of each OpenBLAS this process has loaded,
-    found by path in its memory map; none where there is no ``/proc`` or
-    the BLAS is not OpenBLAS (MKL, Accelerate)."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line})
-    except OSError:
-        return ()
-    setters = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:  # mapped, but not a library dlopen takes
-            continue
-        setter = next((getattr(lib, name) for name in _BLAS_SETTERS if hasattr(lib, name)), None)
-        if setter is not None:
-            setter.argtypes, setter.restype = (ctypes.c_int,), None
-            setters.append(setter)
-    return tuple(setters)
-
-
-def _one_blas_thread() -> None:
-    """Set every loaded OpenBLAS to one thread, and leave it so.  Forked
-    extract processes already use every usable CPU; OpenBLAS at its default
-    would also start a thread per CPU in each of them, and they would
-    contend for the same cores.  A one-process run, on one large graph say,
-    gained no wall time from BLAS threads on 2 CPUs and spent more CPU
-    time, so it runs on one too."""
-    for set_threads in _blas_thread_controls():
-        set_threads(1)
-
-
 def _die_with_parent(parent: int) -> None:
     """In a child forked by ``parent``: ask the kernel to SIGKILL this
     process when the parent dies, by a signal too, and exit at once if it
     already has.  Where the C library has no ``prctl`` (not Linux) this
     does nothing."""
-    try:
-        prctl = ctypes.CDLL(None).prctl
-    except (AttributeError, OSError, TypeError):  # no prctl, or no handle on the C library
+    prctl = lowrank._c_function(None, ("prctl",), ctypes.c_int, (ctypes.c_int, ctypes.c_ulong))
+    if prctl is None:
         return
-    prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
-    prctl.restype = ctypes.c_int
     prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
     if os.getppid() != parent:  # the parent died before the call
         os._exit(1)
@@ -365,8 +323,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         raise UsageError("argument --heads: only valid with --attention")
     _check_out(args.out)
     dataset = load_tu_dataset(args.dataset, args.name)
-    lowrank.keep_heap()  # after loading, so that its large temporaries still go back when freed
-    _one_blas_thread()
+    lowrank.set_up_process()  # after loading, so that its large temporaries still go back when freed
     model = _build_model(args, dataset[0][0].attr_dim)
     graphs = [g for g, _ in dataset]
     chunks = _chunks(graphs, args.rank)
@@ -399,7 +356,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         for fh in files:
             fh.close()
     count = sum(g.n for g in graphs) if args.per_node else len(graphs)
-    print(f"wrote {count} rows to {args.out}")
+    print(f"wrote {count} rows to {args.out}", file=sys.stderr)  # --out may be /dev/stdout
     return EXIT_OK
 
 

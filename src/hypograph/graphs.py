@@ -113,8 +113,16 @@ class AdjacencyPattern:
     indices: np.ndarray
 
     def __post_init__(self):
-        for name in ("indptr", "indices"):
-            object.__setattr__(self, name, frozen(getattr(self, name), np.int32))
+        # checked before the int32 cast, which would wrap a large index
+        indptr, indices = np.asarray(self.indptr), np.asarray(self.indices)
+        nnz = indices.size
+        ends = indptr.shape == (self.n + 1,) and indptr[0] == 0 and indptr[-1] == nnz
+        if not ends or (np.diff(indptr) < 0).any():
+            raise ValueError(f"indptr must rise from 0 to nnz={nnz} in n+1={self.n + 1} offsets")
+        if nnz and (indices.min() < 0 or indices.max() >= self.n):
+            raise ValueError(f"indices must lie in 0..{self.n - 1}")
+        for name, values in (("indptr", indptr), ("indices", indices)):
+            object.__setattr__(self, name, frozen(values, np.int32))
 
     @cached_property
     def rows(self) -> np.ndarray:

@@ -49,6 +49,13 @@ def tiny_dataset(tmp_path):
     return data_dir
 
 
+def package_env() -> dict:
+    """This environment, with the tested package first on PYTHONPATH, for
+    a fresh interpreter."""
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
 def extract_args(data_dir, out, name="tiny", walk_length=2, **extra):
     args = [
         "extract",
@@ -292,6 +299,17 @@ class TestExtract:
         assert main(extract_args(tiny_dataset, tmp_path / "o.csv")) == EXIT_OK
         assert rows == (tmp_path / "o.csv").read_bytes().splitlines()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_out_may_be_stdout(self, tiny_dataset, tmp_path):
+        """--out /dev/stdout writes the header and rows alone to stdout; the
+        status line goes to stderr."""
+        argv = [str(a) for a in extract_args(tiny_dataset, "/dev/stdout")]
+        proc = subprocess.run([sys.executable, "-m", "hypograph.cli", *argv],
+                              env=package_env(), capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, b"wrote 2 rows to /dev/stdout\n")
+        assert main(extract_args(tiny_dataset, tmp_path / "o.csv")) == EXIT_OK
+        assert proc.stdout == (tmp_path / "o.csv").read_bytes()
+
     def test_unreadable_dataset_is_data_error(self, tmp_path):
         rc = main(
             extract_args(tmp_path / "nope", tmp_path / "out.csv")
@@ -387,22 +405,41 @@ class TwoArgumentError(Exception):
 
 def blas_thread_getters():
     """The thread-count getter of each OpenBLAS library that exports one of
-    cli._BLAS_SETTERS, looked up as cli._blas_thread_controls looks up the
-    setters: extract itself reads no count."""
+    lowrank._BLAS_SETTERS, looked up as lowrank._blas_thread_controls looks
+    up the setters: extract itself reads no count."""
     with open("/proc/self/maps") as fh:
         paths = sorted({line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line})
-    names = [name.replace("_set_", "_get_") for name in cli._BLAS_SETTERS]
-    getters = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        get = next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
-        if get is not None:
-            get.restype = ctypes.c_int
-            getters.append(get)
-    return getters
+    names = [name.replace("_set_", "_get_") for name in lowrank._BLAS_SETTERS]
+    getters = (lowrank._c_function(path, names, ctypes.c_int, ()) for path in paths)
+    return [get for get in getters if get is not None]
+
+
+@pytest.fixture
+def blas_at_two():
+    """Runs with every loaded OpenBLAS at 2 threads: returns (counts,
+    two), where counts() reads each library's thread count here and two()
+    sets every count to 2 again.  The caller's counts come back after."""
+    setters = lowrank._blas_thread_controls()
+    if not setters:
+        pytest.skip("no OpenBLAS thread-count setter is loaded, so BLAS "
+                    "threads cannot be counted")
+    getters = blas_thread_getters()
+    assert len(getters) == len(setters)
+
+    def counts():
+        return [get() for get in getters]
+
+    def two():
+        for set_threads in setters:
+            set_threads(2)
+
+    caller = counts()
+    two()
+    try:
+        yield counts, two
+    finally:
+        for set_threads, count in zip(setters, caller):
+            set_threads(count)
 
 
 def process_state(pid):
@@ -496,58 +533,31 @@ class TestProcesses:
         rows = sum(g.n for g in graphs) if per_node else len(graphs)
         assert outputs[0].count(b"\n") == rows + (fmt == "csv")
 
-    def outputs_with_and_without(self, many, monkeypatch, tmp_path, module, name, stub):
-        """The bytes of 1- and 3-process runs with module.<name> replaced
-        by stub and then in place, and how often it was called."""
+    def test_process_setup_leaves_bytes_unchanged(self, many, monkeypatch, tmp_path, blas_threads):
+        """1- and 3-process runs write the same bytes with
+        lowrank.set_up_process switched off and then on."""
+        counts, log = blas_threads
         write, _ = many
         data_dir = write()
-        real, calls = getattr(module, name), []
-
-        def counted():
-            calls.append(1)
-            return real()
-
-        outputs = []
-        for rule in (stub, counted):
-            monkeypatch.setattr(module, name, rule)
+        real, calls, outputs = lowrank.set_up_process, [], []
+        for rule in (lambda: None, lambda: calls.append(1) or real()):
+            monkeypatch.setattr(lowrank, "set_up_process", rule)
             for procs in (1, 3):
                 out = tmp_path / f"p{procs}.csv"
                 assert self.run(monkeypatch, data_dir, out, procs) == (EXIT_OK, procs - 1)
                 outputs.append(out.read_bytes())
-        return outputs, len(calls)
-
-    def test_heap_rule_leaves_bytes_unchanged(self, many, monkeypatch, tmp_path):
-        outputs, calls = self.outputs_with_and_without(
-            many, monkeypatch, tmp_path, lowrank, "keep_heap", lambda: None)
-        assert calls == 2
+        assert len(calls) == 2
         assert len(set(outputs)) == 1
-
-    def test_blas_rule_leaves_bytes_unchanged(self, many, monkeypatch, tmp_path, blas_threads):
-        counts, log = blas_threads
-        outputs, calls = self.outputs_with_and_without(
-            many, monkeypatch, tmp_path, cli, "_one_blas_thread", lambda: None)
-        assert calls == 2
-        assert len(set(outputs)) == 1
-        # four shares computed on two threads without the rule, four on one with it
+        # four shares computed on two threads without the setup, four on one with it
         two, one = (str([n] * len(counts())) for n in (2, 1))
         assert log() == [two] * 4 + [one] * 4
 
     @pytest.fixture
-    def blas_threads(self, monkeypatch, tmp_path):
+    def blas_threads(self, monkeypatch, tmp_path, blas_at_two):
         """Runs with every loaded OpenBLAS at 2 threads: returns (counts,
         log), where counts() reads each library's thread count here and
         log() the counts each share was computed under, in any process."""
-        setters = cli._blas_thread_controls()
-        if not setters:
-            pytest.skip("no OpenBLAS thread-count setter is loaded, so BLAS "
-                        "threads cannot be counted")
-        getters = blas_thread_getters()
-        assert len(getters) == len(setters)
-
-        def counts():
-            return [get() for get in getters]
-
-        caller = counts()
+        counts, _ = blas_at_two
         log = tmp_path / "blas.log"
         real = cli._share_rows
 
@@ -557,13 +567,7 @@ class TestProcesses:
             return real(*args)
 
         monkeypatch.setattr(cli, "_share_rows", share_rows)
-        for set_threads in setters:
-            set_threads(2)
-        try:
-            yield counts, lambda: log.read_text().splitlines()
-        finally:
-            for set_threads, count in zip(setters, caller):
-                set_threads(count)
+        return counts, lambda: log.read_text().splitlines()
 
     @pytest.mark.parametrize("overflow", [False, True])
     def test_forked_shares_run_on_one_blas_thread(
@@ -680,10 +684,9 @@ class TestProcesses:
         """A parent ended by a signal runs no finally block, yet its forked
         child is gone, or a zombie, within 2 s."""
         pid_file = tmp_path / "child.pid"
-        path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
         argv = [str(a) for a in extract_args(tiny_dataset, tmp_path / "o.csv")]
-        proc = subprocess.Popen([sys.executable, "-c", self.SLOW_CHILD, str(pid_file), *argv], env=env)
+        proc = subprocess.Popen([sys.executable, "-c", self.SLOW_CHILD, str(pid_file), *argv],
+                                env=package_env())
         child = None
         try:
             deadline = time.monotonic() + 60
@@ -812,7 +815,8 @@ class TestProcesses:
             assert self.run(monkeypatch, data_dir, out, procs) == (EXIT_OK, procs - 1)
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
-        assert capsys.readouterr().err == ""
+        assert capsys.readouterr().err == "".join(
+            f"wrote {len(graphs)} rows to {tmp_path / f'p{procs}.csv'}\n" for procs in (1, 3))
 
     MARK = 0.5  # the attribute of the graph whose chunk raises
 
@@ -903,8 +907,11 @@ def _no_c_library(name):
 
 @pytest.mark.parametrize("library", [lambda name: object(), _no_c_library])
 def test_heap_rule_without_mallopt_does_nothing(monkeypatch, library):
+    """No C library, or none exporting mallopt: the lookup finds nothing,
+    and the process setup calls nothing."""
     monkeypatch.setattr(ctypes, "CDLL", library)
-    assert lowrank.keep_heap() is None
+    assert lowrank._c_function(None, ("mallopt",), ctypes.c_int, ()) is None
+    assert lowrank.set_up_process() is None
 
 
 @pytest.mark.parametrize("library", [lambda name: object(), _no_c_library])
@@ -912,6 +919,7 @@ def test_death_signal_without_prctl_does_nothing(monkeypatch, library):
     """No prctl to ask for the signal: the child goes on, even with a
     parent pid that is not the forking process's."""
     monkeypatch.setattr(ctypes, "CDLL", library)
+    assert lowrank._c_function(None, ("prctl",), ctypes.c_int, ()) is None
     assert cli._die_with_parent(os.getppid()) is None
 
 
@@ -922,14 +930,13 @@ def test_death_signal_without_prctl_does_nothing(monkeypatch, library):
 ])
 def test_blas_rule_without_openblas_setter_does_nothing(monkeypatch, where, stub):
     """No memory map to read, or no library exporting a setter: no BLAS
-    thread count is found, and the rule sets nothing."""
+    thread count is found, and the process setup sets nothing."""
     if where == "open":
-        monkeypatch.setattr(cli, "open", lambda *args: stub(), raising=False)
+        monkeypatch.setattr(lowrank, "open", lambda *args: stub(), raising=False)
     else:
         monkeypatch.setattr(ctypes, "CDLL", stub)
-    assert cli._blas_thread_controls.__wrapped__() == ()
-    monkeypatch.setattr(cli, "_blas_thread_controls", cli._blas_thread_controls.__wrapped__)
-    assert cli._one_blas_thread() is None
+    assert lowrank._blas_thread_controls() == []
+    assert lowrank.set_up_process() is None
 
 
 class TestCheck:
@@ -1086,18 +1093,22 @@ class TestBench:
         rows = bench.edge_scaling(FeatureConfig(), 3, 5, repeats=3)
         assert log == [row.edges for row in rows] * 3
 
-    def test_harness_keeps_the_heap_before_it_runs_the_engine(self, monkeypatch):
-        # bench, criterion 6 and any library caller time under extract's heap rule
-        calls, real = [], lowrank.batch_features
-        monkeypatch.setattr(lowrank, "keep_heap", lambda: calls.append("keep_heap"))
+    def test_harness_keeps_the_heap_before_it_runs_the_engine(self, monkeypatch, blas_at_two):
+        # bench, criterion 6 and any library caller time the engine in a
+        # process set up as extract's: the heap kept, BLAS on one thread
+        counts, two = blas_at_two
+        calls, setup, real = [], lowrank.set_up_process, lowrank.batch_features
+        monkeypatch.setattr(lowrank, "set_up_process", lambda: calls.append("setup") or setup())
         monkeypatch.setattr(lowrank, "batch_features",
-                            lambda *args: calls.append("run") or real(*args))
+                            lambda *args: calls.append(counts()) or real(*args))
         cfg = FeatureConfig(walk_length=1, rank=1)
         for scaling in (lambda: bench.edge_scaling(cfg, 3, 4, repeats=1),
                         lambda: bench.degree_scaling(cfg, 3, repeats=1)):
+            two()
             calls.clear()
             scaling()
-            assert calls[0] == "keep_heap" and calls.count("run") == 4
+            assert calls[0] == "setup"
+            assert [c for c in calls if c != "setup"] == [[1] * len(counts())] * 4
 
 
 # name -> (the failing call, message)

@@ -874,6 +874,18 @@ RAISE_SITES = {
         lambda tmp: RowStochastic(AdjacencyPattern(2, [0, 1, 1], [0]), [1.0]),
         ValueError, r"^rows must sum to 1$",
     ),
+    # CSR patterns whose columns or row offsets would read past a vector;
+    # 2**32 is checked before the int32 cast, which would wrap it to 0
+    "pattern_column_past_n": (
+        lambda tmp: RowStochastic(AdjacencyPattern(2, [0, 1, 2], [5, 0]), [1.0, 1.0]),
+        ValueError, r"^indices must lie in 0\.\.1$",
+    ),
+    "pattern_column_past_int32": (lambda tmp: AdjacencyPattern(2, [0, 1, 2], np.array([2**32, 0])),
+                                  ValueError, r"^indices must lie in 0\.\.1$"),
+    "pattern_negative_column": (lambda tmp: AdjacencyPattern(2, [0, 1, 2], [-1, 0]),
+                                ValueError, r"^indices must lie in 0\.\.1$"),
+    "pattern_falling_indptr": (lambda tmp: AdjacencyPattern(3, [0, 2, 1, 2], [1, 0]), ValueError,
+                               r"^indptr must rise from 0 to nnz=2 in n\+1=4 offsets$"),
     "attention_shapes_differ": (lambda tmp: AttentionParams(np.ones((2, 3)), np.ones((1, 3))),
                                 ValueError, r"^w_source and w_target must have matching shapes$"),
     "attention_without_heads": (lambda tmp: AttentionParams(np.zeros((0, 2)), np.zeros((0, 2))),
