@@ -533,22 +533,54 @@ class TestProcesses:
         rows = sum(g.n for g in graphs) if per_node else len(graphs)
         assert outputs[0].count(b"\n") == rows + (fmt == "csv")
 
-    def test_process_setup_leaves_bytes_unchanged(self, many, monkeypatch, tmp_path, blas_threads):
-        """1- and 3-process runs write the same bytes with
-        lowrank.set_up_process switched off and then on."""
-        counts, log = blas_threads
+    def outputs_with_and_without(self, many, monkeypatch, tmp_path, name, off, on):
+        """The bytes of 1- and 3-process runs with lowrank.<name> replaced by
+        off, which leaves one part of lowrank.set_up_process out, and then
+        by on, which keeps it."""
         write, _ = many
         data_dir = write()
-        real, calls, outputs = lowrank.set_up_process, [], []
-        for rule in (lambda: None, lambda: calls.append(1) or real()):
-            monkeypatch.setattr(lowrank, "set_up_process", rule)
+        outputs = []
+        for rule in (off, on):
+            monkeypatch.setattr(lowrank, name, rule)
             for procs in (1, 3):
                 out = tmp_path / f"p{procs}.csv"
                 assert self.run(monkeypatch, data_dir, out, procs) == (EXIT_OK, procs - 1)
                 outputs.append(out.read_bytes())
+        return outputs
+
+    def test_heap_rule_leaves_bytes_unchanged(self, many, monkeypatch, tmp_path):
+        """set_up_process writes the same bytes with and without mallopt."""
+        real, calls = lowrank._c_function, []
+
+        def lookup(keep):
+            def c_function(path, names, *types):
+                if names == ("mallopt",):
+                    calls.append(keep)
+                    if not keep:
+                        return None
+                return real(path, names, *types)
+            return c_function
+
+        outputs = self.outputs_with_and_without(
+            many, monkeypatch, tmp_path, "_c_function", lookup(False), lookup(True))
+        assert calls == [False, False, True, True]
+        assert len(set(outputs)) == 1
+
+    def test_blas_rule_leaves_bytes_unchanged(self, many, monkeypatch, tmp_path, blas_threads):
+        """set_up_process writes the same bytes with and without setting
+        BLAS to one thread, and each share computes on one thread with it."""
+        counts, log = blas_threads
+        real, calls = lowrank._blas_thread_controls, []
+
+        def counted():
+            calls.append(1)
+            return real()
+
+        outputs = self.outputs_with_and_without(
+            many, monkeypatch, tmp_path, "_blas_thread_controls", lambda: [], counted)
         assert len(calls) == 2
         assert len(set(outputs)) == 1
-        # four shares computed on two threads without the setup, four on one with it
+        # four shares computed on two threads without the rule, four on one with it
         two, one = (str([n] * len(counts())) for n in (2, 1))
         assert log() == [two] * 4 + [one] * 4
 
