@@ -9,7 +9,7 @@ from functools import partial
 
 import numpy as np
 
-from . import lowrank
+from . import lowrank, processes
 from .config import FeatureConfig
 from .graphs import LabelledGraph, grid_graph, path_graph, transition_matrix
 
@@ -19,12 +19,12 @@ LINEAR_RATIO_BOUND = 2.5
 def _timer(g: LabelledGraph, cfg: FeatureConfig):
     """Zero-argument callable returning the wall-clock seconds of one
     batch_features run in a process set up as extract's
-    (lowrank.set_up_process): freed arrays are not faulted in again on
+    (processes.set_up_process): freed arrays are not faulted in again on
     every run, and BLAS computes on one thread.  One warm-up run is made
     and discarded here."""
     vectors = np.random.default_rng(0).standard_normal(cfg.functional_shape(g.attr_dim))
     p = transition_matrix(g)
-    lowrank.set_up_process()
+    processes.set_up_process()
 
     def run() -> float:
         start = time.perf_counter()

@@ -5,16 +5,13 @@ from __future__ import annotations
 import argparse
 import bisect
 import collections
-import ctypes
 import errno
 import functools
 import itertools
 import os
 import shutil
-import signal
 import sys
 import tempfile
-import threading
 
 import numpy as np
 
@@ -23,7 +20,7 @@ from .graphs import DatasetError, NonFiniteError, disjoint_union, load_tu_datase
 from .layers import LayerParams, ModelConfig, init_params, model_forward
 from .layers import layer_forward  # not called here: perfbench traces cli.layer_forward
 from .verify import MAX_DEGREE, MAX_NODES, MAX_WALK, RANK, TOLERANCE, run_equivalence_suite
-from . import bench as bench_mod, lowrank
+from . import bench as bench_mod, lowrank, processes
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -34,11 +31,6 @@ EXIT_WORKER = 4
 
 class UsageError(ValueError):
     """Unknown, missing or out-of-range flag; maps to exit code 1."""
-
-
-class WorkerError(RuntimeError):
-    """An extract child process was killed by a signal.  Names its graph
-    rows and maps to exit code 4."""
 
 
 def _at_least(lo: int):
@@ -163,25 +155,14 @@ def _shares(graphs, chunks, parts: int) -> list[list[tuple[int, int]]]:
     return [chunks[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where it cannot fork, or should not
-    because another Python thread might hold a lock the child would need."""
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
-        return len(os.sched_getaffinity(0))
-    return 1
-
-
-def _die_with_parent(parent: int) -> None:
-    """In a child forked by ``parent``: ask the kernel to SIGKILL this
-    process when the parent dies, by a signal too, and exit at once if it
-    already has.  Where the C library has no ``prctl`` (not Linux) this
-    does nothing."""
-    prctl = lowrank._c_function(None, ("prctl",), ctypes.c_int, (ctypes.c_int, ctypes.c_ulong))
-    if prctl is None:
-        return
-    prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
-    if os.getppid() != parent:  # the parent died before the call
-        os._exit(1)
+def _is_stderr(path: str) -> bool:
+    """Whether path is the file stderr writes to: the same device and
+    inode.  False where either cannot be stat'ed."""
+    try:
+        out, err = os.stat(path), os.fstat(sys.stderr.fileno())
+    except OSError:  # io.UnsupportedOperation too: a stderr with no descriptor
+        return False
+    return (out.st_dev, out.st_ino) == (err.st_dev, err.st_ino)
 
 
 def _check_out(path: str) -> None:
@@ -274,60 +255,16 @@ def _write_rows(fh, rows, fmt: str, per_node: bool, width: int) -> None:
         fh.write((template % tuple(values.ravel().tolist())).encode())
 
 
-def _run_shares(shares, files, write_share) -> None:
-    """Call write_share(share, file) per share: share 0 in this process, the
-    others in forked children, which report only their exit status. A
-    share whose child exits nonzero runs again here, so that it raises its
-    own exception with its own traceback, the lowest failing share first;
-    a child killed by a signal raises WorkerError. Every child left is
-    killed and reaped on the way out, and the kernel kills the children of
-    a parent that dies."""
-    children = []  # (pid, share, file), in share order
-    parent = os.getpid()
-    try:
-        for share, fh in zip(shares[1:], files[1:]):
-            pid = os.fork()
-            if pid == 0:
-                code = 1
-                try:
-                    _die_with_parent(parent)
-                    write_share(share, fh)
-                    code = 0
-                finally:
-                    os._exit(code)  # never return or raise into the caller's frames
-            children.append((pid, share, fh))
-        write_share(shares[0], files[0])
-        while children:
-            pid, share, fh = children[0]
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(0)
-            if code < 0:
-                rows = f"{share[0][0]}-{share[-1][1] - 1}"
-                raise WorkerError(f"graph rows {rows}: extract process failed: "
-                                  f"killed by signal {-code}")
-            if code:
-                fh.seek(0)
-                fh.truncate()
-                write_share(share, fh)
-    finally:
-        for pid, _, _ in children:
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            os.waitpid(pid, 0)
-
-
 def cmd_extract(args: argparse.Namespace) -> int:
     if args.heads is not None and not args.attention:
         raise UsageError("argument --heads: only valid with --attention")
     _check_out(args.out)
     dataset = load_tu_dataset(args.dataset, args.name)
-    lowrank.set_up_process()  # after loading, so that its large temporaries still go back when freed
+    processes.set_up_process()  # after loading, so that its large temporaries still go back when freed
     model = _build_model(args, dataset[0][0].attr_dim)
     graphs = [g for g, _ in dataset]
     chunks = _chunks(graphs, args.rank)
-    shares = _shares(graphs, chunks, min(_usable_cpus(), len(chunks)))
+    shares = _shares(graphs, chunks, min(processes.usable_cpus(), len(chunks)))
 
     def write_share(share, fh):
         rows = _share_rows(dataset, graphs, share, model)
@@ -336,7 +273,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
     files = [tempfile.TemporaryFile() for _ in shares]
     try:
-        _run_shares(shares, files, write_share)
+        processes.run_shares(shares, files, write_share)
         out = open(args.out, "wb")
         try:
             with out:
@@ -355,8 +292,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
     finally:
         for fh in files:
             fh.close()
-    count = sum(g.n for g in graphs) if args.per_node else len(graphs)
-    print(f"wrote {count} rows to {args.out}", file=sys.stderr)  # --out may be /dev/stdout
+    if not _is_stderr(args.out):  # neither --out /dev/stdout nor /dev/stderr gets the line
+        count = sum(g.n for g in graphs) if args.per_node else len(graphs)
+        print(f"wrote {count} rows to {args.out}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -447,7 +385,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"hypograph: out of memory: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except WorkerError as exc:
+    except processes.WorkerError as exc:
         print(f"hypograph: {exc}", file=sys.stderr)
         return EXIT_WORKER
 

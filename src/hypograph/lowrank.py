@@ -13,7 +13,6 @@ The results are validated entry-wise against :mod:`hypograph.exact`.
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,58 +23,6 @@ from .graphs import LabelledGraph, RowStochastic, finite, frozen
 # the element budget: extract's chunks keep their (2 * edges + nodes) * rank
 # values within it, and so does every start gather of batch_features
 CHUNK_ELEMENTS = 1 << 16
-
-
-# thread-count setters that OpenBLAS builds export
-_BLAS_SETTERS = (
-    "openblas_set_num_threads",
-    "openblas_set_num_threads64_",
-    "scipy_openblas_set_num_threads",
-    "scipy_openblas_set_num_threads64_",
-)
-
-
-def _c_function(path, names, restype, argtypes):
-    """The first of the C functions ``names`` that the library at ``path``
-    (None: the C library) exports, with its result and argument types set;
-    None where the library does not load or exports none of them."""
-    try:
-        lib = ctypes.CDLL(path)
-    except (OSError, TypeError):  # no such library, or no handle on the C library
-        return None
-    function = next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
-    if function is not None:
-        function.restype, function.argtypes = restype, argtypes
-    return function
-
-
-def _blas_thread_controls() -> list:
-    """The thread-count setter of each OpenBLAS this process has loaded,
-    found by path in its memory map; none where there is no ``/proc`` or
-    the BLAS is not OpenBLAS (MKL, Accelerate)."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line})
-    except OSError:
-        return []
-    setters = (_c_function(path, _BLAS_SETTERS, None, (ctypes.c_int,)) for path in paths)
-    return [set_threads for set_threads in setters if set_threads is not None]
-
-
-def set_up_process() -> None:
-    """Set this process up to run the engine as extract does, and leave it
-    so.  Freed arrays stay in the C library's heap: by default glibc gives
-    large and trailing freed blocks back to the system, and every chunk of
-    extract, and every timed run of bench, faults their pages in again.
-    BLAS computes on one thread: forked extract processes already use every
-    usable CPU, and BLAS threads gained a one-process run no wall time.
-    Without glibc's ``mallopt``, or without OpenBLAS, that part does nothing."""
-    mallopt = _c_function(None, ("mallopt",), ctypes.c_int, (ctypes.c_int, ctypes.c_int))
-    if mallopt is not None:
-        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at glibc's 64-bit cap
-        mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
-    for set_threads in _blas_thread_controls():
-        set_threads(1)
 
 
 @dataclass(frozen=True)

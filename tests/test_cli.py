@@ -27,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import jsonl_line, random_labelled_graph, write_tu_files
 import hypograph
-from hypograph import bench, cli, exact, lowrank, verify
+from hypograph import bench, cli, exact, lowrank, processes, verify
 from hypograph.config import FeatureConfig
 from hypograph.graphs import LabelledGraph, grid_graph, load_tu_dataset, save_tu_dataset
 from hypograph.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, EXIT_WORKER, main
@@ -310,6 +310,21 @@ class TestExtract:
         assert main(extract_args(tiny_dataset, tmp_path / "o.csv")) == EXIT_OK
         assert proc.stdout == (tmp_path / "o.csv").read_bytes()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stderr"), reason="no /dev/stderr")
+    def test_out_may_be_stderr(self, tiny_dataset, tmp_path):
+        """--out /dev/stderr writes the header and rows alone to the file
+        stderr goes to: the status line, which would follow them, is left
+        out."""
+        argv = [str(a) for a in extract_args(tiny_dataset, "/dev/stderr")]
+        err = tmp_path / "err"
+        with open(err, "wb") as fh:
+            proc = subprocess.run([sys.executable, "-m", "hypograph.cli", *argv],
+                                  env=package_env(), stdout=subprocess.PIPE, stderr=fh,
+                                  timeout=120)
+        assert (proc.returncode, proc.stdout) == (EXIT_OK, b"")
+        assert main(extract_args(tiny_dataset, tmp_path / "o.csv")) == EXIT_OK
+        assert err.read_bytes() == (tmp_path / "o.csv").read_bytes()
+
     def test_unreadable_dataset_is_data_error(self, tmp_path):
         rc = main(
             extract_args(tmp_path / "nope", tmp_path / "out.csv")
@@ -346,7 +361,7 @@ class TestExtract:
                        [1, 1, 2, 2, 2],
                        node_attributes=[[0.5], [1.0], [1.7e308], [-1.7e308], [1.7e308]])
         monkeypatch.setattr(lowrank, "CHUNK_ELEMENTS", 0)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: procs)
+        monkeypatch.setattr(processes, "usable_cpus", lambda: procs)
         out = tmp_path / "o.csv"
         args = ["extract", "--dataset", str(tmp_path), "--name", "ov", "--rank", "4",
                 "--attention", "--heads", "2", "--out", str(out)]
@@ -405,12 +420,12 @@ class TwoArgumentError(Exception):
 
 def blas_thread_getters():
     """The thread-count getter of each OpenBLAS library that exports one of
-    lowrank._BLAS_SETTERS, looked up as lowrank._blas_thread_controls looks
+    processes._BLAS_SETTERS, looked up as processes._blas_thread_controls looks
     up the setters: extract itself reads no count."""
     with open("/proc/self/maps") as fh:
         paths = sorted({line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line})
-    names = [name.replace("_set_", "_get_") for name in lowrank._BLAS_SETTERS]
-    getters = (lowrank._c_function(path, names, ctypes.c_int, ()) for path in paths)
+    names = [name.replace("_set_", "_get_") for name in processes._BLAS_SETTERS]
+    getters = (processes._c_function(path, names, ctypes.c_int, ()) for path in paths)
     return [get for get in getters if get is not None]
 
 
@@ -419,7 +434,7 @@ def blas_at_two():
     """Runs with every loaded OpenBLAS at 2 threads: returns (counts,
     two), where counts() reads each library's thread count here and two()
     sets every count to 2 again.  The caller's counts come back after."""
-    setters = lowrank._blas_thread_controls()
+    setters = processes._blas_thread_controls()
     if not setters:
         pytest.skip("no OpenBLAS thread-count setter is loaded, so BLAS "
                     "threads cannot be counted")
@@ -482,7 +497,7 @@ class TestProcesses:
         return write, graphs
 
     def run(self, monkeypatch, data_dir, out, procs, **extra):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: procs)
+        monkeypatch.setattr(processes, "usable_cpus", lambda: procs)
         forks = []
 
         def counted_fork():
@@ -534,14 +549,14 @@ class TestProcesses:
         assert outputs[0].count(b"\n") == rows + (fmt == "csv")
 
     def outputs_with_and_without(self, many, monkeypatch, tmp_path, name, off, on):
-        """The bytes of 1- and 3-process runs with lowrank.<name> replaced by
-        off, which leaves one part of lowrank.set_up_process out, and then
+        """The bytes of 1- and 3-process runs with processes.<name> replaced by
+        off, which leaves one part of processes.set_up_process out, and then
         by on, which keeps it."""
         write, _ = many
         data_dir = write()
         outputs = []
         for rule in (off, on):
-            monkeypatch.setattr(lowrank, name, rule)
+            monkeypatch.setattr(processes, name, rule)
             for procs in (1, 3):
                 out = tmp_path / f"p{procs}.csv"
                 assert self.run(monkeypatch, data_dir, out, procs) == (EXIT_OK, procs - 1)
@@ -550,7 +565,7 @@ class TestProcesses:
 
     def test_heap_rule_leaves_bytes_unchanged(self, many, monkeypatch, tmp_path):
         """set_up_process writes the same bytes with and without mallopt."""
-        real, calls = lowrank._c_function, []
+        real, calls = processes._c_function, []
 
         def lookup(keep):
             def c_function(path, names, *types):
@@ -570,7 +585,7 @@ class TestProcesses:
         """set_up_process writes the same bytes with and without setting
         BLAS to one thread, and each share computes on one thread with it."""
         counts, log = blas_threads
-        real, calls = lowrank._blas_thread_controls, []
+        real, calls = processes._blas_thread_controls, []
 
         def counted():
             calls.append(1)
@@ -697,7 +712,7 @@ class TestProcesses:
     # each, whose forked child writes its pid to argv[1] and then sleeps
     SLOW_CHILD = textwrap.dedent("""
         import os, sys, time
-        from hypograph import cli, lowrank
+        from hypograph import cli, lowrank, processes
         real, parent = cli._share_rows, os.getpid()
         def share_rows(*args):
             if os.getpid() != parent:
@@ -706,7 +721,7 @@ class TestProcesses:
                 os.rename(sys.argv[1] + ".part", sys.argv[1])
                 time.sleep(60)
             return real(*args)
-        cli._share_rows, cli._usable_cpus, lowrank.CHUNK_ELEMENTS = share_rows, lambda: 2, 0
+        cli._share_rows, processes.usable_cpus, lowrank.CHUNK_ELEMENTS = share_rows, lambda: 2, 0
         sys.exit(cli.main(sys.argv[2:]))
     """)
 
@@ -743,19 +758,19 @@ class TestProcesses:
         def no_fork():
             raise AssertionError("forked for a one-chunk dataset")
 
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(processes, "usable_cpus", lambda: 3)
         monkeypatch.setattr(os, "fork", no_fork)
         out = tmp_path / "one.csv"
         assert main(extract_args(tiny_dataset, out)) == EXIT_OK
         assert len(out.read_text().splitlines()) == 3
 
     def test_no_fork_while_another_thread_runs(self):
-        assert cli._usable_cpus() == len(os.sched_getaffinity(0))
+        assert processes.usable_cpus() == len(os.sched_getaffinity(0))
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
         thread.start()
         try:
-            assert cli._usable_cpus() == 1
+            assert processes.usable_cpus() == 1
         finally:
             stop.set()
             thread.join(timeout=10)
@@ -796,8 +811,8 @@ class TestProcesses:
     def test_failed_child_exits_nonzero_naming_its_rows(
         self, many, monkeypatch, tmp_path, capsys, death, why
     ):
-        """A child killed by a signal exits 4 naming its graph rows; one
-        that raises fails as one process does."""
+        """A child killed by a signal exits 4 naming its graph rows and its
+        peak RSS; one that raises fails as one process does."""
         write, graphs = many
         data_dir = write()
         shares = cli._shares(graphs, cli._chunks(graphs, self.RANK), 3)
@@ -822,9 +837,9 @@ class TestProcesses:
         else:
             assert self.run(monkeypatch, data_dir, out, 3) == (EXIT_WORKER, 2)
             rows = f"{shares[1][0][0]}-{shares[1][-1][1] - 1}"
-            assert capsys.readouterr().err == (
-                f"hypograph: graph rows {rows}: extract process failed: {why}\n"
-            )
+            assert re.fullmatch(
+                rf"hypograph: graph rows {rows}: extract process failed: {why}, "
+                r"peak RSS \d+\.\d MB\n", capsys.readouterr().err)
         assert not out.exists()
 
     def test_child_only_failure_does_not_fail_the_run(self, many, monkeypatch, tmp_path, capsys):
@@ -942,8 +957,8 @@ def test_heap_rule_without_mallopt_does_nothing(monkeypatch, library):
     """No C library, or none exporting mallopt: the lookup finds nothing,
     and the process setup calls nothing."""
     monkeypatch.setattr(ctypes, "CDLL", library)
-    assert lowrank._c_function(None, ("mallopt",), ctypes.c_int, ()) is None
-    assert lowrank.set_up_process() is None
+    assert processes._c_function(None, ("mallopt",), ctypes.c_int, ()) is None
+    assert processes.set_up_process() is None
 
 
 @pytest.mark.parametrize("library", [lambda name: object(), _no_c_library])
@@ -951,8 +966,8 @@ def test_death_signal_without_prctl_does_nothing(monkeypatch, library):
     """No prctl to ask for the signal: the child goes on, even with a
     parent pid that is not the forking process's."""
     monkeypatch.setattr(ctypes, "CDLL", library)
-    assert lowrank._c_function(None, ("prctl",), ctypes.c_int, ()) is None
-    assert cli._die_with_parent(os.getppid()) is None
+    assert processes._c_function(None, ("prctl",), ctypes.c_int, ()) is None
+    assert processes._die_with_parent(os.getppid()) is None
 
 
 @pytest.mark.parametrize("where, stub", [
@@ -964,11 +979,25 @@ def test_blas_rule_without_openblas_setter_does_nothing(monkeypatch, where, stub
     """No memory map to read, or no library exporting a setter: no BLAS
     thread count is found, and the process setup sets nothing."""
     if where == "open":
-        monkeypatch.setattr(lowrank, "open", lambda *args: stub(), raising=False)
+        monkeypatch.setattr(processes, "open", lambda *args: stub(), raising=False)
     else:
         monkeypatch.setattr(ctypes, "CDLL", stub)
-    assert lowrank._blas_thread_controls() == []
-    assert lowrank.set_up_process() is None
+    assert processes._blas_thread_controls() == []
+    assert processes.set_up_process() is None
+
+
+def test_process_code_lives_in_processes_only():
+    """processes holds the code that sets up and supervises extract's
+    processes; lowrank and cli hold none of it, under its old names or its
+    new ones, and bind nothing from ctypes."""
+    moved = {"WorkerError", "usable_cpus", "_BLAS_SETTERS", "_c_function",
+             "_blas_thread_controls", "set_up_process", "_die_with_parent", "run_shares"}
+    assert moved <= set(vars(processes))
+    for module in (lowrank, cli):
+        assert not set(vars(module)) & (moved | {"_usable_cpus", "_run_shares"})
+        bound = [name for name, value in vars(module).items()
+                 if value is ctypes or getattr(value, "__module__", None) == "ctypes"]
+        assert bound == []
 
 
 class TestCheck:
@@ -1129,8 +1158,8 @@ class TestBench:
         # bench, criterion 6 and any library caller time the engine in a
         # process set up as extract's: the heap kept, BLAS on one thread
         counts, two = blas_at_two
-        calls, setup, real = [], lowrank.set_up_process, lowrank.batch_features
-        monkeypatch.setattr(lowrank, "set_up_process", lambda: calls.append("setup") or setup())
+        calls, setup, real = [], processes.set_up_process, lowrank.batch_features
+        monkeypatch.setattr(processes, "set_up_process", lambda: calls.append("setup") or setup())
         monkeypatch.setattr(lowrank, "batch_features",
                             lambda *args: calls.append(counts()) or real(*args))
         cfg = FeatureConfig(walk_length=1, rank=1)

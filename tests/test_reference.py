@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from conftest import jsonl_line
-from hypograph import cli, lowrank
+from hypograph import cli, lowrank, processes
 from hypograph.cli import EXIT_OK, main
 from reference import make_reference as ref
 
@@ -69,7 +69,7 @@ def layout_and_values(path: str, jsonl: bool):
 def test_extract_matches_reference(tmp_path, monkeypatch, name, procs):
     """One process at the default budget, which holds the 20 graphs in
     one chunk, and three processes at a budget of 0, one graph per chunk."""
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: procs)
+    monkeypatch.setattr(processes, "usable_cpus", lambda: procs)
     if procs > 1:
         monkeypatch.setattr(lowrank, "CHUNK_ELEMENTS", 0)
     forks = []
