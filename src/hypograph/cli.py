@@ -14,6 +14,7 @@ import sys
 import tempfile
 
 import numpy as np
+import orjson
 
 from .config import FeatureConfig
 from .graphs import DatasetError, NonFiniteError, disjoint_union, load_tu_dataset
@@ -216,43 +217,44 @@ def _csv_header(width: int, per_node: bool) -> str:
     return ",".join(names + ["label"] + [f"f{idx}" for idx in range(width)]) + "\n"
 
 
-# stand-ins for the graph id, node id and label in a row template
-_GRAPH, _NODE, _LABEL = "\0", "\1", "\2"
+# stand-ins for the graph id and label in a row template
+_GRAPH, _LABEL = b"\0", b"\2"
 
 
-# the text of one feature value in both formats: 17 significant digits read
-# back to the same float64, and cost less than float.__repr__'s shortest ones
-FLOAT_FORMAT = "%.17g"
-
-
-def _row_template(fmt: str, per_node: bool, width: int) -> str:
-    """One output row as a ``%`` template of its values, each written as
-    FLOAT_FORMAT.  CSV gives a missing label an empty field; JSONL has
-    ``json.dumps``'s keys and ``", "`` separators, and an integral value
-    or -0.0 reads as an integer (``3``, ``-0``)."""
+def _row_template(fmt: str, per_node: bool) -> bytes:
+    """One output row as a ``%`` template: a node row's ``%d`` takes the
+    node id, and then its ``%%s`` is the ``%s`` of the row's values.  CSV
+    gives a missing label an empty field; JSONL has ``json.dumps``'s keys
+    and ``", "`` separators around the ids and the label."""
+    node = (b",%d" if fmt == "csv" else b' "node": %d,') if per_node else b""
     if fmt == "csv":
-        ids = [_GRAPH, _NODE] if per_node else [_GRAPH]
-        return ",".join(ids + [_LABEL] + [FLOAT_FORMAT] * width) + "\n"
-    node = f' "node": {_NODE},' if per_node else ""
-    features = ", ".join([FLOAT_FORMAT] * width)
-    return f'{{"graph": {_GRAPH},{node} "label": {_LABEL}, "features": [{features}]}}\n'
+        return _GRAPH + node + b"," + _LABEL + b",%%s\n"
+    return (b'{"graph": ' + _GRAPH + b"," + node + b' "label": ' + _LABEL
+            + b', "features": [%%s]}\n')
 
 
-def _write_rows(fh, rows, fmt: str, per_node: bool, width: int) -> None:
+def _write_rows(fh, rows, fmt: str, per_node: bool) -> None:
     """Write (graph row, label, rows) triples to the binary file fh, each
     graph's rows formatted by one ``%`` on the template of its row count.
-    A label is an int or None, as load_tu_dataset gives it."""
-    row = _row_template(fmt, per_node, width)
-    missing = "null" if fmt == "jsonl" else ""  # a graph without a label
+    A label is an int or None, as load_tu_dataset gives it.  Every value
+    is orjson's text of its float64: the shortest decimal that reads back
+    to it, always with a ``.`` or an exponent (``3.0``, ``-0.0``,
+    ``1e16``)."""
+    row = _row_template(fmt, per_node)
+    missing = b"null" if fmt == "jsonl" else b""  # a graph without a label
 
     @functools.cache
-    def block(count: int) -> str:
-        return "".join(row.replace(_NODE, str(node)) for node in range(count))
+    def block(count: int) -> bytes:
+        nodes = range(count) if per_node else [()] * count
+        return b"".join(row % node for node in nodes)
 
     for gi, label, values in rows:
-        text = missing if label is None else str(label)
-        template = block(len(values)).replace(_GRAPH, str(gi)).replace(_LABEL, text)
-        fh.write((template % tuple(values.ravel().tolist())).encode())
+        if not len(values):
+            continue  # a graph with no rows writes nothing
+        text = missing if label is None else b"%d" % label
+        numbers = orjson.dumps(np.ascontiguousarray(values), option=orjson.OPT_SERIALIZE_NUMPY)
+        template = block(len(values)).replace(_GRAPH, b"%d" % gi).replace(_LABEL, text)
+        fh.write(template % tuple(numbers[2:-2].split(b"],[")))
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
@@ -268,7 +270,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
     def write_share(share, fh):
         rows = _share_rows(dataset, graphs, share, model)
-        _write_rows(fh, rows, args.fmt, args.per_node, args.rank)
+        _write_rows(fh, rows, args.fmt, args.per_node)
         fh.flush()  # a child leaves by os._exit, which flushes nothing
 
     files = [tempfile.TemporaryFile() for _ in shares]

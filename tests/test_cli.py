@@ -25,7 +25,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import jsonl_line, random_labelled_graph, write_tu_files
+from conftest import (csv_head, float_text, jsonl_head, random_labelled_graph, row_values,
+                      same_bits, write_tu_files)
 import hypograph
 from hypograph import bench, cli, exact, lowrank, processes, verify
 from hypograph.config import FeatureConfig
@@ -165,7 +166,8 @@ class TestExtract:
             assert obj["graph"] == int(parts[0])
             assert obj["label"] == int(parts[1])
             features = json_line.split('"features": [')[1].removesuffix("]}")
-            assert features.split(", ") == parts[2:]
+            assert features.split(",") == parts[2:]
+            assert same_bits([float_text(t) for t in parts[2:]], obj["features"])
 
     @pytest.mark.parametrize("labelled", [True, False])
     @pytest.mark.parametrize("per_node", [False, True])
@@ -186,13 +188,10 @@ class TestExtract:
         assert len(csv_lines) == len(json_lines) == len(row_ids)
         for ids, csv_line, json_line in zip(row_ids, csv_lines, json_lines):
             label = ([1, 0] if labelled else [None, None])[ids[0]]
-            values = [float(x) for x in csv_line.split(",")[len(ids) + 1:]]
-            assert len(values) == 4
-            label_field = "" if label is None else str(label)
-            assert csv_line == ",".join(
-                [str(i) for i in ids] + [label_field] + [f"{v:.17g}" for v in values]
-            )
-            assert json_line == jsonl_line(dict(zip(names, ids)), label, values)
+            head = csv_head(ids, label)
+            assert len(row_values(csv_line, head)) == 4
+            # the JSONL row holds the CSV row's value texts
+            assert json_line == jsonl_head(dict(zip(names, ids)), label) + csv_line[len(head):] + "]}"
 
     def test_writers_format_awkward_floats(self):
         values = np.array([[3.0, -0.0, 0.1, 1e16, 5e-324, 1.7976931348623157e308, -2.5e-7]])
@@ -202,25 +201,71 @@ class TestExtract:
             # per node: graph 0 has two rows, graphs 1 and 2 one each
             results = [np.vstack([values, values[:, ::-1]]) if per_node else values,
                        values[:, ::-1], values]
-            rows = list(zip(range(3), labels, results))
+            # graph 3 has no rows and writes nothing
+            rows = list(zip(range(4), labels + [5], results + [np.empty((0, 7))]))
             csv, jsonl = io.BytesIO(), io.BytesIO()
             csv.write(cli._csv_header(7, per_node).encode())
-            cli._write_rows(csv, iter(rows), "csv", per_node, 7)
-            cli._write_rows(jsonl, iter(rows), "jsonl", per_node, 7)
+            cli._write_rows(csv, iter(rows), "csv", per_node)
+            cli._write_rows(jsonl, iter(rows), "jsonl", per_node)
             names = ["graph", "node"] if per_node else ["graph"]
-            want_csv = [",".join(names + ["label"] + [f"f{i}" for i in range(7)])]
-            want_jsonl = []
-            for gi, label, res in rows:
-                for node, row in enumerate(res):
-                    ids = [gi, node] if per_node else [gi]
-                    want_csv.append(",".join([str(i) for i in ids]
-                                             + ["" if label is None else str(label)]
-                                             + [f"{v:.17g}" for v in row]))
-                    want_jsonl.append(jsonl_line(dict(zip(names, ids)), label, row))
-            assert csv.getvalue().decode() == "\n".join(want_csv) + "\n"
-            assert jsonl.getvalue().decode() == "\n".join(want_jsonl) + "\n"
-            assert ('"features": [3, -0, 0.10000000000000001, 10000000000000000, '
-                    '4.9406564584124654e-324, ' in jsonl.getvalue().decode())
+            header, *csv_lines = csv.getvalue().decode().split("\n")
+            json_lines = jsonl.getvalue().decode().split("\n")
+            assert csv_lines.pop() == json_lines.pop() == ""  # every line ends in a newline
+            assert header == ",".join(names + ["label"] + [f"f{i}" for i in range(7)])
+            want = [([gi, node] if per_node else [gi], label, row)
+                    for gi, label, res in rows for node, row in enumerate(res)]
+            assert len(csv_lines) == len(json_lines) == len(want)
+            for (ids, label, row), csv_line, json_line in zip(want, csv_lines, json_lines):
+                assert same_bits(row_values(csv_line, csv_head(ids, label)), row)
+                head = jsonl_head(dict(zip(names, ids)), label)
+                assert same_bits(row_values(json_line, head, "]}"), row)
+            assert '"features": [3.0,-0.0,0.1,' in jsonl.getvalue().decode()
+
+    # finite float64 values: hypothesis's floats, which reach +-0, subnormals
+    # and +-max, integral values, and uniform bit patterns
+    FINITE = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(-(2**60), 2**60).map(float),
+        st.integers(0, 2**64 - 1)
+        .map(lambda bits: float(np.array([bits], dtype=np.uint64).view(np.float64)[0]))
+        .filter(np.isfinite),
+    )
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_writers_read_back_every_float_bit_exact(self, data):
+        """Random (n, R) blocks, C-contiguous or reversed views, per node or
+        pooled: both formats give each block's ids, label and values back,
+        bit for bit, and a block of no rows writes nothing."""
+        per_node = data.draw(st.booleans())
+        width = data.draw(st.integers(1, 5))
+        first = data.draw(st.integers(0, 10**6))
+        rows = []
+        for gi in range(first, first + data.draw(st.integers(1, 4))):
+            count = data.draw(st.integers(0, 3 if per_node else 1))
+            size = count * width
+            flat = data.draw(st.lists(self.FINITE, min_size=size, max_size=size))
+            values = np.array(flat, dtype=np.float64).reshape(count, width)
+            if data.draw(st.booleans()):
+                values = np.ascontiguousarray(values[:, ::-1])[:, ::-1]  # same values, strided
+            label = data.draw(st.none() | st.integers(-(10**6), 10**6))
+            rows.append((gi, label, values))
+        names = ["graph", "node"] if per_node else ["graph"]
+        want = [([gi, node] if per_node else [gi], label, row)
+                for gi, label, res in rows for node, row in enumerate(res)]
+        for fmt in ("csv", "jsonl"):
+            fh = io.BytesIO()
+            cli._write_rows(fh, iter(rows), fmt, per_node)
+            lines = fh.getvalue().decode().split("\n")
+            assert lines.pop() == ""  # every line ends in a newline
+            assert len(lines) == len(want)
+            for line, (ids, label, row) in zip(lines, want):
+                if fmt == "csv":
+                    assert same_bits(row_values(line, csv_head(ids, label)), row)
+                else:
+                    head = jsonl_head(dict(zip(names, ids)), label)
+                    assert same_bits(row_values(line, head, "]}"), row)
+                    assert same_bits(json.loads(line)["features"], row)
 
     def test_batched_matches_one_graph_per_chunk(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(4)
@@ -690,23 +735,26 @@ class TestProcesses:
         monkeypatch.setattr(cli, "model_forward", awkward)
         monkeypatch.setattr(lowrank, "CHUNK_ELEMENTS", 0)  # one chunk per graph
         names = ["graph", "node"] if per_node else ["graph"]
-        want = ["graph,node,label,f0,f1,f2,f3" if per_node else "graph,label,f0,f1,f2,f3"]
-        want = want if fmt == "csv" else []
+        header = "graph,node,label,f0,f1,f2,f3" if per_node else "graph,label,f0,f1,f2,f3"
+        want = []  # (head, tail, values) per row
         for gi, (start, n) in enumerate(zip(starts, sizes)):
             label = None if labels is None else labels[gi]
             for node in range(n if per_node else 1):
                 values = [self.AWKWARD[(start + node + c) % 7] for c in range(self.RANK)]
                 ids = [gi, node] if per_node else [gi]
-                want.append(
-                    ",".join([str(i) for i in ids] + ["" if label is None else str(label)]
-                             + [f"{v:.17g}" for v in values]) if fmt == "csv"
-                    else jsonl_line(dict(zip(names, ids)), label, values)
-                )
+                want.append((csv_head(ids, label), "", values) if fmt == "csv"
+                            else (jsonl_head(dict(zip(names, ids)), label), "]}", values))
         for procs in (1, 3):
             out = tmp_path / f"p{procs}.{fmt}"
             extra = {"format": fmt, "per_node": True} if per_node else {"format": fmt}
             assert self.run(monkeypatch, tmp_path, out, procs, **extra) == (EXIT_OK, procs - 1)
-            assert out.read_text() == "\n".join(want) + "\n"
+            lines = out.read_text().split("\n")
+            assert lines.pop() == ""  # every line ends in a newline
+            if fmt == "csv":
+                assert lines.pop(0) == header
+            assert len(lines) == len(want)
+            for line, (head, tail, values) in zip(lines, want):
+                assert same_bits(row_values(line, head, tail), values)
 
     # run by a fresh interpreter: main(argv[2:]) on two shares, one graph
     # each, whose forked child writes its pid to argv[1] and then sleeps

@@ -2,9 +2,10 @@
 
 The layout of every output must match the reference exactly: the CSV
 header, the graph and node ids, the labels, the row order, the number of
-values per row, and the format of every line: each value as ``%.17g``
-in both formats, and a JSONL line's ids, label and separators as
-``json.dumps`` writes them.  The values must match within RTOL of the
+values per row, and the format of every line: a JSONL line's ids, label
+and separators as ``json.dumps`` writes them, and in both formats each
+value as its shortest round-trip digits, read as a JSON float
+(``conftest.float_text``).  The values must match within RTOL of the
 largest value of the reference file.
 
 RTOL is derived from the spread of values seen on one host (2 CPUs,
@@ -28,7 +29,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import jsonl_line
+from conftest import jsonl_head, row_values
 from hypograph import cli, lowrank, processes
 from hypograph.cli import EXIT_OK, main
 from reference import make_reference as ref
@@ -48,19 +49,15 @@ def layout_and_values(path: str, jsonl: bool):
             row = json.loads(line)
             del row["features"]
             label = row.pop("label")
-            # "-0" reads back as -0.0 only through parse_int=float
-            features = json.loads(line, parse_int=float)["features"]
-            assert jsonl_line(row, label, features) == line
-            values.append(features)
+            values.append(row_values(line, jsonl_head(row, label), "]}"))
             layout.append((row, label))
     else:
         layout.append(lines[0])
         ids = sum(1 for name in lines[0].split(",") if not name.startswith("f"))
         for line in lines[1:]:
             fields = line.split(",")
-            assert all(f"{float(v):.17g}" == v for v in fields[ids:])
-            layout.append((fields[:ids], len(fields) - ids))
-            values.append([float(v) for v in fields[ids:]])
+            values.append(row_values(line, ",".join(fields[:ids] + [""])))
+            layout.append((fields[:ids], len(values[-1])))
     return layout, np.array(values)
 
 
