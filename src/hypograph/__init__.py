@@ -7,7 +7,7 @@ same features, layer stacking with attention-weighted walks, and a CLI
 for extraction, verification, and benchmarking.
 
 The names below are the user surface.  The oracle and its algebra are
-imported from :mod:`hypograph.exact` and :mod:`hypograph.tensoralg`.
+imported from :mod:`hypograph.exact`.
 """
 
 from .config import FeatureConfig

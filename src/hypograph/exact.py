@@ -1,11 +1,19 @@
-"""Reference oracle: tensor-valued walk matrices and exact diffusion.
+"""Reference oracle: the truncated tensor algebra, tensor-valued walk
+matrices and exact diffusion.
 
-A truncated sequence is a tuple of levels as in :mod:`hypograph.tensoralg`.
+An element of the tensor algebra over R^d truncated at degree M is a
+sequence (v_0, v_1, ..., v_M) of levels, v_m a dense order-m tensor of
+shape (d,) * m, so v_0 is a 0-d array.  The algebra's functions take any
+such sequence of array-likes and return a tuple of read-only float64
+arrays.  The product is the degree-graded convolution of outer products;
+because the product respects the grading, truncation at degree M is exact
+on the retained degrees.
+
 A node vector is a tuple of n sequences, and a tensor matrix is one tuple
 of (column, sequence) pairs per row, holding only the pattern entries.
 Everything here materializes dense degree-M tensors and is guarded to
 desk scale; the production path lives in :mod:`hypograph.lowrank` and is
-validated against this module.
+validated against this module by ``hypograph check``.
 """
 
 from __future__ import annotations
@@ -15,20 +23,73 @@ from functools import reduce
 import numpy as np
 
 from .config import FeatureConfig
-from .graphs import LabelledGraph, RowStochastic
-from .tensoralg import add, algebra_mul, lift, scale, unit
+from .graphs import LabelledGraph, RowStochastic, frozen
 
 MAX_ORACLE_NODES = 64
 MAX_ORACLE_DEGREE = 4
-WALK_TERM_BUDGET = 10**6
 
 
 class OracleScaleError(ValueError):
     """Requested exact computation beyond the validated desk scale."""
 
 
-class WalkBudgetError(ValueError):
-    """Walk enumeration would exceed the term budget."""
+def _levels(arrays) -> tuple:
+    """Tuple of read-only float64 arrays of ``arrays``, which must be finite."""
+    return tuple(frozen(arr, what="tensor entries") for arr in arrays)
+
+
+def _check_compatible(v, w):
+    shapes_v, shapes_w = [np.shape(a) for a in v], [np.shape(b) for b in w]
+    if shapes_v != shapes_w:
+        raise ValueError(f"level shapes differ: {shapes_v} vs {shapes_w}")
+
+
+def unit(dims: int, max_degree: int) -> tuple:
+    """The multiplicative identity (1, 0, ..., 0)."""
+    return _levels([1.0] + [np.zeros((dims,) * m) for m in range(1, max_degree + 1)])
+
+
+def add(v, w) -> tuple:
+    """Level-wise sum."""
+    _check_compatible(v, w)
+    return _levels(np.add(a, b) for a, b in zip(v, w))
+
+
+def scale(v, factor: float) -> tuple:
+    """Every level multiplied by ``factor``."""
+    return _levels(factor * np.asarray(a) for a in v)
+
+
+def algebra_mul(v, w) -> tuple:
+    """Graded product: level m of the result is sum_i v_i (x) w_{m-i}.
+
+    Degrees above the truncation are discarded; the product is
+    non-commutative from degree 2 on.
+    """
+    _check_compatible(v, w)
+    out = []
+    for m in range(len(v)):
+        acc = np.zeros(np.shape(v[m]))
+        for i in range(m + 1):
+            acc += np.multiply.outer(v[i], w[m - i])
+        out.append(acc)
+    return _levels(out)
+
+
+def lift(x, cfg: FeatureConfig) -> tuple:
+    """Lift a vector into the algebra: level m is c_m * x^(x)m for m up to
+    ``cfg.max_degree``, with c_m from ``cfg.coefficients`` (by default
+    1/m!, the degree-truncated tensor exponential)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or x.size < 1:
+        raise ValueError(f"expected a 1-d vector, got shape {x.shape}")
+    coeffs = cfg.coefficients
+    levels = [np.float64(1.0)]
+    power = np.float64(1.0)
+    for m in range(1, cfg.max_degree + 1):
+        power = np.multiply.outer(power, x)
+        levels.append(coeffs[m] * power)
+    return _levels(levels)
 
 
 def _edge_input(g: LabelledGraph, cfg: FeatureConfig, i: int, j: int, step: int) -> np.ndarray:
@@ -89,64 +150,6 @@ def _matvec(mat, vec) -> tuple:
     return tuple(reduce(add, (algebra_mul(value, vec[j]) for j, value in row)) for row in mat)
 
 
-def _vecmat(vec, mat) -> tuple:
-    """(v^T A)_j = sum_i v_i * A_ij, with the vector entry left of the matrix."""
-    terms = [[] for _ in mat]
-    for i, row in enumerate(mat):
-        for j, value in row:
-            terms[j].append(algebra_mul(vec[i], value))
-    return tuple(reduce(add, column) for column in terms)
-
-
-def _count_walks(g: LabelledGraph, k: int, start: int) -> int:
-    pattern = g.pattern
-    counts = np.zeros(g.n, dtype=np.float64)
-    counts[start] = 1.0
-    total = 1.0
-    for _ in range(k):
-        nxt = np.zeros(g.n, dtype=np.float64)
-        for i in range(g.n):
-            if counts[i]:
-                for e in range(pattern.indptr[i], pattern.indptr[i + 1]):
-                    nxt[pattern.indices[e]] += counts[i]
-        counts = nxt
-        total += counts.sum()
-    return int(total)
-
-
-def enumerate_walk_expectation(
-    g: LabelledGraph, p: RowStochastic, cfg: FeatureConfig, start: int
-) -> tuple:
-    """Brute-force sum over all walks of length k = ``cfg.walk_length`` from
-    ``start``.
-
-    Each walk contributes its probability times the ordered product of
-    its per-step lifts; by construction this equals the corresponding
-    entry of the k-th transition-matrix power applied to the all-unit
-    vector.
-    """
-    k = cfg.walk_length
-    if not (0 <= start < g.n):
-        raise ValueError(f"start node {start} out of range")
-    if not p.pattern.same_as(g.pattern):
-        raise ValueError("transition pattern does not match the graph")
-    if _count_walks(g, k, start) > WALK_TERM_BUDGET:
-        raise WalkBudgetError(f"more than {WALK_TERM_BUDGET} walk terms")
-    pattern = g.pattern
-
-    def walks(node: int, depth: int, prefix, prob: float):
-        if depth == k:
-            yield scale(prefix, prob)
-            return
-        for e in range(pattern.indptr[node], pattern.indptr[node + 1]):
-            j = int(pattern.indices[e])
-            factor = lift(_edge_input(g, cfg, node, j, depth + 1), cfg)
-            yield from walks(j, depth + 1, algebra_mul(prefix, factor), prob * float(p.values[e]))
-
-    # summed left to right in depth-first order, one walk at a time
-    return reduce(add, walks(start, 0, unit(cfg.lift_dim(g.attr_dim), cfg.max_degree), 1.0))
-
-
 def node_features_exact(g: LabelledGraph, p: RowStochastic, cfg: FeatureConfig) -> tuple:
     """Exact walk-history features conditioned on the start node.
 
@@ -164,29 +167,6 @@ def node_features_exact(g: LabelledGraph, p: RowStochastic, cfg: FeatureConfig) 
         vec = _matvec(mat, vec)
     if cfg.zero_start:
         vec = tuple(algebra_mul(lift(_start_input(g, cfg, i), cfg), vec[i]) for i in range(g.n))
-    return vec
-
-
-def graph_feature_exact(g: LabelledGraph, p: RowStochastic, cfg: FeatureConfig) -> tuple:
-    """Mean of the exact node features."""
-    return scale(reduce(add, node_features_exact(g, p, cfg)), 1.0 / g.n)
-
-
-def forward_diffusion_exact(g: LabelledGraph, p: RowStochastic, cfg: FeatureConfig) -> tuple:
-    """Walk-history features conditioned on the end node, after
-    k = ``cfg.walk_length`` steps.
-
-    Entry i is P[walk ends at i] times the expected step-lift product
-    given that ending; its degree-0 level is exactly that probability.
-    The start-node factor is never included here.
-    """
-    oracle_guard(g.n, cfg.max_degree)
-    vec = (scale(unit(cfg.lift_dim(g.attr_dim), cfg.max_degree), 1.0 / g.n),) * g.n
-    mat = None
-    for step in range(1, cfg.walk_length + 1):
-        if mat is None or not cfg.step_homogeneous:
-            mat = tensor_transition(g, p, cfg, step=step)
-        vec = _vecmat(vec, mat)
     return vec
 
 

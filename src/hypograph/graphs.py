@@ -114,7 +114,9 @@ class AdjacencyPattern:
 
     def __post_init__(self):
         # checked before the int32 cast, which would wrap a large index
-        indptr, indices = np.asarray(self.indptr), np.asarray(self.indices)
+        indptr, indices = _node_ids(self.indptr, "indptr"), _node_ids(self.indices, "indices")
+        if indices.ndim != 1:
+            raise ValueError(f"indices must be 1-d, got shape {indices.shape}")
         nnz = indices.size
         ends = indptr.shape == (self.n + 1,) and indptr[0] == 0 and indptr[-1] == nnz
         if not ends or (np.diff(indptr) < 0).any():

@@ -17,13 +17,7 @@ from conftest import random_labelled_graph
 from hypograph.bench import LINEAR_RATIO_BOUND, degree_scaling, edge_scaling
 from hypograph.cli import EXIT_OK, main
 from hypograph.config import FeatureConfig
-from hypograph.exact import (
-    enumerate_walk_expectation,
-    forward_diffusion_exact,
-    graph_feature_exact,
-    level_tensor,
-    node_features_exact,
-)
+from hypograph.exact import level_tensor, node_features_exact
 from hypograph.graphs import (
     AttentionParams,
     LabelledGraph,
@@ -36,6 +30,11 @@ from hypograph.graphs import (
 from hypograph.layers import LayerParams, ModelConfig, init_params, l2_penalty, model_forward
 from hypograph.lowrank import RankOneFunctional, batch_features
 from hypograph.verify import make_transition, rel_err, run_equivalence_suite
+from oracle_references import (
+    enumerate_walk_expectation,
+    forward_diffusion_exact,
+    graph_feature_exact,
+)
 
 
 def report(criterion: str, ok: bool, detail: str = ""):

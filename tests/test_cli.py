@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import ctypes
 import dataclasses
@@ -121,6 +122,40 @@ def test_every_feature_setting_comes_from_a_flag():
     assert unset == []
     assert model.pooling is None
     assert cli._build_model(parse(base), 3).pooling == "mean"
+
+
+def test_every_src_name_is_reached():
+    # a top-level function, class or constant of the package that only tests
+    # use belongs in tests/: each must be named in other package code, in
+    # perfbench or in hypograph.__all__ (names in the syntax tree, so a
+    # docstring or comment that mentions one does not count)
+    root = Path(__file__).parents[1]
+
+    def names(tree):
+        return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+                if isinstance(node, (ast.Name, ast.Attribute))}
+
+    def defined(stmt):
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            return [stmt.name]
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign):
+            targets = [stmt.target]
+        else:
+            targets = []
+        # dunders such as __all__ and __version__ are read by Python and tools
+        return [t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("__")]
+
+    stmts = [(path.stem, stmt) for path in sorted((root / "src" / "hypograph").glob("*.py"))
+             for stmt in ast.parse(path.read_text()).body]
+    outside = set(hypograph.__all__).union(
+        *(names(ast.parse(path.read_text())) for path in (root / "perfbench").glob("*.py")))
+    used = [names(stmt) for _, stmt in stmts]
+    unreached = [f"{module}.{name}" for i, (module, stmt) in enumerate(stmts)
+                 for name in defined(stmt) if name not in outside
+                 and not any(name in refs for j, refs in enumerate(used) if j != i)]
+    assert unreached == []
 
 
 class TestExtract:

@@ -7,18 +7,25 @@ from conftest import random_labelled_graph, seq_allclose
 from hypograph.config import FeatureConfig
 from hypograph.exact import (
     OracleScaleError,
+    add,
+    algebra_mul,
+    level_tensor,
+    lift,
+    node_features_exact,
+    scale,
+    tensor_transition,
+    unit,
+)
+from hypograph.graphs import LabelledGraph, transition_matrix, weighted_transition
+from hypograph.graphs import classic_diffusion
+from hypograph.verify import make_transition
+from oracle_references import (
     WalkBudgetError,
     enumerate_walk_expectation,
     forward_diffusion_exact,
     graph_feature_exact,
-    level_tensor,
-    node_features_exact,
-    tensor_transition,
+    sequence_feature,
 )
-from hypograph.graphs import LabelledGraph, transition_matrix, weighted_transition
-from hypograph.graphs import classic_diffusion
-from hypograph.tensoralg import add, algebra_mul, lift, scale, sequence_feature, unit
-from hypograph.verify import make_transition
 
 
 def cfg_of(**kw):

@@ -886,6 +886,17 @@ RAISE_SITES = {
                                 ValueError, r"^indices must lie in 0\.\.1$"),
     "pattern_falling_indptr": (lambda tmp: AdjacencyPattern(3, [0, 2, 1, 2], [1, 0]), ValueError,
                                r"^indptr must rise from 0 to nnz=2 in n\+1=4 offsets$"),
+    # the int32 cast would truncate a fraction or read a bool as 0 or 1
+    "pattern_fractional_indptr": (lambda tmp: AdjacencyPattern(2, [0, 1.5, 2], [1, 0]), ValueError,
+                                  r"^indptr: node ids must be integers, got 1\.5$"),
+    "pattern_fractional_indices": (lambda tmp: AdjacencyPattern(2, [0, 1, 2], [2.5, 0.9]),
+                                   ValueError, r"^indices: node ids must be integers, got 2\.5$"),
+    "pattern_bool_indices": (lambda tmp: AdjacencyPattern(2, [0, 1, 2], np.array([True, False])),
+                             ValueError, r"^indices must hold real numbers, got True$"),
+    "pattern_string_indptr": (lambda tmp: AdjacencyPattern(2, ["0", "1", "2"], [1, 0]),
+                              ValueError, r"^indptr must hold real numbers, got '0'$"),
+    "pattern_indices_2d": (lambda tmp: AdjacencyPattern(2, [0, 1, 2], [[1], [0]]),
+                           ValueError, r"^indices must be 1-d, got shape \(2, 1\)$"),
     "attention_shapes_differ": (lambda tmp: AttentionParams(np.ones((2, 3)), np.ones((1, 3))),
                                 ValueError, r"^w_source and w_target must have matching shapes$"),
     "attention_without_heads": (lambda tmp: AttentionParams(np.zeros((0, 2)), np.zeros((0, 2))),

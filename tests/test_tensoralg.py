@@ -2,15 +2,8 @@ import numpy as np
 import pytest
 
 from hypograph.config import FeatureConfig
-from hypograph.tensoralg import (
-    add,
-    algebra_mul,
-    inner_product,
-    lift,
-    scale,
-    sequence_feature,
-    unit,
-)
+from hypograph.exact import add, algebra_mul, lift, scale, unit
+from oracle_references import sequence_feature
 
 
 def outer_loop_oracle(a, b):
@@ -98,40 +91,6 @@ class TestAlgebraMul:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             algebra_mul(unit(2, 2), unit(3, 2))
-
-
-class TestInnerProduct:
-    def test_orthonormal_basis_tensors(self):
-        e1 = np.array([1.0, 0.0])
-        e2 = np.array([0.0, 1.0])
-        e12 = [np.float64(0.0), np.zeros(2), np.outer(e1, e2)]
-        e21 = [np.float64(0.0), np.zeros(2), np.outer(e2, e1)]
-        assert inner_product(e12, e12) == 1.0
-        assert inner_product(e12, e21) == 0.0
-
-    def test_unit(self):
-        one = unit(2, 3)
-        assert inner_product(one, one) == 1.0
-
-    def test_hand_value(self):
-        v = [np.float64(1.0), np.array([2.0]), np.array([[3.0]])]
-        w = [np.float64(0.0), np.array([1.0]), np.array([[-1.0]])]
-        assert inner_product(v, w) == -1.0  # 0 + 2 - 3
-
-    def test_symmetric_bilinear_positive_definite(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            d = int(rng.integers(1, 4))
-            mk = lambda: [np.float64(rng.standard_normal())] + [
-                rng.standard_normal((d,) * m) for m in (1, 2)
-            ]
-            u, v, w = mk(), mk(), mk()
-            a, b = rng.standard_normal(2)
-            assert inner_product(u, v) == pytest.approx(inner_product(v, u))
-            lhs = inner_product(add(scale(u, a), scale(v, b)), w)
-            rhs = a * inner_product(u, w) + b * inner_product(v, w)
-            assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
-            assert inner_product(u, u) > 0.0
 
 
 class TestLift:
