@@ -143,6 +143,18 @@ class AdjacencyPattern:
     def nnz(self) -> int:
         return int(self.indices.size)
 
+    def sources(self, x: np.ndarray, entries=slice(None)) -> np.ndarray:
+        """Rows of ``x`` at the row node of each stored entry in ``entries``."""
+        return x.take(self.rows[entries], axis=0)
+
+    def targets(self, x: np.ndarray) -> np.ndarray:
+        """Rows of ``x`` at the column node of each stored entry."""
+        return x.take(self.indices, axis=0)
+
+    def row_sums(self, x: np.ndarray) -> np.ndarray:
+        """Per-entry rows of ``x`` (nnz, ...) summed by their row node, (n, ...)."""
+        return self.incidence @ x
+
     def matrix(self, values: np.ndarray) -> sparse.csr_matrix:
         """CSR matrix with the given values on this pattern (arrays shared)."""
         return sparse.csr_matrix(
@@ -320,7 +332,7 @@ class RowStochastic:
             raise ValueError("values must align with the pattern entries")
         if np.any(values < 0.0) or np.any(values > 1.0):
             raise ValueError("transition values must lie in [0, 1]")
-        row_sums = self.pattern.incidence @ values  # an empty row sums to 0
+        row_sums = self.pattern.row_sums(values)  # an empty row sums to 0
         if np.any(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
             raise ValueError("rows must sum to 1")
         object.__setattr__(self, "values", values)
@@ -333,7 +345,7 @@ class RowStochastic:
 def _row_normalized(pattern: AdjacencyPattern, weights: np.ndarray) -> np.ndarray:
     """``weights`` on the pattern entries, (nnz,) or one column per head
     (nnz, heads), each divided by its row's sum in its column."""
-    return weights / np.add.reduceat(weights, pattern.indptr[:-1])[pattern.rows]
+    return weights / pattern.sources(np.add.reduceat(weights, pattern.indptr[:-1]))
 
 
 def transition_matrix(g: LabelledGraph) -> RowStochastic:
@@ -399,10 +411,6 @@ class AttentionParams:
         return int(self.w_source.shape[1])
 
 
-def _leaky_relu(x: np.ndarray) -> np.ndarray:
-    return np.where(x >= 0.0, x, LEAKY_SLOPE * x)
-
-
 def attention_transition(g: LabelledGraph, params: AttentionParams) -> RowStochastic:
     """Walk transitions from additive attention over neighbourhoods.
 
@@ -422,10 +430,11 @@ def attention_transition(g: LabelledGraph, params: AttentionParams) -> RowStocha
     with np.errstate(over="ignore", invalid="ignore"):
         src = g.attributes @ params.w_source.T  # (n, heads)
         tgt = g.attributes @ params.w_target.T
-        scores = _leaky_relu(src[pattern.rows] + tgt[pattern.indices])  # (nnz, heads)
+        x = pattern.sources(src) + pattern.targets(tgt)  # (nnz, heads)
+        scores = np.maximum(x, LEAKY_SLOPE * x)  # the leaky rectifier, as 0 < slope < 1
         finite(scores, "in the attention transition")
         row_max = np.maximum.reduceat(scores, pattern.indptr[:-1])
-        probs = _row_normalized(pattern, np.exp(scores - row_max[pattern.rows]))
+        probs = _row_normalized(pattern, np.exp(scores - pattern.sources(row_max)))
     # the running sum over heads, in head order, as a per-head loop adds them
     return RowStochastic(pattern, np.cumsum(probs, axis=1)[:, -1] / params.heads)
 

@@ -54,14 +54,14 @@ def _edge_attr_inputs(g: LabelledGraph, cfg: FeatureConfig) -> np.ndarray:
     node's own attributes without ``diff``.
     """
     pattern = g.pattern
-    x = g.attributes[pattern.indices]
+    x = pattern.targets(g.attributes)
     if cfg.diff:
         # in blocks whose start gather is within one (nnz, R) array and the budget
         nnz, d = x.shape
         size = max(1, min(nnz * cfg.rank, CHUNK_ELEMENTS) // max(d, 1))
         for start in range(0, nnz, size):
             block = slice(start, start + size)
-            x[block] -= g.attributes[pattern.rows[block]]
+            x[block] -= pattern.sources(g.attributes, block)
     return x
 
 
@@ -71,7 +71,7 @@ def _project(x: np.ndarray, u_attr: np.ndarray) -> np.ndarray:
 
 
 def _same(x):
-    """The identity, step 0's plain product and per-row entry sum."""
+    """The identity, step 0's gather, plain product and per-row entry sum."""
     return x
 
 
@@ -104,7 +104,7 @@ def _step_terms(cvals: np.ndarray, weights, rowsum, coeffs) -> list:
     return terms
 
 
-def _step(state: np.ndarray, terms: list, targets, plain, rowsum, where: str) -> np.ndarray:
+def _step(state: np.ndarray, terms: list, gather, plain, rowsum, where: str) -> np.ndarray:
     """One step on the state (M, n, R) of degrees 1..M.
 
     Degree m is the plain product of its previous value, plus one per-row
@@ -113,7 +113,7 @@ def _step(state: np.ndarray, terms: list, targets, plain, rowsum, where: str) ->
     step in the overflow message.
     """
     m_max = state.shape[0]
-    gathered = state[: m_max - 1, targets]  # gathered[j - 1] = degree j per entry
+    gathered = [gather(degree) for degree in state[: m_max - 1]]  # [j - 1]: degree j per entry
     new = np.empty_like(state)
     for m, (chains, const) in enumerate(terms, start=1):
         column = plain(state[m - 1]) + const
@@ -159,8 +159,7 @@ def batch_features(
     state = np.zeros((m_max, g.n, rank))
     # overflow surfaces as NonFiniteError, so no warning is needed
     with np.errstate(over="ignore", invalid="ignore"):
-        targets, plain = p.pattern.indices, p.matrix.__matmul__
-        rowsum = p.pattern.incidence.__matmul__
+        gather, plain, rowsum = p.pattern.targets, p.matrix.__matmul__, p.pattern.row_sums
         cvals = _project(_edge_attr_inputs(g, cfg), u_attr)
         u_time = u_all[:, :, 0].T[:, None, :] if cfg.time_param else None
         terms = None
@@ -174,9 +173,9 @@ def batch_features(
                 terms = _step_terms(step_cvals, p.values, rowsum, coeffs)
                 if cfg.step_homogeneous:
                     step_cvals = cvals = None  # every later step reuses these terms
-            state = _step(state, terms, targets, plain, rowsum, f"at walk step {step}")
+            state = _step(state, terms, gather, plain, rowsum, f"at walk step {step}")
         if cfg.zero_start:
             # step 0 lifts the start projections <u, f(i)>, time coordinate 0
             terms = _step_terms(_project(g.attributes, u_attr), np.ones(g.n), _same, coeffs)
-            state = _step(state, terms, slice(None), _same, _same, "in the start-node correction")
+            state = _step(state, terms, _same, _same, _same, "in the start-node correction")
     return np.stack(state, axis=-1).reshape(g.n, rank * m_max)

@@ -1,3 +1,4 @@
+import ast
 import re
 import tempfile
 from pathlib import Path
@@ -5,10 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import random_labelled_graph, write_tu_files
 from hypograph.config import FeatureConfig
 from hypograph.graphs import (
+    LEAKY_SLOPE,
     AdjacencyPattern,
     AttentionParams,
     DatasetError,
@@ -305,6 +308,64 @@ class TestDisjointUnion:
                 np.testing.assert_allclose(got[other], want, rtol=1e-12, atol=1e-12)
 
 
+@st.composite
+def hub_patterns(draw):
+    """Patterns with isolated nodes and a hub row of at least 9 entries,
+    node ids shuffled so neither sits at a fixed end."""
+    n = draw(st.integers(13, 40))
+    live = n - draw(st.integers(1, 3))
+    hub = draw(st.integers(0, live - 1))
+    others = [j for j in range(live) if j != hub]
+    spokes = draw(st.permutations(others))[: draw(st.integers(9, len(others)))]
+    pairs = st.tuples(st.integers(0, live - 1), st.integers(0, live - 1))
+    extra = draw(st.lists(pairs.filter(lambda e: e[0] != e[1]), max_size=40))
+    perm = np.array(draw(st.permutations(range(n))))
+    edges = perm[np.array([(hub, j) for j in spokes] + extra)]
+    return LabelledGraph(n, edges, np.zeros((n, 1))).pattern
+
+
+class TestAdjacencyPattern:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(pattern=hub_patterns(), data=st.data())
+    def test_gathers_and_row_sums_are_the_index_reads_byte_for_byte(self, pattern, data):
+        assert np.diff(pattern.indptr).max() >= 9
+        assert (pattern.rows == pattern.indices).any()  # an isolated node's slot
+        dtype = data.draw(st.sampled_from([np.float64, np.float32]))
+
+        def operand(rows, ndims):
+            trailing = st.lists(st.integers(1, 3), min_size=ndims - 1, max_size=ndims - 1)
+            # every float of the dtype: +-0, subnormals, +-inf and NaNs
+            return data.draw(arrays(dtype, (rows, *data.draw(trailing))))
+
+        def same(got, want):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
+        for ndims in (1, 2, 3):
+            x = operand(pattern.n, ndims)
+            block = data.draw(st.slices(pattern.nnz))
+            same(pattern.sources(x), x[pattern.rows])
+            same(pattern.targets(x), x[pattern.indices])
+            same(pattern.sources(x, block), x[pattern.rows[block]])
+        for ndims in (1, 2):
+            x = operand(pattern.nnz, ndims)
+            same(pattern.row_sums(x), pattern.incidence @ x)
+
+
+def test_only_the_pattern_reads_its_csr_arrays():
+    # every package module gathers and sums on the walk pattern through
+    # AdjacencyPattern's methods, so its storage format is graphs.py's
+    # decision alone; exact.py walks the arrays itself, as the independent
+    # reference the low-rank engine is checked against
+    package = Path(__file__).parents[1] / "src" / "hypograph"
+    reads = [f"{path.name}:{node.lineno} .{node.attr}"
+             for path in sorted(package.glob("*.py")) if path.name not in ("graphs.py", "exact.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("indptr", "indices", "rows", "incidence")]
+    assert reads == []
+
+
 class TestTransitionMatrix:
     def test_path(self, path2):
         np.testing.assert_array_equal(
@@ -485,6 +546,17 @@ class TestAttentionTransition:
         params = AttentionParams(rng.standard_normal((heads, 4)), rng.standard_normal((heads, 4)))
         got = attention_transition(g, params).values
         assert got.tobytes() == loop_values(g, params).tobytes()
+
+    def test_leaky_rectifier_as_a_maximum_moves_no_bit(self):
+        # attention_transition takes max(x, slope * x), which equals
+        # x >= 0 ? x : slope * x bit for bit while 0 < slope < 1
+        info = np.finfo(float)
+        sub, tiny = info.smallest_subnormal, info.tiny
+        edge = [0.0, np.inf, sub, 2 * sub, 4 * sub, 5 * sub, tiny - sub, tiny, 1.0, info.max]
+        normal = np.random.default_rng(3).standard_normal(64)
+        x = np.concatenate([edge, np.negative(edge), normal])
+        got = np.maximum(x, LEAKY_SLOPE * x)
+        assert got.tobytes() == np.where(x >= 0.0, x, LEAKY_SLOPE * x).tobytes()
 
     def test_slope_is_pinned(self):
         # the slope is the module constant LEAKY_SLOPE, not a field
