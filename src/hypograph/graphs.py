@@ -9,6 +9,7 @@ put with probability one.
 
 from __future__ import annotations
 
+import mmap
 import numbers
 import os
 import reprlib
@@ -182,8 +183,11 @@ class LabelledGraph:
     """Undirected graph with d-dimensional real node attributes.
 
     Edges are stored once as (i, j) pairs with i < j, deduplicated, with
-    no self-loops.
+    no self-loops.  A graph of a loaded dataset with node labels holds them
+    as codes and builds its ``attributes`` on first read.
     """
+
+    _codes = None  # node label codes, on a graph made by _from_codes
 
     def __init__(self, n: int, edges, attributes):
         n = integer(n, "n", 1)
@@ -215,13 +219,33 @@ class LabelledGraph:
         g.n, g.edges, g.attributes = n, edges, attributes
         return g
 
+    @classmethod
+    def _from_codes(cls, n: int, edges: np.ndarray, codes, width: int, real) -> "LabelledGraph":
+        """As :meth:`_from_checked`, over attributes not yet built: row i
+        is one-hot over ``width`` columns with its 1.0 at ``codes[i]``,
+        then row i of the read-only float64 (n, d) ``real``, d >= 0."""
+        g = cls.__new__(cls)
+        g.n, g.edges, g._codes, g._width, g._real = n, edges, codes, width, real
+        return g
+
+    @cached_property
+    def attributes(self) -> np.ndarray:
+        # read here only on a graph over codes; the others set it
+        block = np.zeros((self.n, self.attr_dim))
+        block[np.arange(self.n), self._codes] = 1.0
+        block[:, self._width :] = self._real
+        block.flags.writeable = False
+        return block
+
     @property
     def num_edges(self) -> int:
         return int(self.edges.shape[0])
 
     @property
     def attr_dim(self) -> int:
-        return int(self.attributes.shape[1])
+        if self._codes is None:
+            return int(self.attributes.shape[1])
+        return self._width + self._real.shape[1]
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -279,6 +303,10 @@ class LabelledGraph:
         bounds = zip(offsets.tolist(), offsets[1:].tolist(), cuts.tolist(), cuts[1:].tolist())
         return [
             LabelledGraph._from_checked(hi - lo, local[first:stop], self.attributes[lo:hi])
+            if self._codes is None
+            else LabelledGraph._from_codes(
+                hi - lo, local[first:stop], self._codes[lo:hi], self._width, self._real[lo:hi]
+            )
             for lo, hi, first, stop in bounds
         ]
 
@@ -293,7 +321,8 @@ def disjoint_union(graphs) -> tuple[LabelledGraph, np.ndarray]:
     in their own order.  No edge joins two blocks, so every walk stays in
     its graph and row-wise results on the union are those of each graph.
     Members' checked arrays are trusted: edges shifted by rising offsets
-    stay sorted, unique, in range and without loops.
+    stay sorted, unique, in range and without loops.  Members that all
+    hold label codes of one width give a union over their joined codes.
     """
     graphs = list(graphs)
     if not graphs:
@@ -304,9 +333,15 @@ def disjoint_union(graphs) -> tuple[LabelledGraph, np.ndarray]:
     offsets = np.zeros(len(graphs) + 1, dtype=np.int64)
     np.cumsum([g.n for g in graphs], out=offsets[1:])
     edges = np.concatenate([g.edges + off for g, off in zip(graphs, offsets)])
+    n = int(offsets[-1])
+    if all(g._codes is not None and g._width == graphs[0]._width for g in graphs):
+        codes = np.concatenate([g._codes for g in graphs])
+        real = np.concatenate([g._real for g in graphs])
+        edges.flags.writeable = codes.flags.writeable = real.flags.writeable = False
+        return LabelledGraph._from_codes(n, edges, codes, graphs[0]._width, real), offsets
     attributes = np.concatenate([g.attributes for g in graphs])
     edges.flags.writeable = attributes.flags.writeable = False
-    return LabelledGraph._from_checked(int(offsets[-1]), edges, attributes), offsets
+    return LabelledGraph._from_checked(n, edges, attributes), offsets
 
 
 def block_offsets(offsets, n: int) -> np.ndarray:
@@ -517,14 +552,18 @@ def _file_line(path: str, row: int) -> int:
     return [number for number, _ in _lines(path)][row]
 
 
-def _node_attributes(prefix: str, order: np.ndarray) -> np.ndarray:
-    """The read-only (n, d) attribute matrix of a TU dataset, its rows in
-    ``order`` (file rows grouped by graph): the one-hot node labels, then
-    the node attributes."""
+def _node_attributes(prefix: str, order: np.ndarray):
+    """Read-only (codes, width, real) of a TU dataset's nodes, as
+    :meth:`LabelledGraph._from_codes` takes them, rows in ``order`` (file
+    rows grouped by graph): codes are node labels minus the smallest (None
+    without labels) and real the node attributes, (n, 0) without.  A label
+    range whose (n, width) float64 one-hot block could not be allocated is
+    a DatasetError, found by mapping, never touching, and unmapping as many
+    bytes, before any code is computed."""
     num_nodes = order.size
     labels_path = prefix + "_node_labels.txt"
     attrs_path = prefix + "_node_attributes.txt"
-    blocks = []
+    codes = width = None
     if os.path.exists(labels_path):
         raw = _read_table(labels_path, np.int64, 1)[:, 0]
         if len(raw) != num_nodes:
@@ -532,15 +571,17 @@ def _node_attributes(prefix: str, order: np.ndarray) -> np.ndarray:
                 f"{labels_path}: {len(raw)} labels for {num_nodes} nodes"
             )
         lo, hi = int(raw.min()), int(raw.max())
+        width = hi - lo + 1  # a Python int: label - min wraps in int64 past 2**63
         try:
-            onehot = np.zeros((num_nodes, hi - lo + 1), dtype=np.float64)
-        except (MemoryError, ValueError) as exc:
+            mmap.mmap(-1, num_nodes * width * 8).close()
+        except (OverflowError, OSError) as exc:
             raise DatasetError(
                 f"{labels_path}: node labels {lo}..{hi} are too wide a range to one-hot "
                 f"encode for {num_nodes} nodes"
             ) from exc
-        onehot[np.arange(num_nodes), raw[order] - lo] = 1.0
-        blocks.append(onehot)
+        codes = (raw[order] - lo).astype(np.min_scalar_type(width - 1))
+        codes.flags.writeable = False
+    real = np.empty((num_nodes, 0))
     if os.path.exists(attrs_path):
         attrs = _read_table(attrs_path, np.float64)
         if len(attrs) != num_nodes:
@@ -551,14 +592,12 @@ def _node_attributes(prefix: str, order: np.ndarray) -> np.ndarray:
         if bad.size:
             line = _file_line(attrs_path, bad[0])
             raise DatasetError(f"{attrs_path}: line {line}: attributes must be finite")
-        attrs = attrs[order]
-        blocks.append(attrs)
-    if not blocks:
+        real = attrs[order]
+    elif codes is None:
         raise DatasetError(f"need {labels_path} or {attrs_path}")
-    attributes = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
     # frozen in place, so the graphs share views of it, not copies
-    attributes.flags.writeable = False
-    return attributes
+    real.flags.writeable = False
+    return codes, width, real
 
 
 def load_tu_dataset(path: str, name: str):
@@ -571,6 +610,8 @@ def load_tu_dataset(path: str, name: str):
     (comma-separated reals); ``name_graph_labels.txt`` is optional.  When
     both labels and attributes are present the one-hot block comes first.
     Graphs come in increasing graph id; each keeps its nodes in file order.
+    With node labels no attribute block of the whole dataset is built: each
+    graph keeps its labels as codes and builds its ``attributes`` when read.
 
     Returns a list of (LabelledGraph, label) pairs where label is None if
     the dataset has no graph labels.
@@ -597,7 +638,7 @@ def load_tu_dataset(path: str, name: str):
     new_id = np.empty(num_nodes, dtype=np.int64)
     new_id[order] = np.arange(num_nodes)
 
-    attributes = _node_attributes(prefix, order)
+    codes, width, real = _node_attributes(prefix, order)
     del order
 
     edges = _read_table(a_path, np.int64, 2)
@@ -633,9 +674,12 @@ def load_tu_dataset(path: str, name: str):
                 f"{glabels_path}: {len(graph_labels)} labels for {num_graphs} graphs"
             )
 
-    # one check and canonical sort of every edge, then one view per graph
-    graphs = LabelledGraph(num_nodes, edges, attributes).split(offsets)
-    return list(zip(graphs, graph_labels))
+    # one check and canonical sort of every edge, then one view per graph,
+    # which with node labels holds its rows of the codes
+    whole = LabelledGraph(num_nodes, edges, real)
+    if codes is not None:
+        whole = LabelledGraph._from_codes(num_nodes, whole.edges, codes, width, real)
+    return list(zip(whole.split(offsets), graph_labels))
 
 
 def save_tu_dataset(path: str, name: str, dataset) -> None:

@@ -1,6 +1,8 @@
 import ast
+import itertools
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -912,6 +914,93 @@ class TestTuLoader:
                 assert g0.n == g1.n
                 np.testing.assert_array_equal(g0.edges, g1.edges)
                 np.testing.assert_array_equal(g0.attributes, g1.attributes)
+
+
+def assert_same_bits(got, want):
+    """got equals want in every stored array, its attributes bit for bit
+    and read-only C-contiguous float64."""
+    assert_same_graph(got, want)
+    assert got.attributes.flags.c_contiguous
+    assert got.attributes.tobytes() == want.attributes.tobytes()
+    assert got.attr_dim == want.attr_dim
+
+
+class TestLabelCodes:
+    """A dataset with node labels loads them as integer codes, and each
+    graph or union builds its one-hot rows only when its attributes are
+    read."""
+
+    def test_loader_never_holds_the_whole_block(self, tmp_path):
+        graphs, size, width = 300, 20, 1000
+        nodes = graphs * size
+        block = nodes * width * 8  # the whole dataset's float64 one-hot block
+        assert block >= 40e6
+        write_tu_files(
+            tmp_path, "wide",
+            [(a, a + 1) for g in range(graphs) for a in range(g * size + 1, (g + 1) * size)],
+            np.repeat(np.arange(1, graphs + 1), size).tolist(),
+            node_labels=[v % width for v in range(nodes)],
+        )
+        tracemalloc.start()
+        try:
+            dataset = load_tu_dataset(str(tmp_path), "wide")
+            loading = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            dims = {g.attr_dim for g, _ in dataset}
+            reading = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert loading < block / 10
+        assert reading < block / 100
+        assert dims == {width}
+        g = dataset[1][0]
+        assert g.attributes.shape == (size, width)
+        np.testing.assert_array_equal(np.argmax(g.attributes, axis=1), np.arange(size, 2 * size))
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_coded_and_dense_graphs_agree_bit_for_bit(self, data):
+        sizes = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        n = int(offsets[-1])
+        labels = data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        real = data.draw(arrays(np.float64, (n, data.draw(st.integers(0, 2))), elements=finite))
+        edges = []
+        for lo, size in zip(offsets.tolist(), sizes):
+            pairs = list(itertools.permutations(range(lo + 1, lo + size + 1), 2))
+            edges += data.draw(st.lists(st.sampled_from(pairs))) if pairs else []
+        onehot = np.zeros((n, max(labels) - min(labels) + 1))
+        onehot[np.arange(n), np.array(labels) - min(labels)] = 1.0
+        rows = np.hstack([onehot, real])
+        with tempfile.TemporaryDirectory() as tmp:
+            write_tu_files(Path(tmp), "codes", edges, np.repeat(np.arange(len(sizes)), sizes),
+                           node_labels=labels, node_attributes=real.tolist() if real.size else None)
+            coded = [g for g, _ in load_tu_dataset(tmp, "codes")]
+            dense = [LabelledGraph(g.n, g.edges, rows[a:b])
+                     for g, a, b in zip(coded, offsets, offsets[1:])]
+            union, union_offsets = disjoint_union(coded)
+            blocks = [v for v in vars(union).values()
+                      if isinstance(v, np.ndarray) and v.shape == (n, rows.shape[1])]
+            assert union.attr_dim == rows.shape[1] and not blocks
+            dense_union = disjoint_union(dense)[0]
+            mixed = [h if k % 2 else g for k, (g, h) in enumerate(zip(coded, dense))]
+            perm = data.draw(st.permutations(range(coded[0].n)))
+            pairs = [
+                (union, dense_union),
+                *zip(union.split(union_offsets), dense),
+                (disjoint_union(mixed)[0], dense_union),
+                (disjoint_union(mixed[::-1])[0], disjoint_union(dense[::-1])[0]),
+                *zip(coded, dense),
+                (coded[0].permuted(perm), dense[0].permuted(perm)),
+                (coded[-1].with_attributes(coded[-1].attributes), dense[-1]),
+            ]
+            save_tu_dataset(tmp, "again", [(g, None) for g in coded])
+            pairs += zip([g for g, _ in load_tu_dataset(tmp, "again")], dense)
+        for got, want in pairs:
+            assert_same_bits(got, want)
 
 
 def _load_with_edge_file_as_directory(tmp_path):
